@@ -10,8 +10,8 @@ plane needs:
   ``family.labels(a, b)`` (or ``family.labels(ns="x", ...)``) returns
   the child series, created on first use;
 - all mutation is thread-safe: one lock per family guards child
-  creation, and each child guards its own values (fit workers, predict
-  workers, and the event loop all record concurrently);
+  creation, and each child guards its own values (fit workers and the
+  event loop record concurrently);
 - :meth:`MetricsRegistry.render` emits the Prometheus text exposition
   format (``# HELP`` / ``# TYPE`` / sorted series; histograms render
   cumulative ``_bucket{le=...}`` plus ``_sum``/``_count``), which is
@@ -39,7 +39,7 @@ __all__ = [
 #: the content type Prometheus scrapers expect from a metrics endpoint
 EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-#: fixed latency buckets (milliseconds): sub-ms warm predicts through
+#: fixed latency buckets (milliseconds): sub-ms warm answers through
 #: multi-second cold TG fits, roughly log-spaced
 DEFAULT_LATENCY_BUCKETS_MS = (
     0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,

@@ -22,7 +22,7 @@ Worker threads don't inherit contextvars from the event loop, so the
 router copies its context before submitting to an executor
 (:func:`run_in_context`); spans recorded inside a fit job then attach to
 the originating request's trace.  Trace mutation is lock-guarded — the
-fit pool, predict pool, and event loop may all append concurrently.
+fit pool and the event loop may append concurrently.
 """
 
 from __future__ import annotations

@@ -13,11 +13,13 @@ true operationally:
   entry point (Python, CLI, HTTP) speaks;
 - :mod:`repro.serving.service` — :class:`SelectionService`, the LRU
   warm-start facade (one per served
-  :class:`~repro.strategies.SelectionStrategy`) with per-query
-  latency/hit-rate counters;
+  :class:`~repro.strategies.SelectionStrategy`) caching each fitted
+  target's whole :class:`Answer`, with per-query latency/hit-rate
+  counters;
 - :mod:`repro.serving.router` — :class:`AsyncSelectionRouter`, the
-  asyncio front-end with single-flight fit coalescing, parallel cold
-  fits, and a bounded cold-fit queue with adaptive backpressure;
+  asyncio front-end answering warm requests inline, with single-flight
+  fit coalescing, parallel cold fits, and a bounded cold-fit queue with
+  adaptive backpressure;
 - :mod:`repro.serving.fit_plane` — the process fit plane
   (``fit_executor="process"``): cold fits run in worker processes over
   the strategy pack/unpack boundary for true multi-core fitting;
@@ -90,7 +92,7 @@ from repro.serving.router import (
     QueueFullError,
     RouterStats,
 )
-from repro.serving.service import SelectionService, ServiceStats
+from repro.serving.service import Answer, SelectionService, ServiceStats
 from repro.serving.gateway import (
     SelectionGateway,
     UnknownModelError,
@@ -145,6 +147,7 @@ __all__ = [
     "AsyncSelectionRouter",
     "QueueFullError",
     "RouterStats",
+    "Answer",
     "SelectionService",
     "ServiceStats",
     "SelectionGateway",

@@ -258,7 +258,6 @@ class SelectionGateway:
                       overflow: str = "reject",
                       retry_after_s: float = 0.5,
                       fit_workers: int = 2,
-                      predict_workers: int = 4,
                       shed_start: float = 1.0,
                       fit_executor: str | None = None,
                       fit_timeout_s: float | None = None
@@ -329,7 +328,6 @@ class SelectionGateway:
                 overflow=overflow,
                 retry_after_s=retry_after_s,
                 fit_workers=fit_workers,
-                predict_workers=predict_workers,
                 shed_start=shed_start,
                 fit_executor=fit_executor,
                 fit_timeout_s=fit_timeout_s,

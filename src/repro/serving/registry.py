@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import threading
 import time
 from pathlib import Path
 
@@ -55,6 +56,14 @@ __all__ = ["ArtifactRegistry"]
 
 _META = "meta.json"
 _ARRAYS = "arrays.npz"
+
+#: numpy parses every npz member's header with ``ast.literal_eval``,
+#: which on CPython 3.11 can raise ``SystemError: AST constructor
+#: recursion depth mismatch`` when threads parse at once (several
+#: routers reviving on their fit threads).  That parser state belongs to
+#: the interpreter, not to a registry, so the lock is process-wide:
+#: every npz read here — the open and each member — holds it.
+_NPZ_READ_LOCK = threading.Lock()
 
 
 class ArtifactRegistry:
@@ -224,7 +233,7 @@ class ArtifactRegistry:
             )
         try:
             meta = json.loads((path / _META).read_text())
-            with np.load(path / _ARRAYS) as npz:
+            with _NPZ_READ_LOCK, np.load(path / _ARRAYS) as npz:
                 arrays = {key: npz[key] for key in npz.files}
         except (OSError, ValueError) as exc:
             # Truncated JSON, missing/corrupt npz (BadZipFile is an

@@ -1,21 +1,31 @@
-"""Async request router: single-flight fit coalescing over SelectionService.
+"""Async request router: inline warm answers, single-flight cold fits.
 
-:class:`SelectionService` answers warm queries in a millisecond but a
-cold query fits a whole pipeline, and the serial facade makes N
+:class:`SelectionService` caches each fitted target's whole answer (an
+:class:`~repro.serving.service.Answer`), so a warm query is a lookup;
+but a cold query fits a whole pipeline, and the serial facade makes N
 concurrent cold queries for one target pay N fits.
 :class:`AsyncSelectionRouter` fronts one service with an asyncio event
-loop and fixes exactly that:
+loop:
 
+- **inline warm answers** — a cache hit is answered on the event loop
+  by slicing the stored ranking or indexing the stored scores: no
+  executor hop, no predict, no catalog read, no per-pipeline lock (the
+  loop only reads finished, immutable answers).  Each ``rank`` /
+  ``score_batch`` still suspends once (``await asyncio.sleep(0)``), so a
+  client looping on warm answers cannot starve the other tasks on the
+  loop — another connection, or a refresh finishing on a thread;
 - **single-flight coalescing** — concurrent misses for the same
   ``(target, config_fp)`` key await one in-flight fit future; the fit
-  runs once no matter how many clients asked for it;
-- **thread-pool offload** — fits/revives and predicts are CPU-bound, so
-  they run in executors while the event loop keeps accepting requests;
-  distinct cold targets fit in parallel (derived-score recording into
-  the shared zoo catalog is lock-guarded — see
+  runs once no matter how many clients asked for it, and
+  ``score_batch`` awaits only its missing targets;
+- **thread-pool offload** — fits and revives are CPU-bound, so they run
+  in a fit pool while the event loop keeps answering; the fit job also
+  materialises the new pipeline's answer
+  (:meth:`SelectionService.cache_put`), so fit workers stay the only
+  catalog writers.  Distinct cold targets fit in parallel (derived-score
+  recording into the shared zoo catalog is lock-guarded — see
   :attr:`repro.store.ZooCatalog.lock` — so ``fit_workers`` defaults
-  above one; the fit job also runs one warm-up predict so the predict
-  pool never touches a pipeline's lazy normalisation state);
+  above one);
 - **process fit plane** — ``fit_executor="process"`` ships each cold fit
   to a worker *process* (:mod:`repro.serving.fit_plane`) for true
   multi-core fitting: pure-Python fit stages (walks, SGNS) hold the GIL,
@@ -35,15 +45,9 @@ loop and fixes exactly that:
   degrades smoothly instead of flipping between all-accept and
   all-reject;
 - **router stats** — coalesced-request count, rejections, peak queue
-  depth, and per-stage latencies (queue wait / fit / predict), merged
-  with the service's counters by :meth:`AsyncSelectionRouter.stats`.
-
-All catalog-mutating work happens on the fit workers: the fit job warms
-each fresh pipeline with one predict, materialising the target's lazy
-transferability normalisation before any predict-pool thread sees the
-pipeline.  Per-pipeline predict calls are additionally serialised with a
-per-key thread lock as a safety net; predicts for *different* targets
-run concurrently.
+  depth, and per-stage latencies (queue wait / fit / inline answer,
+  the last still reported as ``predict_*``), merged with the service's
+  counters by :meth:`AsyncSelectionRouter.stats`.
 
 The router also answers typed protocol requests
 (:meth:`AsyncSelectionRouter.handle`), sharing the response constructors
@@ -72,7 +76,7 @@ from repro.serving.protocol import (
     ScoreBatchRequest,
     ScoreBatchResponse,
 )
-from repro.serving.service import SelectionService, ServiceStats
+from repro.serving.service import Answer, SelectionService, ServiceStats
 
 __all__ = [
     "AsyncSelectionRouter",
@@ -281,9 +285,6 @@ class AsyncSelectionRouter:
         shared zoo catalog is serialised by the catalog's own lock
         (thread mode) or stays process-local and folds back through the
         packed artifact (process mode).
-    predict_workers:
-        Threads answering warm predicts (safe to raise: per-key locks
-        already serialise same-pipeline predicts).
     fit_executor:
         ``"thread"`` fits in the router's thread pool (the default);
         ``"process"`` ships cold fits to a spawn-based
@@ -315,7 +316,6 @@ class AsyncSelectionRouter:
         overflow: str = "reject",
         retry_after_s: float = 0.5,
         fit_workers: int = 2,
-        predict_workers: int = 4,
         shed_start: float = 1.0,
         shed_rng=None,
         fit_executor: str | None = None,
@@ -326,8 +326,8 @@ class AsyncSelectionRouter:
             raise ValueError("max_pending_fits must be >= 1")
         if overflow not in ("reject", "wait"):
             raise ValueError(f"overflow must be 'reject' or 'wait', got {overflow!r}")
-        if fit_workers < 1 or predict_workers < 1:
-            raise ValueError("worker counts must be >= 1")
+        if fit_workers < 1:
+            raise ValueError("fit_workers must be >= 1")
         if not (0.0 <= shed_start <= 1.0):
             raise ValueError("shed_start must be in [0, 1]")
         if fit_executor is None:
@@ -366,9 +366,6 @@ class AsyncSelectionRouter:
         self._fit_pool = ThreadPoolExecutor(
             max_workers=fit_workers, thread_name_prefix="router-fit"
         )
-        self._predict_pool = ThreadPoolExecutor(
-            max_workers=predict_workers, thread_name_prefix="router-predict"
-        )
         self._stats = RouterStats()  # guarded by: self._stats_lock
         self._stats_lock = threading.Lock()
         #: (fits_timed generation, p95 ms) — see _retry_after_hint
@@ -377,14 +374,6 @@ class AsyncSelectionRouter:
         #: only from the event-loop thread, so no lock is needed
         self._inflight: dict[tuple[str, str], asyncio.Future] = {}
         self._pending_fits = 0
-        #: serialises predicts on one fitted pipeline (see module doc);
-        #: bounded by the service cache: the eviction listener below
-        #: drops a key's lock with its cache entry, so a long-running
-        #: server over millions of targets cannot leak locks
-        # guarded by: self._predict_locks_guard
-        self._predict_locks: dict[tuple[str, str], threading.Lock] = {}
-        self._predict_locks_guard = threading.Lock()
-        service.add_eviction_listener(self._drop_predict_locks)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._capacity: asyncio.Condition | None = None
         self._closed = False
@@ -515,37 +504,35 @@ class AsyncSelectionRouter:
         graft_spans(spans)
         return meta, arrays
 
-    def _fit_job(self, target: str):
-        """Runs on a fit worker: acquire the pipeline, warm its lazy state.
+    def _fit_job(self, target: str) -> Answer:
+        """Runs on a fit worker: acquire the pipeline, cache its answer.
 
-        In thread mode the throwaway predict materialises the target's
-        transferability normalisation, which records scores into the
-        *shared* zoo catalog on first use.  Doing it here keeps fit
-        workers the only catalog writers (their derived-score recording
-        is serialised by ``ZooCatalog.lock``); the predict pool then
-        never mutates shared state.  Costs one extra predict per cold
-        fit — microscopic next to the fit itself.  In process mode the
-        worker already warmed the pipeline before packing (the state
-        ships inside the artifact), so the predict is a pure read kept
-        for path uniformity.
+        The fit (or revive) and the answer's one ``rank`` call both run
+        here, off the event loop: fit workers stay the only catalog
+        writers (their derived-score recording is serialised by
+        ``ZooCatalog.lock``), and the loop only ever reads finished
+        answers.
         """
         remote = self._remote_fit if self._fit_plane is not None else None
         fitted = self.service.load_or_fit(target, remote_fit=remote)
-        fitted.predict(self.service.zoo.model_ids())
-        return fitted
+        return self.service.cache_put(target, fitted)
 
-    async def _ensure_fitted(self, target: str, overflow: str | None = None):
-        """Fitted pipeline for ``target`` with single-flight coalescing.
-
-        Exactly one execution of :meth:`SelectionService.load_or_fit` per
-        (target, config fingerprint) is in flight at any moment; every
-        concurrent request for that key awaits the same future.
-        """
-        loop = self._bind_loop()
-        cached = self.service.cache_get(target)  # fast; counts hit/miss
+    async def _answer(self, target: str, overflow: str | None = None) -> Answer:
+        """``target``'s cached answer; a miss awaits its coalesced fit."""
+        self._bind_loop()
+        cached = self.service.cache_get(target)  # counts hit/miss
         if cached is not None:
             return cached
+        return await self._fit(target, overflow)
 
+    async def _fit(self, target: str, overflow: str | None = None) -> Answer:
+        """Fit a missed ``target`` with single-flight coalescing.
+
+        Exactly one fit job per (target, config fingerprint) is in
+        flight at any moment; every concurrent request for that key
+        awaits the same future.
+        """
+        loop = self._bind_loop()
         key = (target, self.service.config_fp)
         inflight = self._inflight.get(key)
         if inflight is not None:
@@ -558,7 +545,7 @@ class AsyncSelectionRouter:
                 # future every other participant (and the originator's
                 # set_result) depends on.
                 with span("queue.coalesced_wait"):
-                    fitted = await asyncio.shield(inflight)
+                    answer = await asyncio.shield(inflight)
             except QueueFullError:
                 # The originator was shed while this request waited on
                 # it; that sheds the whole coalesced group.
@@ -587,7 +574,7 @@ class AsyncSelectionRouter:
                 self._stats.record_latency(
                     "queue_wait_ms", (time.perf_counter() - waited) * 1e3
                 )
-            return fitted
+            return answer
 
         # Register the future BEFORE waiting for queue capacity: admission
         # may suspend (overflow="wait"), and any same-key request arriving
@@ -602,7 +589,7 @@ class AsyncSelectionRouter:
             started = time.perf_counter()
             # run_in_context: propagate the request's trace onto the fit
             # worker so fit.* spans land on the originating request
-            fitted = await loop.run_in_executor(
+            answer = await loop.run_in_executor(
                 self._fit_pool, run_in_context(self._fit_job, target)
             )
         except BaseException as exc:
@@ -614,101 +601,62 @@ class AsyncSelectionRouter:
             raise
         else:
             if not future.done():
-                future.set_result(fitted)
+                future.set_result(answer)
             with self._stats_lock:
                 self._stats.record_latency(
                     "fit_ms", (time.perf_counter() - started) * 1e3
                 )
-            return fitted
+            return answer
         finally:
             del self._inflight[key]
             if admitted:
                 await self._release_cold_fit()
 
     # ------------------------------------------------------------------ #
-    # predict offload
-    # ------------------------------------------------------------------ #
-    def _predict_lock(self, target: str) -> threading.Lock:
-        key = (target, self.service.config_fp)
-        # guard: creation happens on the loop thread, but the service's
-        # eviction listener removes keys from fit-worker threads
-        with self._predict_locks_guard:
-            lock = self._predict_locks.get(key)
-            if lock is None:
-                lock = self._predict_locks[key] = threading.Lock()
-        return lock
-
-    def _drop_predict_locks(self, keys) -> None:
-        """Service eviction hook: a key's predict lock dies with its
-        cache entry (an in-flight predict keeps its own reference)."""
-        with self._predict_locks_guard:
-            for key in keys:
-                self._predict_locks.pop(key, None)
-
-    async def _run_predict(self, target: str, fn):
-        loop = self._bind_loop()
-        lock = self._predict_lock(target)
-
-        def locked():
-            with lock:
-                return fn()
-
-        started = time.perf_counter()
-        with span("predict"):
-            result = await loop.run_in_executor(
-                self._predict_pool, run_in_context(locked)
-            )
-        with self._stats_lock:
-            self._stats.record_latency(
-                "predict_ms", (time.perf_counter() - started) * 1e3
-            )
-        return result
-
-    # ------------------------------------------------------------------ #
     # async entry points
     # ------------------------------------------------------------------ #
+    def _record_answer(self, started: float, answered: float) -> None:
+        """Book one served query: its inline-answer time and latency."""
+        with self._stats_lock:
+            self._stats.record_latency(
+                "predict_ms", (time.perf_counter() - answered) * 1e3
+            )
+        self.service.record_query(started)
+
     async def rank(self, target: str, top_k: int | None = None
                    ) -> list[tuple[str, float]]:
         """Async :meth:`SelectionService.rank`; identical results."""
         started = time.perf_counter()
         with self._stats_lock:
             self._stats.requests += 1
-        fitted = await self._ensure_fitted(target)
-        model_ids = self.service.zoo.model_ids()
-        ranking = await self._run_predict(target, lambda: fitted.rank(model_ids))
-        self.service.record_query(started)
-        return ranking if top_k is None else ranking[:top_k]
+        await asyncio.sleep(0)  # suspend once even when warm (module doc)
+        answer = await self._answer(target)
+        answered = time.perf_counter()
+        ranking = answer.ranking[:top_k]
+        self._record_answer(started, answered)
+        return ranking
 
     async def score_batch(self, pairs: list[tuple[str, str]]) -> np.ndarray:
         """Async :meth:`SelectionService.score_batch`; identical results.
 
-        Distinct targets resolve their pipelines concurrently (each
-        subject to coalescing) and predict in parallel.
+        Warm targets are read inline; only the missing ones await fits,
+        concurrently (each subject to coalescing).
         """
         started = time.perf_counter()
         with self._stats_lock:
             self._stats.requests += 1
-        if not pairs:
-            self.service.record_query(started)
-            return np.empty(0)
-        by_target: dict[str, list[int]] = {}
-        for i, (_, target) in enumerate(pairs):
-            by_target.setdefault(target, []).append(i)
-
-        targets = list(by_target)
-        fitteds = await asyncio.gather(*(self._ensure_fitted(t) for t in targets))
-
-        async def predict(target, fitted, indices):
-            models = [pairs[i][0] for i in indices]
-            return await self._run_predict(target, lambda: fitted.predict(models))
-
-        scores = await asyncio.gather(
-            *(predict(t, f, by_target[t]) for t, f in zip(targets, fitteds))
-        )
-        out = np.empty(len(pairs))
-        for target, target_scores in zip(targets, scores):
-            out[by_target[target]] = target_scores
-        self.service.record_query(started)
+        await asyncio.sleep(0)  # suspend once even when warm (module doc)
+        self._bind_loop()
+        answers = {
+            t: self.service.cache_get(t) for t in dict.fromkeys(t for _, t in pairs)
+        }
+        missing = [t for t, answer in answers.items() if answer is None]
+        if missing:
+            fetched = await asyncio.gather(*(self._fit(t) for t in missing))
+            answers.update(zip(missing, fetched))
+        answered = time.perf_counter()
+        out = np.array([answers[t].scores[m] for m, t in pairs], dtype=np.float64)
+        self._record_answer(started, answered)
         return out
 
     async def handle(self, request: RankRequest | ScoreBatchRequest):
@@ -741,7 +689,7 @@ class AsyncSelectionRouter:
 
         async def one(target: str) -> float:
             started = time.perf_counter()
-            await self._ensure_fitted(target, overflow="wait")
+            await self._answer(target, overflow="wait")
             return time.perf_counter() - started
 
         timings = await asyncio.gather(*(one(t) for t in targets))
@@ -768,7 +716,7 @@ class AsyncSelectionRouter:
         merged with the router's per-stage windows.  This is what a
         ``/v1/compare`` response reports per strategy — summarised under
         the stats locks directly, not from full snapshot copies (the
-        windows hold up to 10k/100k samples; a fan-out would otherwise
+        windows hold up to 10k samples each; a fan-out would otherwise
         copy all of them once per strategy per request)."""
         with self._stats_lock:
             router_part = self._stats.latency_summary()
@@ -820,7 +768,6 @@ class AsyncSelectionRouter:
         if not self._closed:
             self._closed = True
             self._fit_pool.shutdown(wait=True)
-            self._predict_pool.shutdown(wait=True)
             if self._fit_plane is not None and self._owns_fit_plane:
                 self._fit_plane.close()
 

@@ -1,28 +1,43 @@
-"""Warm-start selection serving: cached fitted pipelines behind one facade.
+"""Warm-start selection serving: cached fitted answers behind one facade.
 
 :class:`SelectionService` serves exactly one
 :class:`~repro.strategies.SelectionStrategy` — any ranker behind the
 unified fit/rank/pack API: a TransferGraph variant, an LR baseline, a
 transferability-only scorer, ... — and answers ranking and scoring
-queries without refitting anything on the hot path:
+queries without fitting or predicting anything on the hot path:
 
-- an in-memory LRU keyed by (target, strategy fingerprint) holds
-  revived fitted pipelines (:class:`~repro.core.FittedTransferGraph`,
-  :class:`~repro.strategies.FittedScoreTable`, ...);
+- an in-memory LRU keyed by (target, strategy fingerprint) holds one
+  :class:`Answer` per fitted target: the fitted pipeline
+  (:class:`~repro.core.FittedTransferGraph`,
+  :class:`~repro.strategies.FittedScoreTable`, ...) together with its
+  whole served answer — the best-first ranking over ``zoo.model_ids()``
+  and a model→score map.  The answer is computed once, by
+  :meth:`SelectionService.cache_put`, when the pipeline enters the cache
+  (fresh fit, registry revive or :meth:`SelectionService.refresh`), on
+  the thread doing that work;
 - on a cache miss the service tries the on-disk
   :class:`~repro.serving.ArtifactRegistry` (stale artifacts are refit,
   never served);
 - on a registry miss it fits from scratch and writes the artifact
   through to the registry so the next process starts warm.
 
+A warm ``rank`` slices the stored ranking and a warm ``score_batch``
+indexes the stored scores: no feature assembly, no catalog read, no
+predictor call.  A pipeline and its answer are swapped into the cache
+together under the service lock, so a reader sees the old pair or the
+new one, never a mix.  The consistency contract follows: a catalog
+write reaches warm answers only through :meth:`SelectionService.refresh`
+or :meth:`SelectionService.invalidate`.
+
 Every query is timed and counted; :meth:`SelectionService.stats` exposes
-hit rates and latency percentiles.  The synchronous entry points stay
-single-threaded, but the cache/stat primitives (:meth:`cache_get`,
-:meth:`load_or_fit`, :meth:`record_query`) take an internal lock so the
-async router in :mod:`repro.serving.router` can drive one service from a
-thread pool: bookkeeping is serialised while the expensive fit itself
-runs outside the lock (the router's single-flight coalescing guarantees
-at most one in-flight fit per cache key).
+hit rates and latency percentiles.  The cache/stat primitives
+(:meth:`cache_get`, :meth:`cache_put`, :meth:`load_or_fit`,
+:meth:`record_query`) are thread-safe, so the async router in
+:mod:`repro.serving.router` answers cache hits inline on its event loop
+while fits run on its thread pool: bookkeeping is serialised under one
+lock, while fits, revives and answer materialisation run outside it
+(the router's single-flight coalescing guarantees at most one in-flight
+fit per cache key).
 """
 
 from __future__ import annotations
@@ -50,11 +65,13 @@ from repro.strategies import (
     resolve_strategy,
 )
 
-__all__ = ["SelectionService", "ServiceStats", "LATENCY_WINDOW"]
+__all__ = ["Answer", "SelectionService", "ServiceStats", "LATENCY_WINDOW"]
 
 #: rolling window of per-query latencies kept for percentile reporting —
-#: bounds the memory of a long-running service at ~0.8 MB
-LATENCY_WINDOW = 100_000
+#: about 0.3 MB per service (a boxed float and a deque slot per sample),
+#: so a server answering thousands of warm queries a second holds the
+#: same memory as a slow one
+LATENCY_WINDOW = 10_000
 
 _COUNTER_FIELDS = (
     "queries",
@@ -66,6 +83,22 @@ _COUNTER_FIELDS = (
     "evictions",
     "invalidations",
 )
+
+
+@dataclass(frozen=True, eq=False)
+class Answer:
+    """One fitted target's whole served answer, fixed when it is cached.
+
+    ``ranking`` is ``fitted.rank(model_ids)`` over the zoo's full model
+    roster, best first, and ``scores`` maps each model to the same
+    score, so ``rank`` and ``score_batch`` read one stored number and
+    cannot disagree.  Every request shares the record: treat it as
+    read-only.
+    """
+
+    fitted: object
+    ranking: list[tuple[str, float]] = field(repr=False)
+    scores: dict[str, float] = field(repr=False)
 
 
 @dataclass
@@ -187,34 +220,15 @@ class SelectionService:
         self.cache_size = cache_size
         self._config_fp = self.strategy.fingerprint()
         # guarded by: self._lock
-        self._cache: OrderedDict[tuple[str, str], object] = OrderedDict()
+        self._cache: OrderedDict[tuple[str, str], Answer] = OrderedDict()
         #: catalog mutation-seq snapshot per cache key, taken when the
         #: pipeline landed in the cache — the "since" for incremental
         #: refresh.  guarded by: self._lock
         self._fit_seqs: dict[tuple[str, str], int] = {}
         self._stats = ServiceStats()  # guarded by: self._lock
         #: guards cache order/content and stat counters; never held across
-        #: a fit or registry I/O
+        #: a fit, an answer materialisation or registry I/O
         self._lock = threading.Lock()
-        #: callables invoked (outside the lock) with the list of cache
-        #: keys each LRU eviction / invalidation dropped — the router
-        #: hangs per-key state (predict locks) off cache entries and must
-        #: release it when the entry goes, or it leaks per target
-        self._eviction_listeners: list = []
-
-    def add_eviction_listener(self, listener) -> None:
-        """Register ``listener(keys)`` to run after cache entries drop.
-
-        Called with the ``(target, config_fp)`` keys removed by an LRU
-        eviction or :meth:`invalidate`, after the service lock is
-        released.  Listeners must be cheap and must not raise.
-        """
-        self._eviction_listeners.append(listener)
-
-    def _notify_evicted(self, keys: list[tuple[str, str]]) -> None:
-        if keys:
-            for listener in self._eviction_listeners:
-                listener(keys)
 
     @property
     def config_fp(self) -> str:
@@ -246,11 +260,13 @@ class SelectionService:
                 f"unknown dataset {target!r}; known: {self.zoo.dataset_names()}"
             )
 
-    def cache_get(self, target: str):
+    def cache_get(self, target: str) -> Answer | None:
         """In-memory lookup with hit/miss accounting; ``None`` on a miss.
 
-        Thread-safe.  Raises :class:`KeyError` for unknown targets (a hit
-        is impossible for one, so the check only runs on the miss path).
+        A hit is the target's cached :class:`Answer` (its ``fitted`` is
+        the pipeline).  Thread-safe.  Raises :class:`KeyError` for
+        unknown targets (a hit is impossible for one, so the check only
+        runs on the miss path).
         """
         key = (target, self._config_fp)
         with self._lock:
@@ -266,12 +282,41 @@ class SelectionService:
         self._check_target(target)
         return None
 
-    def load_or_fit(self, target: str, *, remote_fit=None):
-        """Registry revive → fresh fit, then insert into the LRU.
+    def cache_put(self, target: str, fitted) -> Answer:
+        """Materialise ``fitted``'s answer and swap both into the LRU.
 
-        The caller is responsible for single-flight per cache key (the
-        serial facade trivially is; the async router coalesces); stats
-        and cache mutations are lock-guarded, the heavy work is not.
+        Runs on the calling thread (a fit worker, the serial facade, a
+        refresh), never on a request's hot path.  The one ``rank`` call
+        also settles the pipeline's lazy state — e.g. the target's
+        transferability normalisation, recorded into the shared catalog
+        — before any reader can see the pipeline.  Evicts the least
+        recently used entries beyond ``cache_size``; thread-safe.
+        """
+        ranking = fitted.rank(self.zoo.model_ids())
+        answer = Answer(fitted, ranking, dict(ranking))
+        # Snapshot *after* the fit and the answer: both record derived
+        # rows (lazy similarity/transferability fills) which the answer
+        # already consumed, so they must not look dirty at refresh time.
+        seq = self._catalog_seq()
+        key = (target, self._config_fp)
+        with self._lock:
+            self._cache[key] = answer
+            self._cache.move_to_end(key)
+            if seq is not None:
+                self._fit_seqs[key] = seq
+            while len(self._cache) > self.cache_size:
+                gone, _ = self._cache.popitem(last=False)
+                self._fit_seqs.pop(gone, None)
+                self._stats.evictions += 1
+        return answer
+
+    def load_or_fit(self, target: str, *, remote_fit=None):
+        """Registry revive → fresh fit; returns the fitted pipeline.
+
+        :meth:`cache_put` is what makes the result servable.  The caller
+        is responsible for single-flight per cache key (the serial
+        facade trivially is; the async router coalesces); stats are
+        lock-guarded, the heavy work is not.
 
         ``remote_fit`` replaces the in-process ``strategy.fit`` with a
         callable returning the *packed* artifact —
@@ -309,23 +354,6 @@ class SelectionService:
                 if self.registry is not None:
                     with span("fit.artifact_pack"):
                         self.registry.save_packed(meta, arrays, self.strategy, target)
-
-        key = (target, self._config_fp)
-        evicted: list[tuple[str, str]] = []
-        # Snapshot *after* the fit: the fit itself records derived rows
-        # (lazy similarity/transferability fills) which the pipeline
-        # already consumed, so they must not look dirty at refresh time.
-        seq = self._catalog_seq()
-        with self._lock:
-            self._cache[key] = fitted
-            if seq is not None:
-                self._fit_seqs[key] = seq
-            while len(self._cache) > self.cache_size:
-                evicted.append(self._cache.popitem(last=False)[0])
-                self._stats.evictions += 1
-            for gone in evicted:
-                self._fit_seqs.pop(gone, None)
-        self._notify_evicted(evicted)
         return fitted
 
     def _catalog_seq(self) -> int | None:
@@ -334,12 +362,12 @@ class SelectionService:
         seq = getattr(catalog, "mutation_seq", None)
         return seq if isinstance(seq, int) else None
 
-    def _fitted(self, target: str):
-        """Fitted pipeline for ``target``: memory → registry → fresh fit."""
+    def _answer(self, target: str) -> Answer:
+        """``target``'s answer: memory → registry → fresh fit."""
         cached = self.cache_get(target)
         if cached is not None:
             return cached
-        return self.load_or_fit(target)
+        return self.cache_put(target, self.load_or_fit(target))
 
     def cached_targets(self) -> list[str]:
         """Targets currently in memory, least → most recently used."""
@@ -363,27 +391,19 @@ class SelectionService:
     def rank(self, target: str, top_k: int | None = None) -> list[tuple[str, float]]:
         """Models ranked for ``target``, best first (optionally truncated)."""
         started = time.perf_counter()
-        ranking = self._fitted(target).rank(self.zoo.model_ids())
+        ranking = self._answer(target).ranking[:top_k]
         self._record(started)
-        return ranking if top_k is None else ranking[:top_k]
+        return ranking
 
     def score_batch(self, pairs: list[tuple[str, str]]) -> np.ndarray:
-        """Predicted scores for (model, target) pairs, aligned to input.
+        """Stored scores for (model, target) pairs, aligned to input.
 
-        Pairs are grouped by target so each target's pipeline is looked
-        up once and predicts its models in a single batched call.
+        Each distinct target's answer is looked up once, in order of
+        first appearance.
         """
         started = time.perf_counter()
-        if not pairs:
-            self._record(started)
-            return np.empty(0)
-        by_target: dict[str, list[int]] = {}
-        for i, (_, target) in enumerate(pairs):
-            by_target.setdefault(target, []).append(i)
-        out = np.empty(len(pairs))
-        for target, indices in by_target.items():
-            fitted = self._fitted(target)
-            out[indices] = fitted.predict([pairs[i][0] for i in indices])
+        answers = {t: self._answer(t) for t in dict.fromkeys(t for _, t in pairs)}
+        out = np.array([answers[t].scores[m] for m, t in pairs], dtype=np.float64)
         self._record(started)
         return out
 
@@ -416,7 +436,7 @@ class SelectionService:
         out: dict[str, float] = {}
         for target in targets if targets is not None else self.zoo.target_names():
             started = time.perf_counter()
-            self._fitted(target)
+            self._answer(target)
             out[target] = time.perf_counter() - started
         return out
 
@@ -427,9 +447,11 @@ class SelectionService:
         mutation log still reaches back to its fit — hands the dirty
         node set to :meth:`SelectionStrategy.refresh` (for TG
         strategies: localized re-walks + warm-started SGNS over the
-        dirty neighborhood, O(changed-edges) instead of a full refit)
-        and writes the refreshed artifact through to the registry.
-        When nothing changed, the warm pipeline is returned untouched.
+        dirty neighborhood, O(changed-edges) instead of a full refit),
+        swaps the refreshed pipeline and its new answer in through
+        :meth:`cache_put`, and writes the artifact through to the
+        registry.  When nothing changed, the warm pipeline is returned
+        untouched.
 
         Falls back to drop-and-refit when there is no warm pipeline, no
         catalog mutation log (stub zoos), or the log was trimmed past
@@ -440,26 +462,22 @@ class SelectionService:
         self._check_target(target)
         key = (target, self._config_fp)
         with self._lock:
-            fitted = self._cache.get(key)
+            cached = self._cache.get(key)
             since = self._fit_seqs.get(key)
         dirty: set[str] | None = None
         catalog = getattr(self.zoo, "catalog", None)
-        if fitted is not None and since is not None and catalog is not None:
+        if cached is not None and since is not None and catalog is not None:
             dirty = catalog.dirty_nodes(since)
         if dirty is not None and not dirty:
-            return fitted  # no catalog writes since the fit
-        if fitted is None or dirty is None:
+            return cached.fitted  # no catalog writes since the fit
+        if cached is None or dirty is None:
             self.invalidate(target)
-            return self.load_or_fit(target)
+            return self.cache_put(target, self.load_or_fit(target)).fitted
 
         with span("refresh.strategy"):
-            refreshed = self.strategy.refresh(self.zoo, target, fitted, dirty)
-        seq = self._catalog_seq()
+            refreshed = self.strategy.refresh(self.zoo, target, cached.fitted, dirty)
+        self.cache_put(target, refreshed)
         with self._lock:
-            self._cache[key] = refreshed
-            self._cache.move_to_end(key)
-            if seq is not None:
-                self._fit_seqs[key] = seq
             self._stats.refreshes += 1
         if self.registry is not None:
             with span("refresh.artifact_pack"):
@@ -483,14 +501,11 @@ class SelectionService:
             return
         key = (target, self._config_fp)
         with self._lock:
-            dropped = self._cache.pop(key, None) is not None
+            self._cache.pop(key, None)
             self._fit_seqs.pop(key, None)
-        if dropped:
-            self._notify_evicted([key])
+            self._stats.invalidations += 1
         if self.registry is not None:
             self.registry.delete(target, self.strategy)
-        with self._lock:
-            self._stats.invalidations += 1
 
     def stats(self) -> dict[str, float]:
         """Counter + latency summary since construction (or last reset)."""

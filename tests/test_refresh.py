@@ -129,41 +129,13 @@ def lr_config():
                                features=FeatureSet.everything())
 
 
-@pytest.fixture()
-def bumped_history(tiny_image_zoo):
-    """Context manager: bump one existing source-history row, restore after.
-
-    Mutating an *existing* row (and restoring it) keeps the
-    session-scoped zoo's ground truth intact for later tests while
-    still dirtying the catalog's mutation log.
-    """
-    from contextlib import contextmanager
-
-    @contextmanager
-    def bump(delta=0.01):
-        source = next(ds for ds in tiny_image_zoo.dataset_names()
-                      if tiny_image_zoo.catalog.history_for_dataset(ds))
-        row = tiny_image_zoo.catalog.history_for_dataset(source)[0]
-        tiny_image_zoo.catalog.record_history(
-            row["model_id"], source, row["accuracy"] + delta,
-            epochs=row["epochs"])
-        try:
-            yield source
-        finally:
-            tiny_image_zoo.catalog.record_history(
-                row["model_id"], source, row["accuracy"],
-                epochs=row["epochs"])
-
-    return bump
-
-
 class TestServiceRefresh:
     def test_refresh_clean_catalog_returns_warm_pipeline(self, tiny_image_zoo,
                                                          lr_config):
         service = SelectionService(tiny_image_zoo, lr_config)
         target = tiny_image_zoo.target_names()[0]
         service.rank(target)
-        fitted = service.cache_get(target)
+        fitted = service.cache_get(target).fitted
         assert service.refresh(target) is fitted
         assert service.stats()["refreshes"] == 0
         assert service.stats()["fits"] == 1

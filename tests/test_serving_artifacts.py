@@ -1,6 +1,11 @@
 """Artifact round-trips: predictor states, registry save/load, staleness."""
 
+import gc
 import json
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from repro.serving import (
     config_fingerprint,
     config_from_dict,
 )
+from repro.strategies import FittedScoreTable, SelectionStrategy
 from repro.strategies.artifacts import _pack_value, _unpack_value
 
 SMALL_HYPERPARAMS = {
@@ -302,3 +308,92 @@ class TestStoredGraph:
         (path / "meta.json").write_text(json.dumps(meta, sort_keys=True))
         with pytest.raises(ArtifactError):
             registry.load(target, lr_config, zoo)
+
+
+class _ArrayStrategy(SelectionStrategy):
+    """Packs a fixed set of arrays; ``unpack`` hands them back as read."""
+
+    spec = name = "arrays"
+
+    def __init__(self, arrays):
+        self.arrays = arrays
+
+    def fingerprint(self):
+        return "arrays-stress"
+
+    def pack(self, fitted, zoo):
+        return {"target": fitted.target}, dict(self.arrays)
+
+    def unpack(self, meta, arrays, zoo):
+        return arrays
+
+
+class _Cycle:
+    """Cyclic garbage whose finalizer runs Python code during a collection."""
+
+    def __init__(self):
+        self.me = self
+
+    def __del__(self):
+        sum(range(8))
+
+
+class TestConcurrentLoads:
+    def test_threaded_loads_all_succeed_with_identical_arrays(self, tmp_path):
+        """Regression: numpy parses each npz member header with
+        ``ast.literal_eval``, which on CPython 3.11 could raise
+        ``SystemError: AST constructor recursion depth mismatch`` when
+        fit threads of several routers revived at once (an HTTP 500).
+        The race needs a thread switch inside the AST conversion, which
+        a garbage collection running Python finalizers provides.  More
+        threads than cores, a short switch interval, frequent
+        collections of finalizable cycles, many members per artifact:
+        every load must succeed and read the same bytes."""
+        rng = np.random.default_rng(0)
+        arrays = {
+            f"a{i}": rng.normal(size=(i % 5 + 1, 3)).astype(
+                ("<f8", "<f4", "<i8")[i % 3])
+            for i in range(24)
+        }
+        strategy = _ArrayStrategy(arrays)
+        registries = [ArtifactRegistry(tmp_path / f"shard{i}") for i in range(3)]
+        for registry in registries:
+            registry.save(FittedScoreTable("t0", {}), strategy, zoo=None)
+
+        threads = 4 * (os.cpu_count() or 1) + 2
+        deadline = time.monotonic() + 1.5
+        errors: list[BaseException] = []
+        loads = [0] * threads
+
+        def hammer(worker: int) -> None:
+            registry = registries[worker % len(registries)]
+            try:
+                while time.monotonic() < deadline:
+                    for _ in range(4):
+                        _Cycle()
+                    loaded = registry.load("t0", strategy, zoo=None)
+                    assert loaded.keys() == arrays.keys()
+                    for key, expected in arrays.items():
+                        assert loaded[key].dtype == expected.dtype
+                        assert np.array_equal(loaded[key], expected)
+                    loads[worker] += 1
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval, thresholds = sys.getswitchinterval(), gc.get_threshold()
+        sys.setswitchinterval(1e-6)
+        gc.set_threshold(50, 5, 5)
+        try:
+            workers = [threading.Thread(target=hammer, args=(i,))
+                       for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(interval)
+            gc.set_threshold(*thresholds)
+            for registry in registries:
+                registry.close()
+        assert errors == []
+        assert all(count > 0 for count in loads)

@@ -19,7 +19,7 @@ from repro.core import FeatureSet, TransferGraphConfig
 from repro.serving import ArtifactRegistry, SelectionService, ServiceStats
 from repro.serving.fingerprint import config_fingerprint
 
-from serving_stubs import StubZoo, stub_service
+from serving_stubs import StubFitted, StubZoo, stub_service
 
 _TARGETS = ("t0", "t1", "t2", "t3", "t4", "t5")
 
@@ -34,7 +34,7 @@ class TestLRUInvariants:
     def test_eviction_order_matches_reference_lru(self, accesses, cache_size):
         service = SelectionService(StubZoo(_TARGETS), TransferGraphConfig(),
                                    cache_size=cache_size)
-        service.strategy.fit = lambda zoo, target: object()
+        service.strategy.fit = lambda zoo, target: StubFitted(target)
 
         reference: OrderedDict[str, None] = OrderedDict()
         hits = misses = evictions = 0
@@ -48,7 +48,7 @@ class TestLRUInvariants:
                 while len(reference) > cache_size:
                     reference.popitem(last=False)
                     evictions += 1
-            service._fitted(target)
+            service._answer(target)
 
             assert service.cached_targets() == list(reference)
 
@@ -62,8 +62,8 @@ class TestLRUInvariants:
     def test_cached_pipeline_identity_preserved(self):
         """A hit returns the very object inserted at fit time."""
         service = stub_service(_TARGETS)
-        first = service._fitted("t0")
-        again = service._fitted("t0")
+        first = service._answer("t0")
+        again = service._answer("t0")
         assert again is first
 
 
@@ -158,6 +158,6 @@ class TestConfigIsolation:
 
     def test_in_memory_keys_carry_the_fingerprint(self):
         service = stub_service(_TARGETS)
-        service._fitted("t0")
+        service._answer("t0")
         (key,) = service._cache
         assert key == ("t0", service.config_fp)

@@ -527,46 +527,18 @@ class TestEarlyShedding:
 
 
 # ---------------------------------------------------------------------- #
-# PR 7 regressions: predict-lock lifecycle, failed coalesced waits
+# regressions: refit after eviction, failed coalesced waits
 # ---------------------------------------------------------------------- #
-class TestPredictLockEviction:
-    def test_lock_map_bounded_by_cache_size(self):
-        """Regression: predict locks used to outlive their cache entries,
-        leaking one lock per target ever served."""
-        targets = tuple(f"t{i}" for i in range(8))
-        service = stub_service(targets=targets, cache_size=2)
-        router = AsyncSelectionRouter(service)
-        try:
-            for target in targets:
-                run(router.rank(target))
-            assert len(router._predict_locks) <= service.cache_size
-            assert set(router._predict_locks) == {
-                (t, service.config_fp) for t in service.cached_targets()}
-        finally:
-            router.close()
-
-    def test_invalidate_drops_the_lock(self):
-        service = stub_service()
-        router = AsyncSelectionRouter(service)
-        try:
-            run(router.rank("t0"))
-            key = ("t0", service.config_fp)
-            assert key in router._predict_locks
-            service.invalidate("t0")
-            assert key not in router._predict_locks
-            # invalidating a target that is not cached is a no-op for
-            # the lock map too
-            service.invalidate("t1")
-        finally:
-            router.close()
-
-    def test_relocking_after_eviction_still_serves(self):
+class TestEviction:
+    def test_evicted_target_refits_and_serves(self):
         service = stub_service(targets=("t0", "t1", "t2"), cache_size=1)
         router = AsyncSelectionRouter(service)
         try:
             assert run(router.rank("t0"))[0][0] == "m0"
             assert run(router.rank("t1"))[0][0] == "m0"  # evicts t0
             assert run(router.rank("t0"))[0][0] == "m0"  # refits fine
+            assert service.cached_targets() == ["t0"]
+            assert router.stats()["fits"] == 3
         finally:
             router.close()
 
