@@ -1,8 +1,8 @@
 """``repro analyze``: the repo-specific static-analysis suite.
 
 Five AST-based rules encode the invariants the serving stack holds only
-by convention — and that the next tier of scale (ROADMAP's fit-worker
-fleet and SQLite catalog) will stretch:
+by convention — and that scale-out (the socket fit-worker fleet, more
+namespaces per gateway) stretches:
 
 - ``lock-discipline`` — attributes declared
   ``# guarded by: self._lock`` are only touched under that lock

@@ -21,9 +21,11 @@ direct calls that block:
 - ``<strategy>.fit(...)`` and ``np.load`` (the two heavyweight calls
   the executors exist for);
 - anything under ``sqlite3`` and ``execute``/``executemany``/
-  ``executescript`` calls (the durable store and the registry's
-  artifact index are SQLite databases on disk — a query is file IO
-  and may additionally park on the database lock).
+  ``executescript`` calls.  Nothing under ``src/repro`` uses SQLite
+  today (the catalog is ``catalog.json`` and the artifact registry
+  its directory tree), but a database query is file IO that may also
+  park on the database lock, so the check stays to guard the loop if
+  a database ever returns.
 
 Arguments of ``run_in_executor``/``to_thread`` calls are exempt — that
 is the sanctioned way to reference a blocking callable — and nested
@@ -102,12 +104,12 @@ def _blocking_reason(func: ast.AST) -> tuple[str, str] | None:
     if chain[0] == "sqlite3":
         return (
             f"sqlite3.{chain[-1]}() blocks the event loop",
-            "open store databases in the executor (loop.run_in_executor)",
+            "open databases in the executor (loop.run_in_executor)",
         )
     if chain[-1] in {"execute", "executemany", "executescript"} and len(chain) > 1:
         return (
             f"{'.'.join(chain)}() runs SQLite work on the event loop",
-            "route store/index queries through the executor "
+            "route database queries through the executor "
             "(loop.run_in_executor)",
         )
     return None

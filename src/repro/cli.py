@@ -27,10 +27,6 @@ Commands
                 wire-schema drift, import layering, pickle boundary;
                 ``--update-schema`` regenerates the committed protocol
                 schema snapshot after additive protocol growth
-``migrate-store`` import a legacy JSON catalog into the SQLite store
-                (``catalog.json`` → ``catalog.db``) and backfill the
-                artifact registry's SQLite index from existing npz
-                dirs; idempotent
 ``docs``        render/check the generated docs tree: ``--protocol``
                 writes ``docs/protocol.md`` from the committed wire
                 schema (``--check`` gates drift), ``--check-links``
@@ -488,24 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="regenerate benchmarks/baselines/"
                               "protocol_schema.json from serving/protocol.py "
                               "instead of checking")
-
-    migrate = sub.add_parser(
-        "migrate-store",
-        help="import a JSON catalog (and npz artifact dirs) into the "
-             "SQLite store")
-    migrate.add_argument("--catalog", type=Path, default=None,
-                         help="catalog.json to import (default: the cached "
-                              "zoo's, from --modality/--scale/--seed)")
-    migrate.add_argument("--db", type=Path, default=None,
-                         help="SQLite catalog destination "
-                              "(default: catalog.db beside --catalog)")
-    add_registry_arg(migrate)
-    migrate.add_argument("--no-registry", action="store_true",
-                         help="skip the artifact-index backfill")
-    migrate.add_argument("--gateway", action="store_true",
-                         help="backfill the gateway's namespace-sharded "
-                              "registry layout (one index DB per shard); "
-                              "default root becomes the gateway registry dir")
 
     docs = sub.add_parser(
         "docs",
@@ -1059,60 +1037,6 @@ def _cmd_analyze(args) -> int:
     return 1 if findings else 0
 
 
-def _cmd_migrate_store(args) -> int:
-    from repro.serving import ArtifactRegistry
-    from repro.store import migrate_catalog_json
-
-    did_anything = False
-    catalog = args.catalog
-    if catalog is None:
-        # The cached zoo the current flags would load, if it exists.
-        from repro.zoo.cache import default_cache_dir, zoo_cache_key
-
-        preset = _scale_presets()[args.scale]
-        config = preset(modality=args.modality, seed=args.seed)
-        candidate = default_cache_dir() / zoo_cache_key(config) / "catalog.json"
-        catalog = candidate if candidate.exists() else None
-    if catalog is not None:
-        if not Path(catalog).exists():
-            print(f"error: catalog {catalog} does not exist", file=sys.stderr)
-            return 2
-        db = args.db or Path(catalog).with_name("catalog.db")
-        counts = migrate_catalog_json(catalog, db)
-        total = sum(counts.values())
-        print(f"migrate-store: {catalog} -> {db}")
-        for name, count in counts.items():
-            print(f"  {name:16s} {count:6d} rows")
-        print(f"  {'total':16s} {total:6d} rows")
-        did_anything = True
-
-    if not args.no_registry:
-        if args.gateway:
-            root = args.registry_dir or default_gateway_registry_dir()
-            shards = ([p for p in root.iterdir() if p.is_dir()]
-                      if root.is_dir() else [])
-            for shard in sorted(shards):
-                report = ArtifactRegistry(shard).reindex()
-                print(f"migrate-store: indexed {shard} "
-                      f"({report['artifacts_indexed']} artifacts, "
-                      f"{report['fingerprints']} fingerprints)")
-                did_anything = True
-        else:
-            root = args.registry_dir or default_registry_dir()
-            if root.is_dir():
-                report = ArtifactRegistry(root).reindex()
-                print(f"migrate-store: indexed {root} "
-                      f"({report['artifacts_indexed']} artifacts, "
-                      f"{report['fingerprints']} fingerprints)")
-                did_anything = True
-
-    if not did_anything:
-        print("migrate-store: nothing to migrate (no catalog.json found "
-              "and no registry directory exists)", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _cmd_docs(args) -> int:
     from repro.docs import check_links, check_protocol_doc, write_protocol_doc
 
@@ -1147,7 +1071,6 @@ _COMMANDS = {
     "serve-sim": _cmd_serve_sim,
     "registry-gc": _cmd_registry_gc,
     "analyze": _cmd_analyze,
-    "migrate-store": _cmd_migrate_store,
     "docs": _cmd_docs,
 }
 

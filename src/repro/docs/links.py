@@ -4,7 +4,11 @@ Two classes of rot it catches:
 
 - **relative links**: every ``[text](target)`` in ``docs/*.md`` and the
   README whose target is not an absolute URL or pure anchor must
-  resolve on disk, relative to the file that links it;
+  resolve on disk, relative to the file that links it, and a
+  ``#fragment`` on a link into another markdown file must name one of
+  that file's headings (GitHub slugs: lowercased, every character but
+  letters, digits, spaces, ``-`` and ``_`` dropped, spaces turned into
+  ``-``);
 - **CLI examples**: inside fenced code blocks, a line invoking
   ``repro <word>`` (or ``python -m repro <word>``) must name a real
   subcommand.  The valid set is parsed from the live ``repro --help``
@@ -33,6 +37,9 @@ _EXTERNAL = ("http://", "https://", "mailto:", "#")
 _CLI_LINE = re.compile(
     r"^\s*\$?\s*(?:python\s+-m\s+repro|repro)\s+(?:--?\S+\s+\S+\s+)*(\S+)")
 
+#: an ATX heading; group 1 is its text
+_HEADING = re.compile(r"^#{1,6}\s+(.*?)\s*$")
+
 
 def doc_files(root: str | Path) -> list[Path]:
     """The markdown set the checker covers: README + docs/*.md."""
@@ -55,6 +62,23 @@ def cli_subcommands() -> set[str]:
     return found
 
 
+def _slug(heading: str) -> str:
+    """GitHub's anchor for a heading's text."""
+    return re.sub(r"[^\w\- ]", "", heading.lower()).replace(" ", "-")
+
+
+def _anchors(path: Path) -> set[str]:
+    """Anchors of every heading in a markdown file, fenced blocks skipped."""
+    anchors: set[str] = set()
+    in_fence = False
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+        elif not in_fence and (match := _HEADING.match(line)):
+            anchors.add(_slug(match.group(1)))
+    return anchors
+
+
 def _check_file_links(path: Path, root: Path) -> list[str]:
     problems: list[str] = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
@@ -63,7 +87,7 @@ def _check_file_links(path: Path, root: Path) -> list[str]:
             target = match.group(1)
             if target.startswith(_EXTERNAL):
                 continue
-            relative = target.split("#", 1)[0]
+            relative, _, fragment = target.partition("#")
             if not relative:
                 continue
             resolved = (path.parent / relative).resolve()
@@ -71,6 +95,15 @@ def _check_file_links(path: Path, root: Path) -> list[str]:
                 problems.append(
                     f"{path.relative_to(root)}:{lineno}: broken relative "
                     f"link {target!r} (resolved to {resolved})"
+                )
+            elif (
+                fragment
+                and resolved.suffix == ".md"
+                and fragment not in _anchors(resolved)
+            ):
+                problems.append(
+                    f"{path.relative_to(root)}:{lineno}: link {target!r} "
+                    f"names no heading of {relative}"
                 )
     return problems
 

@@ -6,9 +6,7 @@ true operationally:
 
 - :mod:`repro.serving.registry` — the versioned on-disk artifact store
   (fingerprints and pack/unpack live one layer down, in
-  :mod:`repro.strategies.fingerprint` / :mod:`repro.strategies.artifacts`;
-  ``repro.serving.fingerprint`` and ``repro.serving.artifacts`` remain
-  as compatibility re-exports);
+  :mod:`repro.strategies.fingerprint` / :mod:`repro.strategies.artifacts`);
 - :mod:`repro.serving.protocol` — the typed v1 wire protocol every
   entry point (Python, CLI, HTTP) speaks;
 - :mod:`repro.serving.service` — :class:`SelectionService`, the LRU

@@ -47,10 +47,9 @@ the integral ``Retry-After`` header HTTP clients already understand.
 Connections are single-request (``Connection: close``): the server
 optimises for correctness and testability, not keep-alive throughput.
 
-Handlers never block the event loop: fits, artifact I/O, and the
-registry's SQLite index all run behind the router's executor (the
-``async-blocking`` analysis rule enforces it, inline ``sqlite3`` work
-included).
+Handlers never block the event loop: fits and artifact I/O run behind
+the router's executor (the ``async-blocking`` analysis rule enforces
+it).
 """
 
 from __future__ import annotations

@@ -9,34 +9,20 @@ a typed record.  ``repro.store`` provides a small embedded record store:
   — typed table definitions with validation;
 - :class:`~repro.store.table.Table` — an indexed in-memory table with a
   primary key, equality filters and JSON round-tripping;
-- :class:`~repro.store.sqlite.SQLiteStore` /
-  :class:`~repro.store.sqlite.SQLiteTable` — the durable twin: a versioned
-  WAL-mode SQLite database exposing the same upsert/filter API;
 - :class:`~repro.store.catalog.ZooCatalog` — the five standard tables plus
-  convenience APIs used throughout the framework (in-memory by default,
-  SQLite-backed when opened with a path).
+  convenience APIs used throughout the framework, persisted as one
+  ``catalog.json`` and carrying the mutation log that drives incremental
+  graph refresh.
 """
 
 from repro.store.schema import Column, Schema, SchemaError
-from repro.store.sqlite import (
-    SCHEMA_VERSION,
-    SQLiteStore,
-    SQLiteTable,
-    StoreVersionError,
-)
 from repro.store.table import Table
 from repro.store.catalog import ZooCatalog
-from repro.store.migrate import migrate_catalog_json
 
 __all__ = [
     "Column",
     "Schema",
     "SchemaError",
-    "migrate_catalog_json",
-    "SCHEMA_VERSION",
-    "SQLiteStore",
-    "SQLiteTable",
-    "StoreVersionError",
     "Table",
     "ZooCatalog",
 ]

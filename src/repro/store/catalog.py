@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.store.schema import Column, Schema
-from repro.store.sqlite import SQLiteStore
 from repro.store.table import Table
 
 __all__ = ["ZooCatalog"]
@@ -112,38 +111,21 @@ class ZooCatalog:
     effectively immutable between explicit invalidations.
     """
 
-    def __init__(self, path: str | Path | None = None):
+    def __init__(self):
         #: re-entrant: recording helpers nest inside locked fill sections
         self.lock = threading.RLock()
-        #: the durable backend when ``path`` was given, else None
-        self.store: SQLiteStore | None = None
-        if path is not None:
-            self.store = SQLiteStore(path)
-
-        def make(schema: Schema):
-            return Table(schema) if self.store is None else self.store.table(schema)
-
-        self.models = make(_MODEL_SCHEMA)
-        self.datasets = make(_DATASET_SCHEMA)
-        self.history = make(_HISTORY_SCHEMA).add_index("dataset_id").add_index("model_id")
-        self.transferability = (make(_TRANSFERABILITY_SCHEMA)
+        self.models = Table(_MODEL_SCHEMA)
+        self.datasets = Table(_DATASET_SCHEMA)
+        self.history = (Table(_HISTORY_SCHEMA)
+                        .add_index("dataset_id").add_index("model_id"))
+        self.transferability = (Table(_TRANSFERABILITY_SCHEMA)
                                 .add_index("dataset_id").add_index("metric"))
-        self.similarity = make(_SIMILARITY_SCHEMA).add_index("method")
+        self.similarity = Table(_SIMILARITY_SCHEMA).add_index("method")
         # Mutation log for incremental graph refresh: every write marks
         # the graph nodes its row is incident to.  guarded by: self.lock
         self._mutation_seq = 0
         self._dirty_log: list[tuple[int, str]] = []
         self._dirty_floor = 0  # seqs <= floor have been trimmed away
-
-    @classmethod
-    def open(cls, path: str | Path) -> "ZooCatalog":
-        """Open (or create) a SQLite-backed catalog at ``path``."""
-        return cls(path=path)
-
-    def close(self) -> None:
-        """Release the SQLite backend (no-op for in-memory catalogs)."""
-        if self.store is not None:
-            self.store.close()
 
     # ------------------------------------------------------------------ #
     # mutation log (consumed by the incremental graph refresh)

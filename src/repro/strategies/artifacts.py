@@ -13,7 +13,6 @@ This module lives in the *strategies* layer, not serving: pack/unpack
 is the :class:`~repro.strategies.SelectionStrategy` artifact contract
 (every strategy implements it, and the process fit plane ships fitted
 state across it), while the serving registry is merely its persistence.
-``repro.serving.artifacts`` remains as a compatibility re-export.
 
 Splitting this way keeps the metadata human-inspectable while arrays
 round-trip bit-for-bit.  The pruned LOO graph is stored too (node ids +

@@ -3,8 +3,6 @@
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.cli import main
 from repro.docs import (
     check_links,
@@ -15,7 +13,6 @@ from repro.docs import (
 from repro.docs.links import cli_subcommands, doc_files
 from repro.docs.protocol import PROTOCOL_DOC_PATH, SNAPSHOT_PATH
 from repro.fleet import wire
-from repro.store import ZooCatalog
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,7 +62,7 @@ class TestLinkChecker:
 
     def test_cli_subcommands_parsed_from_parser(self):
         commands = cli_subcommands()
-        assert {"serve", "migrate-store", "docs", "registry-gc"} <= commands
+        assert {"serve", "docs", "registry-gc"} <= commands
 
     def test_broken_relative_link_flagged(self, tmp_path):
         (tmp_path / "README.md").write_text(
@@ -81,6 +78,22 @@ class TestLinkChecker:
             "[ok](docs/ok.md) [web](https://example.com) [anchor](#x)\n",
             encoding="utf-8")
         assert check_links(tmp_path) == []
+
+    def test_cross_file_anchor_must_name_a_heading(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs/ok.md").write_text(
+            "# Present heading\n\n```sh\n# not a heading\n```\n",
+            encoding="utf-8")
+        (tmp_path / "README.md").write_text(
+            "[ok](docs/ok.md#present-heading)\n"
+            "[gone](docs/ok.md#missing)\n"
+            "[fenced](docs/ok.md#not-a-heading)\n",
+            encoding="utf-8")
+        problems = check_links(tmp_path)
+        assert len(problems) == 2
+        assert "README.md:2:" in problems[0]
+        assert "docs/ok.md#missing" in problems[0]
+        assert "README.md:3:" in problems[1]
 
     def test_unknown_cli_subcommand_flagged(self, tmp_path):
         (tmp_path / "README.md").write_text(
@@ -122,40 +135,3 @@ class TestDocsCli:
             encoding="utf-8")
         assert main(["docs", "--protocol", "--root", str(tmp_path)]) == 0
         assert (tmp_path / PROTOCOL_DOC_PATH).exists()
-
-
-class TestMigrateStoreCli:
-    def write_catalog(self, tmp_path) -> Path:
-        cat = ZooCatalog()
-        cat.add_dataset(dataset_id="d1", modality="image", num_samples=10,
-                        num_classes=2, input_dim=8, is_target=True)
-        cat.record_history("m1", "d1", 0.5)
-        path = tmp_path / "catalog.json"
-        cat.save(path)
-        return path
-
-    def test_migrate_store_explicit_paths(self, tmp_path, capsys):
-        catalog = self.write_catalog(tmp_path)
-        db = tmp_path / "catalog.db"
-        assert main(["migrate-store", "--catalog", str(catalog),
-                     "--db", str(db), "--no-registry"]) == 0
-        out = capsys.readouterr().out
-        assert db.exists()
-        assert "history" in out
-
-    def test_migrate_store_idempotent(self, tmp_path, capsys):
-        catalog = self.write_catalog(tmp_path)
-        db = tmp_path / "catalog.db"
-        args = ["migrate-store", "--catalog", str(catalog), "--db", str(db),
-                "--no-registry"]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert main(args) == 0
-        assert capsys.readouterr().out == first
-
-    def test_migrate_store_nothing_to_do(self, tmp_path, capsys):
-        assert main(["migrate-store",
-                     "--catalog", str(tmp_path / "absent.json"),
-                     "--db", str(tmp_path / "catalog.db"),
-                     "--no-registry"]) == 2
-        assert "does not exist" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import FeatureSet, TransferGraphConfig
 from repro.serving import ArtifactRegistry, SelectionService
-from repro.serving.fingerprint import config_fingerprint
+from repro.strategies.fingerprint import config_fingerprint
 
 
 @pytest.fixture(scope="module")

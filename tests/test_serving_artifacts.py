@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import shutil
 import sys
 import threading
 import time
@@ -20,7 +21,7 @@ from repro.serving import (
     config_fingerprint,
     config_from_dict,
 )
-from repro.strategies import FittedScoreTable, SelectionStrategy
+from repro.strategies import FittedScoreTable, SelectionStrategy, resolve_strategy
 from repro.strategies.artifacts import _pack_value, _unpack_value
 
 SMALL_HYPERPARAMS = {
@@ -185,6 +186,51 @@ class TestRegistryRoundTrip:
                                     features=FeatureSet.everything())
         with pytest.raises(ArtifactNotFoundError):
             registry.load(target, other, zoo)
+
+
+class TestCopiedInArtifacts:
+    """The registry is its directory tree: artifact directories copied in
+    from another root (how a pre-fitted template seeds a fresh shard)
+    are adopted as they are, serving them writes nothing, and one
+    removed behind the registry's back is gone at once."""
+
+    def test_fresh_registry_serves_copied_artifacts(self, tiny_image_zoo,
+                                                    tmp_path, lr_config):
+        zoo = tiny_image_zoo
+        strategies = [resolve_strategy(lr_config), resolve_strategy("logme")]
+        targets = zoo.target_names()[:2]
+        staging = ArtifactRegistry(tmp_path / "staging")
+        fitted = {}
+        for strategy in strategies:
+            for target in targets:
+                fitted[strategy, target] = strategy.fit(zoo, target)
+                staging.save(fitted[strategy, target], strategy, zoo)
+        root = tmp_path / "shard"
+        for namespace in staging.root.iterdir():
+            if namespace.is_dir():
+                shutil.copytree(namespace, root / namespace.name)
+        files = sorted(p.relative_to(root) for p in root.rglob("*"))
+
+        registry = ArtifactRegistry(root)
+        ids = zoo.model_ids()
+        missing = zoo.target_names()[2]
+        for strategy in strategies:
+            assert registry.targets(strategy) == sorted(targets)
+            for target in targets:
+                assert registry.contains(target, strategy)
+                revived = registry.load(target, strategy, zoo)
+                assert revived.rank(ids) == fitted[strategy, target].rank(ids)
+            assert not registry.contains(missing, strategy)
+            with pytest.raises(ArtifactNotFoundError):
+                registry.load(missing, strategy, zoo)
+        report = registry.gc(strategies, zoo, dry_run=True)
+        assert report == {"namespaces_removed": 0, "artifacts_removed": 0,
+                          "artifacts_kept": 4, "bytes_reclaimed": 0}
+        assert sorted(p.relative_to(root) for p in root.rglob("*")) == files
+
+        shutil.rmtree(registry.path_for(targets[0], strategies[0]))
+        assert not registry.contains(targets[0], strategies[0])
+        assert targets[0] not in registry.targets(strategies[0])
 
 
 class TestFingerprints:
@@ -393,7 +439,5 @@ class TestConcurrentLoads:
         finally:
             sys.setswitchinterval(interval)
             gc.set_threshold(*thresholds)
-            for registry in registries:
-                registry.close()
         assert errors == []
         assert all(count > 0 for count in loads)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import FeatureSet, TransferGraphConfig
 from repro.serving import ArtifactRegistry, SelectionService, ServiceStats
-from repro.serving.fingerprint import config_fingerprint
+from repro.strategies.fingerprint import config_fingerprint
 
 from serving_stubs import StubFitted, StubZoo, stub_service
 

@@ -1,296 +1,11 @@
-"""The durable store: SQLite/Table parity, migrations, the registry index."""
+"""The artifact registry answers from its directory tree alone: an
+artifact written by another registry is found, and one removed from
+disk is forgotten, with no index to keep in step."""
 
-import copy
-import json
-import pickle
-import sqlite3
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import shutil
 
 from repro.serving import ArtifactRegistry
-from repro.serving.index import INDEX_DB_NAME, RegistryIndex
-from repro.store import (
-    SCHEMA_VERSION,
-    Column,
-    Schema,
-    SchemaError,
-    SQLiteStore,
-    StoreVersionError,
-    Table,
-    ZooCatalog,
-    migrate_catalog_json,
-)
 from repro.strategies import get_strategy
-
-
-def make_schema():
-    return Schema(
-        name="t",
-        columns=[
-            Column("id", "str"),
-            Column("score", "float"),
-            Column("count", "int", required=False, default=0),
-            Column("flag", "bool", required=False, default=False),
-        ],
-        primary_key=("id",),
-    )
-
-
-@pytest.fixture()
-def store(tmp_path):
-    s = SQLiteStore(tmp_path / "t.db")
-    yield s
-    s.close()
-
-
-class TestSQLiteTableParity:
-    """The SQLite twin answers exactly like the in-memory Table."""
-
-    def both(self, store):
-        return Table(make_schema()), store.table(make_schema())
-
-    def test_insert_get_types_preserved(self, store):
-        for t in self.both(store):
-            t.insert({"id": "a", "score": 0.9, "flag": True})
-            row = t.get("a")
-            assert row["score"] == 0.9
-            assert row["flag"] is True
-            assert row["count"] == 0
-            assert isinstance(row["count"], int)
-
-    def test_duplicate_key_same_message(self, store):
-        mem, sql = self.both(store)
-        for t in (mem, sql):
-            t.insert({"id": "a", "score": 0.9})
-        with pytest.raises(SchemaError) as mem_err:
-            mem.insert({"id": "a", "score": 0.1})
-        with pytest.raises(SchemaError) as sql_err:
-            sql.insert({"id": "a", "score": 0.1})
-        assert str(mem_err.value) == str(sql_err.value)
-
-    def test_filter_indexed_and_scan_agree(self, store):
-        mem, sql = self.both(store)
-        for i in range(24):
-            row = {"id": f"r{i}", "score": float(i % 3), "count": i % 4}
-            mem.insert(row)
-            sql.insert(row)
-        sql.add_index("count")
-        mem.add_index("count")
-        for value in range(4):
-            assert mem.filter(count=value) == sql.filter(count=value)
-        assert mem.filter(score=1.0, count=1) == sql.filter(score=1.0, count=1)
-
-    def test_filter_predicate_and_distinct(self, store):
-        mem, sql = self.both(store)
-        for i in range(10):
-            row = {"id": f"r{i}", "score": i / 10, "count": i % 2}
-            mem.insert(row)
-            sql.insert(row)
-        pred = lambda r: r["score"] > 0.5  # noqa: E731
-        assert mem.filter(pred) == sql.filter(pred)
-        assert mem.distinct("count") == sql.distinct("count")
-
-    def test_delete_contains_len(self, store):
-        mem, sql = self.both(store)
-        for t in (mem, sql):
-            t.insert({"id": "a", "score": 0.9})
-            assert ("a",) in t
-            assert len(t) == 1
-            t.delete("a")
-            assert ("a",) not in t
-            assert len(t) == 0
-            with pytest.raises(KeyError):
-                t.delete("a")
-
-    def test_persists_across_reopen(self, tmp_path):
-        path = tmp_path / "t.db"
-        store = SQLiteStore(path)
-        store.table(make_schema()).insert({"id": "a", "score": 0.5, "flag": True})
-        store.close()
-        reopened = SQLiteStore(path)
-        row = reopened.table(make_schema()).get("a")
-        assert row == {"id": "a", "score": 0.5, "count": 0, "flag": True}
-        reopened.close()
-
-    def test_wal_mode(self, store):
-        assert store.execute("PRAGMA journal_mode")[0][0] == "wal"
-
-    def test_store_not_picklable(self, store):
-        with pytest.raises(TypeError, match="not picklable"):
-            pickle.dumps(store)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(
-        st.tuples(
-            st.sampled_from(["insert", "upsert", "delete"]),
-            st.sampled_from(["a", "b", "c", "d"]),
-            st.floats(0, 1, allow_nan=False),
-            st.integers(0, 3),
-            st.booleans(),
-        ),
-        max_size=25,
-    ))
-    def test_operation_sequence_parity(self, tmp_path_factory, ops):
-        tmp = tmp_path_factory.mktemp("prop")
-        store = SQLiteStore(tmp / "t.db")
-        mem, sql = Table(make_schema()), store.table(make_schema())
-        sql.add_index("count")
-        try:
-            for op, rid, score, count, flag in ops:
-                row = {"id": rid, "score": score, "count": count, "flag": flag}
-                if op == "delete":
-                    results = []
-                    for t in (mem, sql):
-                        try:
-                            t.delete(rid)
-                            results.append("ok")
-                        except KeyError:
-                            results.append("missing")
-                    assert results[0] == results[1]
-                else:
-                    results = []
-                    for t in (mem, sql):
-                        try:
-                            t.insert(row, upsert=(op == "upsert"))
-                            results.append("ok")
-                        except SchemaError as exc:
-                            results.append(str(exc))
-                    assert results[0] == results[1]
-            assert mem.to_records() == sql.to_records()
-            for count in range(4):
-                assert mem.filter(count=count) == sql.filter(count=count)
-        finally:
-            store.close()
-
-
-class TestVersioning:
-    def test_fresh_store_stamped_current(self, store):
-        assert store.schema_version == SCHEMA_VERSION
-
-    def test_newer_version_refused(self, tmp_path):
-        path = tmp_path / "future.db"
-        conn = sqlite3.connect(path)
-        conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION + 1}")
-        conn.commit()
-        conn.close()
-        with pytest.raises(StoreVersionError, match="refusing to downgrade"):
-            SQLiteStore(path)
-
-    def test_unknown_version_gap_refused(self, tmp_path):
-        # version far behind with no registered migration chain to it
-        path = tmp_path / "ancient.db"
-        conn = sqlite3.connect(path)
-        conn.execute("PRAGMA user_version = -1")
-        conn.commit()
-        conn.close()
-        with pytest.raises(StoreVersionError, match="no migration"):
-            SQLiteStore(path)
-
-    def test_v1_to_v2_adds_last_hit(self, tmp_path):
-        path = tmp_path / "v1.db"
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "CREATE TABLE registry_index (strategy_fp TEXT, target TEXT, "
-            "path TEXT, size INTEGER, mtime REAL, "
-            "PRIMARY KEY (strategy_fp, target))"
-        )
-        conn.execute(
-            "INSERT INTO registry_index VALUES ('fp', 't1', '/x', 10, 1.0)"
-        )
-        conn.execute("PRAGMA user_version = 1")
-        conn.commit()
-        conn.close()
-        store = SQLiteStore(path)
-        try:
-            assert store.schema_version == SCHEMA_VERSION
-            columns = {r[1] for r in store.execute(
-                "PRAGMA table_info(registry_index)")}
-            assert "last_hit" in columns
-            row = store.execute(
-                "SELECT last_hit FROM registry_index WHERE target='t1'")
-            assert row == [(0.0,)]
-        finally:
-            store.close()
-
-    def test_v1_catalog_only_database_migrates(self, tmp_path):
-        path = tmp_path / "v1cat.db"
-        conn = sqlite3.connect(path)
-        conn.execute("PRAGMA user_version = 1")
-        conn.commit()
-        conn.close()
-        store = SQLiteStore(path)
-        assert store.schema_version == SCHEMA_VERSION
-        store.close()
-
-
-def populate(cat: ZooCatalog) -> ZooCatalog:
-    cat.add_model(model_id="m1", architecture="vit-s", family="vit",
-                  modality="image", pretrain_dataset="imagenet",
-                  pretrain_accuracy=0.8, num_params=1000, memory_mb=4.0,
-                  input_shape=32, embedding_dim=16, depth=3)
-    cat.add_dataset(dataset_id="d1", modality="image", num_samples=100,
-                    num_classes=5, input_dim=32, is_target=True)
-    cat.add_dataset(dataset_id="d2", modality="image", num_samples=200,
-                    num_classes=2, input_dim=32)
-    cat.record_history("m1", "d1", 0.91)
-    cat.record_history("m1", "d2", 0.70, method="lora")
-    cat.record_transferability("m1", "d1", "logme", 1.2)
-    cat.record_similarity("d2", "d1", 0.66)
-    return cat
-
-
-class TestCatalogMigration:
-    def test_json_round_trip_preserves_rows_and_types(self, tmp_path):
-        cat = populate(ZooCatalog())
-        json_path = tmp_path / "catalog.json"
-        cat.save(json_path)
-        counts = migrate_catalog_json(json_path, tmp_path / "catalog.db")
-        assert counts == cat.stats()
-
-        migrated = ZooCatalog.open(tmp_path / "catalog.db")
-        try:
-            for name in ZooCatalog._TABLES:
-                assert (getattr(migrated, name).to_records()
-                        == getattr(cat, name).to_records())
-            target_row = migrated.datasets.get("d1")
-            assert target_row["is_target"] is True
-            assert migrated.get_accuracy("m1", "d2", method="lora") == 0.70
-            assert migrated.get_similarity("d1", "d2") == 0.66
-        finally:
-            migrated.close()
-
-    def test_migration_idempotent(self, tmp_path):
-        cat = populate(ZooCatalog())
-        json_path = tmp_path / "catalog.json"
-        cat.save(json_path)
-        first = migrate_catalog_json(json_path, tmp_path / "catalog.db")
-        second = migrate_catalog_json(json_path, tmp_path / "catalog.db")
-        assert first == second == cat.stats()
-
-    def test_rejects_non_object_payload(self, tmp_path):
-        bogus = tmp_path / "catalog.json"
-        bogus.write_text(json.dumps([1, 2, 3]))
-        with pytest.raises(ValueError, match="expected a JSON object"):
-            migrate_catalog_json(bogus, tmp_path / "catalog.db")
-
-    def test_migrated_catalog_serves_identical_rankings(self, tiny_image_zoo,
-                                                        tmp_path):
-        json_path = tmp_path / "catalog.json"
-        tiny_image_zoo.catalog.save(json_path)
-        migrate_catalog_json(json_path, tmp_path / "catalog.db")
-
-        target = tiny_image_zoo.target_names()[0]
-        baseline = get_strategy("lr:all").rank(tiny_image_zoo, target)
-
-        migrated_zoo = copy.copy(tiny_image_zoo)
-        migrated_zoo.catalog = ZooCatalog.open(tmp_path / "catalog.db")
-        try:
-            migrated = get_strategy("lr:all").rank(migrated_zoo, target)
-        finally:
-            migrated_zoo.catalog.close()
-        assert json.dumps(baseline) == json.dumps(migrated)
 
 
 class TestRegistryIndex:
@@ -300,69 +15,25 @@ class TestRegistryIndex:
     def save_fake(self, registry, strategy, target):
         return registry.save_packed({"k": 1}, {}, strategy, target)
 
-    def test_save_records_and_contains_uses_index(self, tmp_path):
-        registry = ArtifactRegistry(tmp_path)
-        strategy = self.strategy()
-        self.save_fake(registry, strategy, "t1")
-        assert (tmp_path / INDEX_DB_NAME).exists()
-        assert registry.contains("t1", strategy)
-        row = registry.index.get(strategy.fingerprint(), "t1")
-        assert row is not None
-        assert row["size"] > 0
-
     def test_index_self_heals_when_artifact_vanishes(self, tmp_path):
         registry = ArtifactRegistry(tmp_path)
         strategy = self.strategy()
         path = self.save_fake(registry, strategy, "t1")
-        for file in path.iterdir():
-            file.unlink()
-        path.rmdir()
+        self.save_fake(registry, strategy, "t2")
+        assert registry.targets(strategy) == ["t1", "t2"]
+        shutil.rmtree(path)
         assert not registry.contains("t1", strategy)
-        assert registry.index.get(strategy.fingerprint(), "t1") is None
+        assert registry.targets(strategy) == ["t2"]
 
     def test_index_adopts_out_of_band_artifacts(self, tmp_path):
-        writer = ArtifactRegistry(tmp_path)
+        writer = ArtifactRegistry(tmp_path / "writer")
         strategy = self.strategy()
         self.save_fake(writer, strategy, "t1")
-        writer.close()
-        (tmp_path / INDEX_DB_NAME).unlink()
+        root = tmp_path / "reader"
+        shutil.copytree(writer.root, root)
+        files = sorted(p.relative_to(root) for p in root.rglob("*"))
 
-        reader = ArtifactRegistry(tmp_path)
+        reader = ArtifactRegistry(root)
         assert reader.targets(strategy) == ["t1"]
-        assert reader.index.get(strategy.fingerprint(), "t1") is not None
-
-    def test_reindex_counts(self, tmp_path):
-        registry = ArtifactRegistry(tmp_path)
-        strategy = self.strategy()
-        self.save_fake(registry, strategy, "t1")
-        self.save_fake(registry, strategy, "t2")
-        report = registry.reindex()
-        assert report == {"fingerprints": 1, "artifacts_indexed": 2}
-
-    def test_reindex_missing_root(self, tmp_path):
-        registry = ArtifactRegistry(tmp_path / "nope")
-        assert registry.reindex() == {"fingerprints": 0, "artifacts_indexed": 0}
-
-    def test_delete_drops_index_row(self, tmp_path):
-        registry = ArtifactRegistry(tmp_path)
-        strategy = self.strategy()
-        self.save_fake(registry, strategy, "t1")
-        assert registry.delete("t1", strategy)
-        assert registry.index.get(strategy.fingerprint(), "t1") is None
-        assert not registry.contains("t1", strategy)
-
-    def test_registry_pickles_without_index_handle(self, tmp_path):
-        registry = ArtifactRegistry(tmp_path)
-        self.save_fake(registry, self.strategy(), "t1")
-        revived = pickle.loads(pickle.dumps(registry))
-        assert revived.root == registry.root
-        assert revived.contains("t1", self.strategy())
-
-    def test_last_hit_preserved_on_re_record(self, tmp_path):
-        index = RegistryIndex(tmp_path / INDEX_DB_NAME)
-        index.record("fp", "t1", "/x", size=10, mtime=1.0, last_hit=42.0)
-        index.record("fp", "t1", "/x", size=10, mtime=2.0)
-        row = index.get("fp", "t1")
-        assert row["last_hit"] == 42.0
-        assert row["mtime"] == 2.0
-        index.close()
+        assert reader.contains("t1", strategy)
+        assert sorted(p.relative_to(root) for p in root.rglob("*")) == files
