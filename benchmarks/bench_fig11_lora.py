@@ -10,9 +10,10 @@ Two settings, as in §VII-F:
 
 from benchmarks.conftest import print_header
 from benchmarks.helpers import format_row, tg_strategy
-from repro.baselines import AmazonLR, FeatureBasedStrategy
+from repro.baselines import AmazonLR
 from repro.core import evaluate_strategy
 from repro.graph import GraphConfig
+from repro.strategies import TransferabilityStrategy
 
 
 def _run(zoo):
@@ -22,7 +23,7 @@ def _run(zoo):
     # (a) LoRA everywhere: history labels + graph edges + ground truth.
     lora_graph = GraphConfig(history_method="lora")
     strategies_a = [
-        FeatureBasedStrategy("logme"),
+        TransferabilityStrategy("logme"),
         AmazonLR("all+logme", label_method="lora"),
         tg_strategy(graph_learner="node2vec+", graph=lora_graph,
                     label_method="lora"),
@@ -35,7 +36,7 @@ def _run(zoo):
 
     # (b) train on full-FT history, predict LoRA ground truth.
     strategies_b = [
-        FeatureBasedStrategy("logme"),
+        TransferabilityStrategy("logme"),
         AmazonLR("all+logme"),
         tg_strategy(graph_learner="node2vec+"),
     ]

@@ -6,14 +6,14 @@ Expected shape here: Random < LogME ≤ TG, on stanfordcars and on average.
 
 from benchmarks.conftest import print_header
 from benchmarks.helpers import tg_strategy
-from repro.baselines import FeatureBasedStrategy, RandomSelection
 from repro.core import top_k_accuracy
+from repro.strategies import RandomStrategy, TransferabilityStrategy
 
 
 def _run(image_zoo):
     target = "stanfordcars"
     rows = {}
-    for strategy in (RandomSelection(seed=0), FeatureBasedStrategy("logme"),
+    for strategy in (RandomStrategy(seed=0), TransferabilityStrategy("logme"),
                      tg_strategy(predictor="xgb")):
         scores = strategy.scores_for_target(image_zoo, target)
         rows[strategy.name] = top_k_accuracy(image_zoo, scores, target, k=5)

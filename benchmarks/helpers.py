@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from repro.baselines import AmazonLR, FeatureBasedStrategy
+from repro.baselines import AmazonLR
 from repro.core import FeatureSet, TransferGraph, TransferGraphConfig
+from repro.strategies import TransferabilityStrategy
 
 #: embedding dimensionality used throughout the benchmarks (the paper uses
 #: 128 on a zoo ~8x larger; 32 matches our training-set size — DESIGN.md §2)
@@ -27,7 +28,7 @@ def tg_strategy(predictor: str = "lr", graph_learner: str = "node2vec",
 def main_roster() -> list:
     """The Fig. 7 strategy roster."""
     return [
-        FeatureBasedStrategy("logme"),
+        TransferabilityStrategy("logme"),
         AmazonLR("basic"),
         AmazonLR("all+logme"),
         tg_strategy(predictor="rf"),

@@ -7,21 +7,22 @@ leave-one-out protocol over all eight image targets, and prints the
 average Pearson correlation and top-5 accuracy per strategy.
 """
 
-from repro.baselines import AmazonLR, FeatureBasedStrategy, RandomSelection
+from repro.baselines import AmazonLR
 from repro.core import (
     FeatureSet,
     TransferGraph,
     TransferGraphConfig,
     evaluate_strategy,
 )
+from repro.strategies import RandomStrategy, TransferabilityStrategy
 from repro.zoo import ZooConfig, get_or_build_zoo
 
 
 def main() -> None:
     zoo = get_or_build_zoo(ZooConfig.small(modality="image", seed=0))
     strategies = [
-        RandomSelection(seed=0),
-        FeatureBasedStrategy("logme"),
+        RandomStrategy(seed=0),
+        TransferabilityStrategy("logme"),
         AmazonLR("basic"),
         AmazonLR("all+logme"),
         TransferGraph(TransferGraphConfig(

@@ -7,13 +7,14 @@ with LoRA fine-tuning as the ground truth (Fig. 11b workload: the graph
 is still built from full fine-tuning history).
 """
 
-from repro.baselines import AmazonLR, FeatureBasedStrategy
+from repro.baselines import AmazonLR
 from repro.core import (
     FeatureSet,
     TransferGraph,
     TransferGraphConfig,
     evaluate_strategy,
 )
+from repro.strategies import TransferabilityStrategy
 from repro.zoo import ZooConfig, get_or_build_zoo
 
 
@@ -22,7 +23,7 @@ def main() -> None:
     tg = TransferGraph(TransferGraphConfig(
         predictor="lr", graph_learner="node2vec+", embedding_dim=32,
         features=FeatureSet.everything()))
-    strategies = [FeatureBasedStrategy("logme"), AmazonLR("all+logme"), tg]
+    strategies = [TransferabilityStrategy("logme"), AmazonLR("all+logme"), tg]
 
     print("=== full fine-tuning ground truth ===")
     for strategy in strategies:

@@ -14,12 +14,14 @@ fleet's ``wire.py``, ``coordinator.py``, ``worker.py``) and flags
 direct calls that block:
 
 - ``time.sleep`` (use ``asyncio.sleep``);
-- ``open`` (artifact/file IO belongs in the executor);
+- ``open`` and the pathlib file calls ``read_bytes``/``write_bytes``/
+  ``read_text``/``write_text`` (artifact/file IO belongs in the
+  executor);
 - ``<future>.result()`` (await the future instead);
 - anything under ``subprocess`` (the process fit plane wraps its pool
   in an executor for a reason);
-- ``<strategy>.fit(...)`` and ``np.load`` (the two heavyweight calls
-  the executors exist for);
+- ``<strategy>.fit(...)`` and ``np.load`` (heavyweight calls the
+  executors exist for);
 - anything under ``sqlite3`` and ``execute``/``executemany``/
   ``executescript`` calls.  Nothing under ``src/repro`` uses SQLite
   today (the catalog is ``catalog.json`` and the artifact registry
@@ -53,6 +55,8 @@ _SCOPE = (
 
 _EXECUTOR_CALLS = {"run_in_executor", "to_thread"}
 
+_PATH_IO = {"read_bytes", "write_bytes", "read_text", "write_text"}
+
 
 def _dotted(node: ast.AST) -> tuple[str, ...] | None:
     """The dotted name chain of ``a.b.c`` expressions, else None."""
@@ -71,6 +75,11 @@ def _blocking_reason(func: ast.AST) -> tuple[str, str] | None:
     if isinstance(func, ast.Name) and func.id == "open":
         return (
             "open() blocks the event loop",
+            "do file IO in the executor (loop.run_in_executor)",
+        )
+    if isinstance(func, ast.Attribute) and func.attr in _PATH_IO:
+        return (
+            f".{func.attr}() is blocking file IO",
             "do file IO in the executor (loop.run_in_executor)",
         )
     chain = _dotted(func)
@@ -120,9 +129,10 @@ class AsyncBlockingRule(Rule):
 
     id: ClassVar[str] = "async-blocking"
     description: ClassVar[str] = (
-        "no time.sleep/open/Future.result/subprocess/strategy.fit/np.load/"
-        "sqlite3 work directly inside async def bodies of serving's "
-        "http/router/gateway and the fleet's wire/coordinator/worker"
+        "no time.sleep/open/Path file IO/Future.result/subprocess/"
+        "strategy.fit/np.load/sqlite3 work directly inside async def bodies "
+        "of serving's http/router/gateway and the fleet's "
+        "wire/coordinator/worker"
     )
 
     def check(self, project: Project) -> list[Finding]:

@@ -1,22 +1,21 @@
 """Baseline model-selection strategies (§VII-A "Baselines").
 
-- :class:`RandomSelection` — the naive strategy of Fig. 2;
-- :class:`FeatureBasedStrategy` — rank by a transferability estimator
-  (``LogME`` being the paper's feature-based baseline);
 - :class:`AmazonLR` — the learning-based SOTA baseline [10] in its three
   variants: ``LR`` (metadata), ``LR{all}`` (+dataset similarity),
   ``LR{all,LogME}`` (+LogME score feature).
 
-All are first-class :class:`~repro.strategies.SelectionStrategy`
-subclasses, so beyond the evaluation-harness protocol
+The naive random strategy of Fig. 2 and the feature-based baseline
+(``LogME``, or any other transferability estimator) are
+:class:`~repro.strategies.RandomStrategy` and
+:class:`~repro.strategies.TransferabilityStrategy`.  All three are
+first-class :class:`~repro.strategies.SelectionStrategy` subclasses, so
+beyond the evaluation-harness protocol
 (``scores_for_target(zoo, target) -> {model_id: score}``) they fit,
 pack/unpack, and serve through the whole registry → service → gateway →
 HTTP stack like any other strategy
 (``repro.strategies.get_strategy("lr:all+logme" | "logme" | "random")``).
 """
 
-from repro.baselines.random_select import RandomSelection
-from repro.baselines.feature_based import FeatureBasedStrategy
 from repro.baselines.amazon_lr import AmazonLR
 
-__all__ = ["RandomSelection", "FeatureBasedStrategy", "AmazonLR"]
+__all__ = ["AmazonLR"]

@@ -606,13 +606,14 @@ def _cmd_rank(args) -> int:
 def _cmd_evaluate(args) -> int:
     if args.served:
         return _cmd_evaluate_served(args)
-    from repro.baselines import AmazonLR, FeatureBasedStrategy, RandomSelection
+    from repro.baselines import AmazonLR
     from repro.core import evaluate_strategy
+    from repro.strategies import RandomStrategy, TransferabilityStrategy
 
     zoo = _load_zoo(args)
     strategies = [
-        RandomSelection(seed=args.seed),
-        FeatureBasedStrategy("logme"),
+        RandomStrategy(seed=args.seed),
+        TransferabilityStrategy("logme"),
         AmazonLR("all+logme"),
         _tg_strategy(args.predictor, args.graph_learner),
     ]

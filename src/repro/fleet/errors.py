@@ -5,9 +5,8 @@ process fit plane, PR 7) and moved down here when the socket fleet
 arrived: the coordinator, the worker daemon, and the process pool all
 shed a router's coalesced group with *the same* typed errors, so the
 hierarchy has to live below both ``serving`` and ``fleet`` in the
-import DAG.  ``repro.serving.fit_plane`` re-exports every name, so
-existing ``from repro.serving import FitPlaneError`` imports keep
-working unchanged.
+import DAG.  ``repro.serving`` re-exports the executor-facing names, so
+``from repro.serving import FitPlaneError`` works too.
 
 The contract, regardless of executor:
 

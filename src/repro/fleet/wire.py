@@ -12,8 +12,9 @@ HTTP wire), so encoding the same frame twice yields identical bytes.
 The binary tail carries what JSON cannot: the pickled strategy and zoo
 reference on the way out (FIT), and raw C-order numpy array bytes on
 the way back (FIT_RESULT) — the *strategy-packed* artifact, exactly the
-``(meta, arrays)`` pair the registry persists, so socket-fitted
-artifacts stay byte-identical to thread- and process-fitted ones.
+``(meta, arrays)`` pair the registry persists.  The registry's artifact
+files are FIT_RESULT frames as well, so socket-fitted artifacts stay
+byte-identical to thread- and process-fitted ones.
 
 Frames and their direction:
 
@@ -31,10 +32,10 @@ FIT_ERROR  worker -> coordinator   typed kind, exception module/type, message
 ========== ======================= ===================================
 
 A frame that fails to parse (bad magic sizes, unknown type, missing
-fields) raises :class:`~repro.fleet.errors.WireError`; both ends treat
-that as a dead peer and drop the connection.  ``WIRE_VERSION`` is
-checked once at HELLO — a version-skewed worker is refused before it
-can receive work.
+fields, field values of the wrong type) raises
+:class:`~repro.fleet.errors.WireError`; both ends treat that as a dead
+peer and drop the connection.  ``WIRE_VERSION`` is checked once at
+HELLO — a version-skewed worker is refused before it can receive work.
 
 Trust model: the gateway never evaluates bytes a worker sends — the
 worker->coordinator frames are pure JSON headers plus raw numpy array
@@ -161,7 +162,7 @@ class FitResult:
 
     ``arrays`` preserves the worker's insertion order — the parent
     passes the dict to ``registry.save_packed`` as-is, so order must
-    survive the wire for the npz payload to match the thread path.
+    survive the wire for the stored artifact to match the thread path.
     """
 
     fit_id: str
@@ -338,7 +339,19 @@ def _split_blobs(tail: bytes, lengths: list, name: str) -> list[bytes]:
 
 
 def decode_frame(payload: bytes):
-    """Parse one frame payload (everything after the outer length)."""
+    """Parse one frame payload (everything after the outer length).
+
+    Any malformed payload, including a well-framed header whose field
+    values have the wrong JSON type, raises :class:`WireError`.
+    """
+    try:
+        return _decode(payload)
+    except (TypeError, ValueError, OverflowError, RecursionError, SyntaxError) as exc:
+        # SyntaxError: np.dtype parses comma-separated dtype strings with ast
+        raise WireError(f"malformed fleet frame: {exc}") from exc
+
+
+def _decode(payload: bytes):
     if len(payload) < _LEN.size:
         raise WireError(f"truncated frame payload ({len(payload)} bytes)")
     (header_len,) = _LEN.unpack_from(payload)
@@ -347,10 +360,7 @@ def decode_frame(payload: bytes):
             f"frame declares a {header_len}-byte header but only "
             f"{len(payload) - _LEN.size} payload bytes follow"
         )
-    try:
-        header = json.loads(payload[_LEN.size : _LEN.size + header_len])
-    except ValueError as exc:
-        raise WireError(f"frame header is not valid JSON: {exc}") from exc
+    header = json.loads(payload[_LEN.size : _LEN.size + header_len])
     if not isinstance(header, dict):
         raise WireError("frame header must be a JSON object")
     tail = payload[_LEN.size + header_len :]
@@ -410,19 +420,13 @@ def decode_frame(payload: bytes):
         arrays: dict[str, np.ndarray] = {}
         for descriptor, raw in zip(descriptors, raws):
             key, dtype, shape = _require(descriptor, name, "name", "dtype", "shape")
-            try:
-                # .copy(): frombuffer views are read-only; the parent
-                # must receive arrays as writable as pickle would make
-                arrays[str(key)] = (
-                    np.frombuffer(raw, dtype=np.dtype(dtype))
-                    .reshape([int(n) for n in shape])
-                    .copy()
-                )
-            except (TypeError, ValueError) as exc:
-                raise WireError(
-                    f"FIT_RESULT array {key!r} does not match its "
-                    f"descriptor: {exc}"
-                ) from exc
+            # .copy(): frombuffer views are read-only; the parent
+            # must receive arrays as writable as pickle would make
+            arrays[str(key)] = (
+                np.frombuffer(raw, dtype=np.dtype(dtype))
+                .reshape([int(n) for n in shape])
+                .copy()
+            )
         return FitResult(fit_id=str(fit_id), meta=meta, spans=spans, arrays=arrays)
     if name == "FIT_ERROR":
         fit_id, kind, message = _require(header, name, "fit_id", "kind", "message")

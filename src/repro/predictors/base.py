@@ -38,7 +38,7 @@ class Regressor:
 
         The returned dict holds only JSON-able scalars, ``None``, nested
         dicts/lists, and ``np.ndarray`` leaves, so the serving artifact
-        layer can split it into JSON metadata and ``.npz`` arrays.
+        layer can split it into JSON metadata and raw array bytes.
         ``set_state(get_state())`` on a fresh instance must reproduce
         ``predict`` bit-for-bit.
         """

@@ -79,12 +79,8 @@ from repro.serving.compare import (
     write_report,
 )
 from repro.serving.registry import ArtifactRegistry
-from repro.serving.fit_plane import (
-    FitPlaneError,
-    FitTimeoutError,
-    FitWorkerCrashError,
-    ProcessFitExecutor,
-)
+from repro.fleet.errors import FitPlaneError, FitTimeoutError, FitWorkerCrashError
+from repro.serving.fit_plane import ProcessFitExecutor
 from repro.serving.router import (
     AsyncSelectionRouter,
     QueueFullError,

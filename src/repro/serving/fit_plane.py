@@ -19,10 +19,9 @@ artifact — the same ``(meta, arrays)`` pair the registry persists — so
 
 The worker-side task itself — zoo hydration (cached per zoo
 fingerprint), the fit, the warm predict, the pack — lives in
-:mod:`repro.fleet.work` since the socket fleet (ISSUE 9) runs the very
-same function in its ``repro fit-worker`` daemons; this module re-exports
-the typed error family and :func:`zoo_ref_for` from
-:mod:`repro.fleet` for compatibility with pre-fleet imports.
+:mod:`repro.fleet.work` since the socket fleet runs the very same
+function in its ``repro fit-worker`` daemons; the typed error family
+lives in :mod:`repro.fleet.errors`.
 
 Failure semantics: a worker that dies mid-fit (OOM kill, segfault)
 surfaces as :class:`FitWorkerCrashError` and a fit exceeding
@@ -53,13 +52,7 @@ from repro.fleet.errors import (
 )
 from repro.fleet.work import run_fit, warm_worker, zoo_ref_for
 
-__all__ = [
-    "ProcessFitExecutor",
-    "FitPlaneError",
-    "FitWorkerCrashError",
-    "FitTimeoutError",
-    "zoo_ref_for",
-]
+__all__ = ["ProcessFitExecutor"]
 
 
 class ProcessFitExecutor:

@@ -2,42 +2,53 @@
 
 Layout (one namespace directory per strategy fingerprint)::
 
-    <root>/<strategy_fp>/<target>/meta.json    fingerprints, states, names
-    <root>/<strategy_fp>/<target>/arrays.npz   embeddings + model arrays
+    <root>/<strategy_fp>/<target>.artifact
 
 Artifacts are keyed by *strategy*: anything accepted by
 :func:`repro.strategies.resolve_strategy` — a
 :class:`~repro.strategies.SelectionStrategy`, a spec string, or (the
 pre-redesign signature, still the common test idiom) a bare
-:class:`~repro.core.TransferGraphConfig`, whose fingerprint is unchanged
-so existing TG artifacts keep loading.  The strategy also owns the
+:class:`~repro.core.TransferGraphConfig`, which shares its TG strategy's
+fingerprint.  The strategy also owns the
 artifact *format*: ``save`` packs through ``strategy.pack`` and ``load``
 revives through ``strategy.unpack``, so a TG pipeline and a LogME score
 table live behind the same registry API.
 
+One artifact is one file: the bytes of ``encode_frame(FitResult(fit_id=
+<digest>, meta=meta, spans=[], arrays=arrays))`` (:mod:`repro.fleet.wire`),
+the digest being blake2b over the canonical meta JSON and each array's
+name, dtype, shape and bytes.  Every executor saves through that one
+call, so thread-, process- and socket-fitted artifacts are byte-identical.
+
 The directory tree is the whole registry: ``contains``, ``load`` and
 ``delete`` stat the path the layout rule derives, and ``targets`` and
-``gc`` walk the fingerprint directories.  Artifact directories copied
-in from elsewhere are therefore served as they are, and nothing but
-artifact files is ever written under ``root``.
-
-``arrays.npz`` is written before ``meta.json``, so a directory with a
-``meta.json`` is always a complete artifact; a crash mid-save leaves at
-worst an ignorable partial directory.  Every load validates the stored
-fingerprints against the live strategy and catalog — a stale artifact
-raises :class:`~repro.strategies.artifacts.StaleArtifactError` instead of
-being silently served.
+``gc`` walk the fingerprint directories, so artifacts copied in from
+elsewhere are served as they are.  A save writes a hidden sibling and
+moves it into place with ``os.replace``, so a reader sees the old file
+or the new one, never a mix.  A load decodes the frame, requires the
+file to be byte-for-byte its encoding (so a torn file, or one respelled
+to the same content, is caught) and checks the digest — a torn or
+corrupt file raises
+:class:`~repro.strategies.artifacts.ArtifactError`, which degrades to a
+refit — then the stored fingerprints, raising
+:class:`~repro.strategies.artifacts.StaleArtifactError` when stale.
+Inside a fingerprint directory anything but a ``*.artifact`` file (a
+crash's temporary file, an older build's ``<target>/`` directory) is a
+partial, which lookups ignore and ``gc`` removes.  There is no fsync:
+the registry is a cache, and a file torn by power loss fails these checks.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import shutil
 import threading
 from pathlib import Path
 
-import numpy as np
-
+from repro.fleet.errors import WireError
+from repro.fleet.wire import FitResult, decode_frame, encode_frame
 from repro.strategies.artifacts import (
     ArtifactError,
     ArtifactNotFoundError,
@@ -47,16 +58,47 @@ from repro.strategies import resolve_strategy
 
 __all__ = ["ArtifactRegistry"]
 
-_META = "meta.json"
-_ARRAYS = "arrays.npz"
+_SUFFIX = ".artifact"
 
-#: numpy parses every npz member's header with ``ast.literal_eval``,
-#: which on CPython 3.11 can raise ``SystemError: AST constructor
-#: recursion depth mismatch`` when threads parse at once (several
-#: routers reviving on their fit threads).  That parser state belongs to
-#: the interpreter, not to a registry, so the lock is process-wide:
-#: every npz read here — the open and each member — holds it.
-_NPZ_READ_LOCK = threading.Lock()
+#: bytes of the frame's outer ``!I`` length prefix
+_PREFIX = 4
+
+
+def _digest(meta: dict, arrays: dict) -> str:
+    """blake2b over the canonical meta JSON and each array's name,
+    dtype, shape and C-order bytes, in the order the frame stores them."""
+    digest = hashlib.blake2b(digest_size=20)
+    digest.update(json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
+    for name, array in arrays.items():
+        descriptor = [str(name), array.dtype.str, list(array.shape)]
+        digest.update(json.dumps(descriptor).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _read(path: Path) -> tuple[dict, dict]:
+    """The verified ``(meta, arrays)`` one artifact file holds.
+
+    Raises :class:`ArtifactError` when the file cannot be read, does not
+    parse as a ``FIT_RESULT`` frame, differs by any byte from that
+    frame's encoding (which covers a torn or truncated file), or fails
+    its digest.
+    """
+    try:
+        data = path.read_bytes()
+        frame = decode_frame(data[_PREFIX:])
+        # only the bytes a save writes: a wrong length prefix, or a
+        # dtype, number or escape spelled another way, decodes to the
+        # same content but is still damage the digest cannot see
+        if encode_frame(frame) != data:
+            raise WireError("file is not the encoding of its own content")
+    except (OSError, WireError) as exc:
+        raise ArtifactError(f"corrupt artifact at {path}: {exc}") from exc
+    if not isinstance(frame, FitResult):
+        raise ArtifactError(f"{path} holds a {type(frame).__name__}, not an artifact")
+    if frame.fit_id != _digest(frame.meta, frame.arrays):
+        raise ArtifactError(f"corrupt artifact at {path}: digest mismatch")
+    return frame.meta, frame.arrays
 
 
 class ArtifactRegistry:
@@ -73,81 +115,81 @@ class ArtifactRegistry:
     def _scan(namespace: Path) -> tuple[list[Path], list[Path]]:
         """Walk one fingerprint directory.
 
-        Returns ``(complete, partials)``, both sorted: the target
-        directories with a ``meta.json`` and the crash leftovers
-        without one.
+        Returns ``(complete, partials)``, both sorted: the
+        ``*.artifact`` files and everything else.
         """
         complete: list[Path] = []
         partials: list[Path] = []
         if namespace.is_dir():
-            for path in sorted(p for p in namespace.iterdir() if p.is_dir()):
-                (complete if (path / _META).exists() else partials).append(path)
+            for path in sorted(namespace.iterdir()):
+                is_artifact = path.suffix == _SUFFIX and path.is_file()
+                (complete if is_artifact else partials).append(path)
         return complete, partials
 
     # ------------------------------------------------------------------ #
     def _path(self, strategy, target: str) -> Path:
         """THE layout rule (``strategy`` already resolved):
-        ``<root>/<strategy fingerprint>/<target>``."""
-        return self.root / strategy.fingerprint() / target
+        ``<root>/<strategy fingerprint>/<target>.artifact``."""
+        return self.root / strategy.fingerprint() / f"{target}{_SUFFIX}"
 
     def path_for(self, target: str, strategy) -> Path:
         return self._path(resolve_strategy(strategy), target)
 
     def contains(self, target: str, strategy) -> bool:
-        """Whether a complete artifact (one with a ``meta.json``) exists."""
-        return (self.path_for(target, strategy) / _META).exists()
+        """Whether an artifact file exists."""
+        return self.path_for(target, strategy).is_file()
 
     def targets(self, strategy) -> list[str]:
-        """Targets with a complete artifact under this strategy."""
+        """Targets with an artifact file under this strategy, sorted."""
         fp = resolve_strategy(strategy).fingerprint()
         complete, _ = self._scan(self.root / fp)
-        return [path.name for path in complete]
+        return sorted(path.name.removesuffix(_SUFFIX) for path in complete)
 
     # ------------------------------------------------------------------ #
     def save(self, fitted, strategy, zoo) -> Path:
-        """Write one artifact; returns its directory."""
+        """Write one artifact; returns its file."""
         strategy = resolve_strategy(strategy)
         meta, arrays = strategy.pack(fitted, zoo)
         return self.save_packed(meta, arrays, strategy, fitted.target)
 
     def save_packed(self, meta: dict, arrays: dict, strategy, target: str) -> Path:
-        """Write one *already-packed* artifact; returns its directory.
+        """Write one *already-packed* artifact atomically; returns its file.
 
-        The process fit plane persists the worker's exact ``(meta,
-        arrays)`` payload through this, so a process-fitted artifact is
+        The process and socket fit planes persist the worker's exact
+        ``(meta, arrays)`` payload through this, so their artifacts are
         byte-identical to the thread path packing in-process.
         """
         strategy = resolve_strategy(strategy)
-        out = self._path(strategy, target)
-        out.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(out / _ARRAYS, **arrays)
-        (out / _META).write_text(json.dumps(meta, indent=1, sort_keys=True))
-        return out
+        path = self._path(strategy, target)
+        data = encode_frame(
+            FitResult(fit_id=_digest(meta, arrays), meta=meta, spans=[], arrays=arrays)
+        )
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # unique per writer thread; a plain open keeps the umask's mode
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        return path
 
     def load(self, target: str, strategy, zoo):
         """Revive one artifact, validating fingerprints.
 
-        Raises :class:`ArtifactNotFoundError` when absent and
-        :class:`StaleArtifactError` when present but out of date.
+        Raises :class:`ArtifactNotFoundError` when absent,
+        :class:`StaleArtifactError` when present but out of date, and
+        :class:`ArtifactError` when the file is corrupt or malformed.
         """
         strategy = resolve_strategy(strategy)
         path = self._path(strategy, target)
-        if not (path / _META).exists():
+        if not path.is_file():
             raise ArtifactNotFoundError(
                 f"no artifact for target {target!r} under strategy "
                 f"{strategy.fingerprint()}"
             )
-        try:
-            meta = json.loads((path / _META).read_text())
-            with _NPZ_READ_LOCK, np.load(path / _ARRAYS) as npz:
-                arrays = {key: npz[key] for key in npz.files}
-        except (OSError, ValueError) as exc:
-            # Truncated JSON, missing/corrupt npz (BadZipFile is an
-            # OSError): a broken artifact must degrade to a refit, not
-            # poison every query for the target.
-            raise ArtifactError(
-                f"corrupt artifact for target {target!r} at {path}: {exc}"
-            ) from exc
+        meta, arrays = _read(path)
         try:
             return strategy.unpack(meta, arrays, zoo)
         except ArtifactError:
@@ -167,15 +209,15 @@ class ArtifactRegistry:
         """Sweep artifacts that no live strategy/catalog can serve.
 
         The sweep walks the directory tree: every fingerprint directory
-        under ``root``, then the target directories inside each live
-        one.  Files directly under ``root`` are never touched.
+        under ``root``, then the entries inside each live one.  Files
+        directly under ``root`` are never touched.
 
         ``layout`` selects the directory shape being swept:
 
         - ``"flat"`` (the single-service default): fingerprint
           directories live directly under ``root``;
         - ``"namespaces"`` (the gateway's shard layout,
-          ``<root>/<namespace>/<strategy_fp>/<target>``): every
+          ``<root>/<namespace>/<strategy_fp>/<target>.artifact``): every
           namespace directory is swept as its own flat registry and the
           reports are summed.  Namespace directories themselves are
           never removed — their names are operator-chosen slugs, not
@@ -185,17 +227,20 @@ class ArtifactRegistry:
           a shard serving a different zoo (heterogeneous
           ``--namespace`` modalities/scales) would have its perfectly
           live artifacts swept as stale.  ``zoo=None`` limits the sweep
-          to dead fingerprints and crash partials.
+          to dead fingerprints and partials.
 
         Removal rules, applied per fingerprint:
 
         - a fingerprint matching no strategy in ``live_strategies``
-          (strategies, specs, or configs) is removed whole;
-        - inside live fingerprints, partial artifact directories (no
-          ``meta.json`` — a crash mid-save) are removed;
+          (strategies, specs, or configs) is removed whole, and every
+          entry in it counts as a removed artifact;
+        - inside live fingerprints, partials (anything that is not a
+          ``*.artifact`` file: a crash's temporary file, an older
+          build's ``<target>/`` directory) are removed;
         - when ``zoo`` is given, artifacts whose stored catalog
           fingerprint differs from the live catalog are removed too —
-          they would raise ``StaleArtifactError`` on every load anyway.
+          they would raise ``StaleArtifactError`` on every load anyway —
+          and so are corrupt ones, which can never load.
 
         ``dry_run=True`` reports what *would* be reclaimed without
         touching artifacts.  Returns counts plus reclaimed bytes.
@@ -220,19 +265,16 @@ class ArtifactRegistry:
         live_fps = {resolve_strategy(s).fingerprint() for s in live_strategies}
         live_catalog = catalog_fingerprint(zoo.catalog) if zoo is not None else None
 
-        def dir_bytes(path: Path) -> int:
-            return sum(f.stat().st_size for f in path.rglob("*") if f.is_file())
-
         def remove(path: Path) -> None:
-            report["bytes_reclaimed"] += dir_bytes(path)
+            tree = path.is_dir()
+            files = [f for f in path.rglob("*") if f.is_file()] if tree else [path]
+            report["bytes_reclaimed"] += sum(f.stat().st_size for f in files)
             if not dry_run:
-                shutil.rmtree(path)
+                (shutil.rmtree if tree else Path.unlink)(path)
 
         for namespace in sorted(p for p in self.root.iterdir() if p.is_dir()):
             if namespace.name not in live_fps:
-                report["artifacts_removed"] += sum(
-                    1 for p in namespace.iterdir() if p.is_dir()
-                )
+                report["artifacts_removed"] += sum(1 for _ in namespace.iterdir())
                 report["namespaces_removed"] += 1
                 remove(namespace)
                 continue
@@ -244,10 +286,10 @@ class ArtifactRegistry:
                 stale = False
                 if live_catalog is not None:
                     try:
-                        meta = json.loads((artifact / _META).read_text())
+                        meta, _ = _read(artifact)
                         stale = meta.get("catalog_fingerprint") != live_catalog
-                    except (OSError, ValueError):
-                        stale = True  # unreadable meta can never be served
+                    except ArtifactError:
+                        stale = True  # a corrupt artifact can never be served
                 if stale:
                     report["artifacts_removed"] += 1
                     remove(artifact)
@@ -257,15 +299,8 @@ class ArtifactRegistry:
 
     def delete(self, target: str, strategy) -> bool:
         """Remove one artifact; returns whether anything was deleted."""
-        path = self.path_for(target, strategy)
-        if not path.is_dir():
-            return False
-        for name in (_META, _ARRAYS):
-            file = path / name
-            if file.exists():
-                file.unlink()
         try:
-            path.rmdir()
-        except OSError:  # pragma: no cover - unexpected extra files
-            pass
+            self.path_for(target, strategy).unlink()
+        except FileNotFoundError:
+            return False
         return True

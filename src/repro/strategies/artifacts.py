@@ -7,7 +7,7 @@ An artifact is a pair ``(meta, arrays)``:
   and assembler states with every numpy array replaced by an
   ``{"__array__": key}`` reference;
 - ``arrays`` maps those keys to the actual ``np.ndarray`` values, stored
-  losslessly in one ``.npz`` file by the registry.
+  losslessly as raw bytes in the registry's one artifact file.
 
 This module lives in the *strategies* layer, not serving: pack/unpack
 is the :class:`~repro.strategies.SelectionStrategy` artifact contract
@@ -21,8 +21,7 @@ rebuilding it from the catalog dominated registry-warm loads (~200 ms on
 the tiny zoo), so revival now reconstructs it from the artifact instead.
 Drift is impossible because every load already validates the catalog
 fingerprint — a catalog change stales the whole artifact, graph
-included.  Artifacts written before the graph was stored (no ``graph``
-key) still load via the deterministic rebuild.
+included.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ __all__ = ["ArtifactError", "ArtifactNotFoundError", "StaleArtifactError",
 #: bump when the artifact layout changes; older artifacts refuse to load
 ARTIFACT_FORMAT_VERSION = 1
 
-#: separator inside ``.npz`` keys (same idiom as the zoo weight cache)
+#: separator inside array keys (same idiom as the zoo weight cache)
 _SEP = "::"
 
 _ARRAY_REF = "__array__"
@@ -180,20 +179,13 @@ def unpack_fitted(meta: dict, arrays: dict, zoo,
 
     graph = None
     if config.features.graph_features:
-        stored = meta.get("graph")
-        if stored is not None:
-            # Warm path: the pruned LOO graph ships inside the artifact,
-            # so revival skips the catalog rebuild entirely.  Derived
-            # similarity tables may still be cold in a fresh process —
-            # ensure them (a few lookups when already filled) without
-            # paying for graph construction.
-            graph = _graph_from_meta(stored, arrays)
-            GraphBuilder(zoo, config.graph).ensure_similarities()
-        else:
-            # Legacy artifact (predates the stored graph): deterministic
-            # rebuild from the catalog (no learner runs).
-            graph, _ = GraphBuilder(zoo, config.graph).build(
-                exclude_target=target)
+        # The pruned LOO graph ships inside the artifact, so revival
+        # skips the catalog rebuild entirely.  Derived similarity tables
+        # may still be cold in a fresh process — ensure them (a few
+        # lookups when already filled) without paying for graph
+        # construction.
+        graph = _graph_from_meta(meta["graph"], arrays)
+        GraphBuilder(zoo, config.graph).ensure_similarities()
     elif config.features.dataset_similarity:
         # Graph-less configs with the similarity feature (lr:all,
         # lr:all+logme) read pairwise dataset similarities from the

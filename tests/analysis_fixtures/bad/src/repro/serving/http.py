@@ -3,6 +3,8 @@
 import sqlite3
 import time
 
+import numpy as np
+
 
 async def handle(request, future):
     # BAD: time.sleep stalls the loop; open blocks on file IO;
@@ -23,3 +25,12 @@ async def lookup(index, fingerprint):
     conn = sqlite3.connect("registry.db")
     return conn.execute("SELECT path FROM registry_index WHERE fp = ?",
                         (fingerprint,)).fetchall()
+
+
+async def revive(path, report):
+    # BAD: artifact and report file IO inline on the event loop.
+    data = path.read_bytes()
+    meta = path.with_suffix(".json").read_text()
+    report.write_bytes(data)
+    report.with_suffix(".txt").write_text(meta)
+    return np.load(path)

@@ -3,18 +3,21 @@
 A real fit on the tiny zoo takes hundreds of milliseconds; the
 deterministic queue/overflow tests instead force exact timings with a
 service whose "fit" is a controllable sleep that returns a lightweight
-fake pipeline.
+fake pipeline.  The artifact helpers at the end read, rewrite and
+stamp registry artifact files for the registry and crash-safety tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 
 import numpy as np
 
 from repro.core import TransferGraphConfig
-from repro.serving import SelectionService
+from repro.fleet.wire import decode_frame
+from repro.serving import ArtifactRegistry, SelectionService
 from repro.strategies import SelectionStrategy
 
 
@@ -153,3 +156,64 @@ STUB_SCORES = {
     "flip": {"m0": 1.0, "m1": 2.0, "m2": 3.0},
     "tied": {"m0": 1.0, "m1": 1.0, "m2": 1.0},
 }
+
+
+# ---------------------------------------------------------------------- #
+# artifact files: read, rewrite, and a generation-stamped raw strategy
+# ---------------------------------------------------------------------- #
+def read_artifact(path):
+    """The ``(meta, arrays)`` one registry artifact file holds."""
+    frame = decode_frame(path.read_bytes()[4:])
+    return frame.meta, frame.arrays
+
+
+def rewrite_artifact(registry, target, strategy, edit):
+    """Re-save an artifact with ``edit(meta, arrays)`` applied in place.
+
+    The result is a well-formed file (fresh digest) holding different
+    contents, as if an older or foreign writer had produced it.
+    """
+    meta, arrays = read_artifact(registry.path_for(target, strategy))
+    edit(meta, arrays)
+    return registry.save_packed(meta, arrays, strategy, target)
+
+
+class RawStrategy(SelectionStrategy):
+    """Stores a packed ``(meta, arrays)`` pair as given; ``unpack`` hands
+    both back, so only the registry's codec stands between a damaged
+    file and the caller."""
+
+    spec = name = "raw"
+
+    def fingerprint(self):
+        return "raw-artifacts"
+
+    def unpack(self, meta, arrays, zoo):
+        return meta, arrays
+
+
+def generation(g, size=1 << 14):
+    """A packed artifact whose meta and every array carry generation ``g``."""
+    meta = {"generation": g, "target": "t0"}
+    arrays = {
+        "ints": np.full(size, g, dtype=np.int64),
+        "floats": np.full((size // 4, 4), float(g)),
+    }
+    return meta, arrays
+
+
+def whole_generation(loaded):
+    """The generation of a loaded ``(meta, arrays)``; fails on a mix."""
+    meta, arrays = loaded
+    g = meta["generation"]
+    for name, array in arrays.items():
+        assert (array == g).all(), f"{name} is not generation {g}"
+    return g
+
+
+def save_generations(root, first, started):
+    """Save generations ``first, first + 1, ...`` of ``t0`` until killed."""
+    registry, strategy = ArtifactRegistry(root), RawStrategy()
+    started.set()
+    for g in itertools.count(first):
+        registry.save_packed(*generation(g), strategy, "t0")

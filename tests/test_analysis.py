@@ -68,9 +68,11 @@ def test_lock_discipline_flags_unguarded_read(bad_findings):
 
 def test_async_blocking_flags_each_primitive(bad_findings):
     messages = _messages(bad_findings, "async-blocking")
-    assert len(messages) == 6
+    assert len(messages) == 11
     for needle in ("time.sleep", "open()", "future.result", "strategy.fit",
-                   "sqlite3.connect", "conn.execute"):
+                   "sqlite3.connect", "conn.execute", ".read_bytes()",
+                   ".read_text()", ".write_bytes()", ".write_text()",
+                   "np.load"):
         assert any(needle in m for m in messages), needle
 
 

@@ -335,11 +335,10 @@ class TestRegistryGCStrategySafety:
         """Shards may serve different zoos (heterogeneous --namespace),
         so --gateway must keep artifacts whose catalog fingerprint does
         not match the CLI's own zoo."""
-        import json
-
         from repro.serving import ArtifactRegistry, SelectionService
         from repro.strategies import get_strategy
         from repro.zoo import ZooConfig, get_or_build_zoo
+        from serving_stubs import rewrite_artifact
 
         zoo = get_or_build_zoo(ZooConfig.tiny(modality="image", seed=7))
         shard = ArtifactRegistry(tmp_path / "other")
@@ -348,16 +347,15 @@ class TestRegistryGCStrategySafety:
         target = zoo.target_names()[0]
         service.warmup([target])
         # Simulate a shard fitted against a different zoo's catalog.
-        meta_path = shard.path_for(target, strategy) / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["catalog_fingerprint"] = "f" * 20
-        meta_path.write_text(json.dumps(meta))
+        path = rewrite_artifact(
+            shard, target, strategy,
+            lambda meta, _: meta.update(catalog_fingerprint="f" * 20))
 
         assert main(self.ARGS + ["registry-gc", "--gateway",
                                  "--registry-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "artifacts kept          1" in out
-        assert meta_path.exists()
+        assert path.exists()
 
 
 class TestServedEvaluateFlags:

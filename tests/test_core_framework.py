@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import AmazonLR, FeatureBasedStrategy, RandomSelection
+from repro.baselines import AmazonLR
 from repro.core import (
     FeatureSet,
     LooEvaluation,
@@ -13,6 +13,7 @@ from repro.core import (
     evaluate_strategy,
     top_k_accuracy,
 )
+from repro.strategies import RandomStrategy, TransferabilityStrategy
 
 
 def tg_config(**overrides):
@@ -84,13 +85,13 @@ class TestTransferGraphPipeline:
 class TestEvaluation:
     def test_evaluate_strategy_structure(self, tiny_image_zoo):
         zoo = tiny_image_zoo
-        ev = evaluate_strategy(RandomSelection(seed=1), zoo)
+        ev = evaluate_strategy(RandomStrategy(seed=1), zoo)
         assert isinstance(ev, LooEvaluation)
         assert set(ev.results) == set(zoo.target_names())
         assert -1.0 <= ev.average_correlation() <= 1.0
 
     def test_correlations_match_results(self, tiny_image_zoo):
-        ev = evaluate_strategy(RandomSelection(seed=2), tiny_image_zoo)
+        ev = evaluate_strategy(RandomStrategy(seed=2), tiny_image_zoo)
         for target, corr in ev.correlations().items():
             assert corr == ev.results[target].correlation
 
@@ -114,27 +115,27 @@ class TestEvaluation:
 
     def test_evaluate_subset_of_targets(self, tiny_image_zoo):
         targets = tiny_image_zoo.target_names()[:2]
-        ev = evaluate_strategy(RandomSelection(), tiny_image_zoo, targets=targets)
+        ev = evaluate_strategy(RandomStrategy(), tiny_image_zoo, targets=targets)
         assert set(ev.results) == set(targets)
 
     def test_empty_targets_rejected(self, tiny_image_zoo):
         with pytest.raises(ValueError):
-            evaluate_strategy(RandomSelection(), tiny_image_zoo, targets=[])
+            evaluate_strategy(RandomStrategy(), tiny_image_zoo, targets=[])
 
 
 class TestBaselines:
     def test_random_deterministic_per_seed(self, tiny_image_zoo):
         zoo = tiny_image_zoo
         t = zoo.target_names()[0]
-        assert RandomSelection(7).scores_for_target(zoo, t) == \
-            RandomSelection(7).scores_for_target(zoo, t)
-        assert RandomSelection(7).scores_for_target(zoo, t) != \
-            RandomSelection(8).scores_for_target(zoo, t)
+        assert RandomStrategy(7).scores_for_target(zoo, t) == \
+            RandomStrategy(7).scores_for_target(zoo, t)
+        assert RandomStrategy(7).scores_for_target(zoo, t) != \
+            RandomStrategy(8).scores_for_target(zoo, t)
 
     def test_feature_based_uses_catalog_cache(self, tiny_image_zoo):
         zoo = tiny_image_zoo
         t = zoo.target_names()[0]
-        strategy = FeatureBasedStrategy("logme")
+        strategy = TransferabilityStrategy("logme")
         first = strategy.scores_for_target(zoo, t)
         # second call must hit the catalog (same values)
         second = strategy.scores_for_target(zoo, t)
@@ -142,7 +143,7 @@ class TestBaselines:
 
     def test_feature_based_unknown_metric(self):
         with pytest.raises(KeyError):
-            FeatureBasedStrategy("sorcery")
+            TransferabilityStrategy("sorcery")
 
     def test_amazon_lr_variants(self, tiny_image_zoo):
         zoo = tiny_image_zoo
@@ -187,7 +188,7 @@ class TestHeadlineShape:
 
     def test_informed_strategies_beat_random(self, tiny_image_zoo):
         zoo = tiny_image_zoo
-        random_corr = evaluate_strategy(RandomSelection(), zoo) \
+        random_corr = evaluate_strategy(RandomStrategy(), zoo) \
             .average_correlation()
         tg_corr = evaluate_strategy(
             TransferGraph(tg_config(predictor="lr")), zoo).average_correlation()

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines import FeatureBasedStrategy, RandomSelection
 from repro.core import (
     FeatureSet,
     TransferGraph,
@@ -11,6 +10,7 @@ from repro.core import (
     evaluate_strategy,
 )
 from repro.graph import GraphConfig
+from repro.strategies import RandomStrategy, TransferabilityStrategy
 
 
 def tg(predictor="lr", **overrides):
@@ -27,12 +27,12 @@ class TestTextModality:
         assert np.isfinite(ev.average_correlation())
 
     def test_logme_on_text(self, tiny_text_zoo):
-        ev = evaluate_strategy(FeatureBasedStrategy("logme"), tiny_text_zoo)
+        ev = evaluate_strategy(TransferabilityStrategy("logme"), tiny_text_zoo)
         assert np.isfinite(ev.average_correlation())
 
     def test_lora_ground_truth_evaluation(self, tiny_text_zoo):
         tiny_text_zoo.ensure_lora_history()
-        ev = evaluate_strategy(RandomSelection(), tiny_text_zoo,
+        ev = evaluate_strategy(RandomStrategy(), tiny_text_zoo,
                                ground_truth_method="lora")
         assert set(ev.results) == set(tiny_text_zoo.target_names())
 
@@ -57,7 +57,7 @@ class TestFailureInjection:
             name = "broken"
 
             def scores_for_target(self, zoo, target):
-                scores = RandomSelection().scores_for_target(zoo, target)
+                scores = RandomStrategy().scores_for_target(zoo, target)
                 scores.pop(next(iter(scores)))
                 return scores
 
@@ -88,6 +88,6 @@ class TestDeterminismAcrossRuns:
         assert a == b
 
     def test_evaluation_object_consistency(self, tiny_image_zoo):
-        ev = evaluate_strategy(RandomSelection(3), tiny_image_zoo)
+        ev = evaluate_strategy(RandomStrategy(3), tiny_image_zoo)
         k_accs = [r.top_k_accuracy(3) for r in ev.results.values()]
         assert ev.average_top_k_accuracy(3) == pytest.approx(np.mean(k_accs))

@@ -19,7 +19,6 @@ import os
 import signal
 import time
 
-import numpy as np
 import pytest
 
 from repro.core import FeatureSet, TransferGraphConfig
@@ -33,8 +32,7 @@ from repro.serving import (
     RankRequest,
     SelectionService,
 )
-from repro.serving.fit_plane import zoo_ref_for
-from repro.strategies import resolve_strategy
+from repro.fleet import zoo_ref_for
 
 from serving_stubs import STUB_SCORES, StubStrategy, StubZoo, stub_service
 
@@ -151,23 +149,12 @@ class TestParity:
         # Wire parity: the serialized rank responses are byte-identical.
         assert thread == process
 
-        # Registry parity: same artifact set, byte-identical meta.json,
-        # identical array payloads.  (The npz container itself may embed
-        # zip timestamps, so arrays compare by content, not file bytes.)
-        resolved = resolve_strategy(strategy)
+        # Registry parity: every artifact file is byte-identical.
+        thread_reg = ArtifactRegistry(tmp_path / "thread_reg")
+        process_reg = ArtifactRegistry(tmp_path / "process_reg")
         for target in cached_zoo.target_names():
-            t_dir = tmp_path / "thread_reg" / resolved.fingerprint() / target
-            p_dir = (tmp_path / "process_reg" / resolved.fingerprint()
-                     / target)
-            t_meta = (t_dir / "meta.json").read_bytes()
-            p_meta = (p_dir / "meta.json").read_bytes()
-            assert t_meta == p_meta
-            with np.load(t_dir / "arrays.npz") as t_npz, \
-                    np.load(p_dir / "arrays.npz") as p_npz:
-                assert sorted(t_npz.files) == sorted(p_npz.files)
-                for key in t_npz.files:
-                    assert t_npz[key].dtype == p_npz[key].dtype
-                    assert t_npz[key].tobytes() == p_npz[key].tobytes()
+            assert thread_reg.path_for(target, strategy).read_bytes() == \
+                process_reg.path_for(target, strategy).read_bytes()
 
     def test_registry_artifact_revives_into_thread_service(self, cached_zoo,
                                                            tmp_path):

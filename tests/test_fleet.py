@@ -51,7 +51,6 @@ from repro.serving import (
     SelectionGateway,
     SelectionService,
 )
-from repro.strategies import resolve_strategy
 
 from serving_stubs import STUB_SCORES, StubStrategy, StubZoo, stub_service
 from test_obs_http import http_request
@@ -203,6 +202,93 @@ class TestWireRoundTrip:
                 await wire.read_frame(reader)
 
         run(scenario())
+
+
+#: every frame's header fields, for the malformed-header fuzz
+_FRAME_FIELDS = {
+    "HELLO": ("worker_name", "pid", "wire_version", "nonce"),
+    "CHALLENGE": ("nonce", "proof"),
+    "AUTH": ("proof",),
+    "REGISTER": ("worker_id", "heartbeat_interval_s"),
+    "HEARTBEAT": ("worker_id", "outstanding", "fits_done"),
+    "FIT": ("fit_id", "target", "blobs"),
+    "FIT_RESULT": ("fit_id", "meta", "spans", "arrays"),
+    "FIT_ERROR": ("fit_id", "kind", "message", "exc_module", "exc_type"),
+}
+_any_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+#: field values shaped like the real ones, so the fuzz also reaches the
+#: blob and array parsing behind the type checks
+_FIELD_VALUES = {
+    "blobs": st.lists(st.integers(-1, 8), max_size=3),
+    "arrays": st.lists(st.fixed_dictionaries({
+        "name": _any_json,
+        "dtype": st.sampled_from(["<f8", "<i8", "|u1", "|O", "|V0", "<f8,"])
+        | _any_json,
+        "shape": st.lists(st.integers(-2, 2**64), max_size=3) | _any_json,
+        "nbytes": st.integers(-1, 16) | _any_json,
+    }), max_size=3),
+}
+
+
+def _framed(header: dict, tail: bytes = b"") -> bytes:
+    head = json.dumps(header).encode()
+    return len(head).to_bytes(4, "big") + head + tail
+
+
+class TestWireFuzz:
+    """decode_frame reads the network and the registry's artifact files:
+    every payload parses to a frame or raises WireError, nothing else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.binary(max_size=256))
+    def test_arbitrary_bytes_decode_or_raise_wire_error(self, payload):
+        try:
+            wire.decode_frame(payload)
+        except WireError:
+            pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_any_header_field_values_decode_or_raise_wire_error(self, data):
+        name = data.draw(st.sampled_from(sorted(_FRAME_FIELDS)))
+        header = {"frame": name}
+        for field_name in _FRAME_FIELDS[name]:
+            values = _FIELD_VALUES.get(field_name)
+            header[field_name] = data.draw(
+                _any_json if values is None else values | _any_json)
+        # often carry exactly the blob bytes the header declares
+        lengths = header.get("arrays", header.get("blobs"))
+        lengths = [d.get("nbytes") if isinstance(d, dict) else d
+                   for d in (lengths if isinstance(lengths, list) else [])]
+        size = sum(n for n in lengths if isinstance(n, int) and 0 < n <= 64)
+        tail = data.draw(st.binary(min_size=size, max_size=size)
+                         | st.binary(max_size=16))
+        try:
+            wire.decode_frame(_framed(header, tail))
+        except WireError:
+            pass
+
+    @pytest.mark.parametrize("header", [
+        {"frame": "HELLO", "worker_name": "w", "pid": "x", "wire_version": 2},
+        {"frame": "HELLO", "worker_name": "w", "pid": [1], "wire_version": 2},
+        {"frame": "REGISTER", "worker_id": "w1",
+         "heartbeat_interval_s": "soon"},
+        {"frame": "FIT", "fit_id": "f1", "target": "t0", "blobs": 5},
+        {"frame": "FIT_RESULT", "fit_id": "f1", "meta": {}, "spans": [],
+         "arrays": 5},
+        # numpy parses a comma dtype string with ast: SyntaxError
+        {"frame": "FIT_RESULT", "fit_id": "f1", "meta": {}, "spans": [],
+         "arrays": [{"name": "a", "dtype": ",", "shape": [0], "nbytes": 0}]},
+    ])
+    def test_wrongly_typed_fields_are_wire_errors(self, header):
+        with pytest.raises(WireError):
+            wire.decode_frame(_framed(header))
 
 
 # ---------------------------------------------------------------------- #
@@ -592,18 +678,12 @@ class TestParity:
             fleet.close()
         assert thread == via_socket
 
-        resolved = resolve_strategy(strategy)
+        # Registry parity: every artifact file is byte-identical.
+        thread_reg = ArtifactRegistry(tmp_path / "thread_reg")
+        socket_reg = ArtifactRegistry(tmp_path / "socket_reg")
         for target in cached_zoo.target_names():
-            t_dir = tmp_path / "thread_reg" / resolved.fingerprint() / target
-            s_dir = tmp_path / "socket_reg" / resolved.fingerprint() / target
-            assert (t_dir / "meta.json").read_bytes() == \
-                (s_dir / "meta.json").read_bytes()
-            with np.load(t_dir / "arrays.npz") as t_npz, \
-                    np.load(s_dir / "arrays.npz") as s_npz:
-                assert sorted(t_npz.files) == sorted(s_npz.files)
-                for key in t_npz.files:
-                    assert t_npz[key].dtype == s_npz[key].dtype
-                    assert t_npz[key].tobytes() == s_npz[key].tobytes()
+            assert thread_reg.path_for(target, strategy).read_bytes() == \
+                socket_reg.path_for(target, strategy).read_bytes()
 
 
 # ---------------------------------------------------------------------- #

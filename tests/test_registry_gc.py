@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.core import FeatureSet, TransferGraphConfig
 from repro.serving import ArtifactRegistry, SelectionService
 from repro.strategies.fingerprint import config_fingerprint
+
+from serving_stubs import rewrite_artifact
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +21,10 @@ def live_config():
 def dead_config():
     return TransferGraphConfig(predictor="lr", embedding_dim=16,
                                features=FeatureSet.everything(), seed=99)
+
+
+def _foreign_catalog(meta, _):
+    meta["catalog_fingerprint"] = "0" * 20
 
 
 def _populate(registry, zoo, config, n_targets=1):
@@ -53,10 +57,7 @@ class TestRegistryGC:
         registry = ArtifactRegistry(tmp_path)
         t1, t2 = _populate(registry, tiny_image_zoo, live_config, 2)
 
-        meta_path = registry.path_for(t1, live_config) / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["catalog_fingerprint"] = "0" * 20
-        meta_path.write_text(json.dumps(meta))
+        rewrite_artifact(registry, t1, live_config, _foreign_catalog)
 
         report = registry.gc([live_config], tiny_image_zoo)
         assert report["artifacts_removed"] == 1
@@ -69,10 +70,7 @@ class TestRegistryGC:
         registry = ArtifactRegistry(tmp_path)
         (t1,) = _populate(registry, tiny_image_zoo, live_config, 1)
 
-        meta_path = registry.path_for(t1, live_config) / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["catalog_fingerprint"] = "0" * 20
-        meta_path.write_text(json.dumps(meta))
+        rewrite_artifact(registry, t1, live_config, _foreign_catalog)
 
         report = registry.gc([live_config])
         assert report["artifacts_removed"] == 0
@@ -94,8 +92,8 @@ class TestRegistryGC:
                                              live_config):
         registry = ArtifactRegistry(tmp_path)
         (t1,) = _populate(registry, tiny_image_zoo, live_config, 1)
-        meta_path = registry.path_for(t1, live_config) / "meta.json"
-        meta_path.write_text('{"trunc')
+        path = registry.path_for(t1, live_config)
+        path.write_bytes(path.read_bytes()[:40])
 
         report = registry.gc([live_config], tiny_image_zoo)
         assert report["artifacts_removed"] == 1

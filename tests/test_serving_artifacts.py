@@ -1,8 +1,10 @@
-"""Artifact round-trips: predictor states, registry save/load, staleness."""
+"""Artifact round-trips: predictor states, registry save/load, staleness,
+and the registry's crash safety."""
 
 import gc
-import json
+import multiprocessing
 import os
+import random
 import shutil
 import sys
 import threading
@@ -10,19 +12,32 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import FeatureSet, TransferGraph, TransferGraphConfig
 from repro.predictors import PREDICTORS, get_predictor
 from repro.serving import (
+    ArtifactError,
     ArtifactNotFoundError,
     ArtifactRegistry,
+    SelectionService,
     StaleArtifactError,
     catalog_fingerprint,
     config_fingerprint,
     config_from_dict,
 )
-from repro.strategies import FittedScoreTable, SelectionStrategy, resolve_strategy
+from repro.strategies import resolve_strategy
 from repro.strategies.artifacts import _pack_value, _unpack_value
+
+from serving_stubs import (
+    RawStrategy,
+    generation,
+    read_artifact,
+    rewrite_artifact,
+    save_generations,
+    whole_generation,
+)
 
 SMALL_HYPERPARAMS = {
     "lr": {},
@@ -43,11 +58,9 @@ def roundtrip_through_files(state: dict, tmp_path) -> dict:
     """Serialise a state dict exactly the way the registry does."""
     arrays: dict[str, np.ndarray] = {}
     meta = _pack_value(state, arrays, "state")
-    (tmp_path / "meta.json").write_text(json.dumps(meta, sort_keys=True))
-    np.savez_compressed(tmp_path / "arrays.npz", **arrays)
-    loaded_meta = json.loads((tmp_path / "meta.json").read_text())
-    with np.load(tmp_path / "arrays.npz") as npz:
-        loaded_arrays = {key: npz[key] for key in npz.files}
+    registry = ArtifactRegistry(tmp_path)
+    registry.save_packed(meta, arrays, RawStrategy(), "t0")
+    loaded_meta, loaded_arrays = registry.load("t0", RawStrategy(), zoo=None)
     return _unpack_value(loaded_meta, loaded_arrays)
 
 
@@ -138,39 +151,37 @@ class TestRegistryRoundTrip:
         target = zoo.target_names()[0]
         fitted = TransferGraph(lr_config).fit(zoo, target)
         registry = ArtifactRegistry(tmp_path)
-        path = registry.save(fitted, lr_config, zoo)
+        registry.save(fitted, lr_config, zoo)
 
-        meta = json.loads((path / "meta.json").read_text())
-        meta["format_version"] = 0
-        (path / "meta.json").write_text(json.dumps(meta))
+        rewrite_artifact(registry, target, lr_config,
+                         lambda meta, _: meta.update(format_version=0))
         with pytest.raises(StaleArtifactError):
             registry.load(target, lr_config, zoo)
 
     def test_corrupt_meta_raises_artifact_error(self, tiny_image_zoo,
                                                 tmp_path, lr_config):
-        from repro.serving import ArtifactError
-
         zoo = tiny_image_zoo
         target = zoo.target_names()[0]
         fitted = TransferGraph(lr_config).fit(zoo, target)
         registry = ArtifactRegistry(tmp_path)
         path = registry.save(fitted, lr_config, zoo)
 
-        (path / "meta.json").write_text('{"format_version": 1, "trunc')
+        header = b'{"format_version": 1, "trunc'
+        payload = len(header).to_bytes(4, "big") + header
+        path.write_bytes(len(payload).to_bytes(4, "big") + payload)
         with pytest.raises(ArtifactError):
             registry.load(target, lr_config, zoo)
 
     def test_missing_arrays_raises_artifact_error(self, tiny_image_zoo,
                                                   tmp_path, lr_config):
-        from repro.serving import ArtifactError
-
         zoo = tiny_image_zoo
         target = zoo.target_names()[0]
         fitted = TransferGraph(lr_config).fit(zoo, target)
         registry = ArtifactRegistry(tmp_path)
-        path = registry.save(fitted, lr_config, zoo)
+        registry.save(fitted, lr_config, zoo)
 
-        (path / "arrays.npz").unlink()
+        rewrite_artifact(registry, target, lr_config,
+                         lambda _, arrays: arrays.clear())
         with pytest.raises(ArtifactError):
             registry.load(target, lr_config, zoo)
 
@@ -189,8 +200,8 @@ class TestRegistryRoundTrip:
 
 
 class TestCopiedInArtifacts:
-    """The registry is its directory tree: artifact directories copied in
-    from another root (how a pre-fitted template seeds a fresh shard)
+    """The registry is its directory tree: fingerprint directories copied
+    in from another root (how a pre-fitted template seeds a fresh shard)
     are adopted as they are, serving them writes nothing, and one
     removed behind the registry's back is gone at once."""
 
@@ -228,7 +239,7 @@ class TestCopiedInArtifacts:
                           "artifacts_kept": 4, "bytes_reclaimed": 0}
         assert sorted(p.relative_to(root) for p in root.rglob("*")) == files
 
-        shutil.rmtree(registry.path_for(targets[0], strategies[0]))
+        registry.path_for(targets[0], strategies[0]).unlink()
         assert not registry.contains(targets[0], strategies[0])
         assert targets[0] not in registry.targets(strategies[0])
 
@@ -290,7 +301,7 @@ class TestStoredGraph:
         registry = ArtifactRegistry(tmp_path)
         path = registry.save(fitted, lr_config, zoo)
 
-        meta = json.loads((path / "meta.json").read_text())
+        meta, _ = read_artifact(path)
         assert meta["graph"]["nodes"]
         assert len(meta["graph"]["edges"]) > 0
 
@@ -321,57 +332,20 @@ class TestStoredGraph:
                       for e in reconstructed.edges()) == \
             sorted((e.u, e.v, e.kind, e.weight) for e in original.edges())
 
-    def test_legacy_artifact_without_graph_still_loads(self, tiny_image_zoo,
-                                                       tmp_path, lr_config):
-        """Artifacts written before the graph was stored fall back to
-        the deterministic catalog rebuild."""
-        zoo = tiny_image_zoo
-        target = zoo.target_names()[0]
-        fitted = TransferGraph(lr_config).fit(zoo, target)
-        registry = ArtifactRegistry(tmp_path)
-        path = registry.save(fitted, lr_config, zoo)
-
-        meta = json.loads((path / "meta.json").read_text())
-        del meta["graph"]
-        (path / "meta.json").write_text(json.dumps(meta, sort_keys=True))
-
-        revived = registry.load(target, lr_config, zoo)
-        ids = zoo.model_ids()
-        assert np.array_equal(fitted.predict(ids), revived.predict(ids))
-
     def test_corrupt_graph_payload_degrades_to_artifact_error(
             self, tiny_image_zoo, tmp_path, lr_config):
-        from repro.serving import ArtifactError
-
         zoo = tiny_image_zoo
         target = zoo.target_names()[0]
         fitted = TransferGraph(lr_config).fit(zoo, target)
         registry = ArtifactRegistry(tmp_path)
-        path = registry.save(fitted, lr_config, zoo)
+        registry.save(fitted, lr_config, zoo)
 
-        meta = json.loads((path / "meta.json").read_text())
-        meta["graph"]["edges"] = meta["graph"]["edges"][:1]  # length lies
-        (path / "meta.json").write_text(json.dumps(meta, sort_keys=True))
+        def lie(meta, _):
+            meta["graph"]["edges"] = meta["graph"]["edges"][:1]  # length lies
+
+        rewrite_artifact(registry, target, lr_config, lie)
         with pytest.raises(ArtifactError):
             registry.load(target, lr_config, zoo)
-
-
-class _ArrayStrategy(SelectionStrategy):
-    """Packs a fixed set of arrays; ``unpack`` hands them back as read."""
-
-    spec = name = "arrays"
-
-    def __init__(self, arrays):
-        self.arrays = arrays
-
-    def fingerprint(self):
-        return "arrays-stress"
-
-    def pack(self, fitted, zoo):
-        return {"target": fitted.target}, dict(self.arrays)
-
-    def unpack(self, meta, arrays, zoo):
-        return arrays
 
 
 class _Cycle:
@@ -386,25 +360,25 @@ class _Cycle:
 
 class TestConcurrentLoads:
     def test_threaded_loads_all_succeed_with_identical_arrays(self, tmp_path):
-        """Regression: numpy parses each npz member header with
-        ``ast.literal_eval``, which on CPython 3.11 could raise
-        ``SystemError: AST constructor recursion depth mismatch`` when
-        fit threads of several routers revived at once (an HTTP 500).
-        The race needs a thread switch inside the AST conversion, which
-        a garbage collection running Python finalizers provides.  More
-        threads than cores, a short switch interval, frequent
-        collections of finalizable cycles, many members per artifact:
-        every load must succeed and read the same bytes."""
+        """Regression: when artifacts were npz files, numpy parsed each
+        member header with ``ast.literal_eval``, which on CPython 3.11
+        could raise ``SystemError: AST constructor recursion depth
+        mismatch`` when fit threads of several routers revived at once
+        (an HTTP 500).  The race needs a thread switch inside the AST
+        conversion, which a garbage collection running Python finalizers
+        provides.  More threads than cores, a short switch interval,
+        frequent collections of finalizable cycles, many arrays per
+        artifact: every load must succeed and read the same bytes."""
         rng = np.random.default_rng(0)
         arrays = {
             f"a{i}": rng.normal(size=(i % 5 + 1, 3)).astype(
                 ("<f8", "<f4", "<i8")[i % 3])
             for i in range(24)
         }
-        strategy = _ArrayStrategy(arrays)
+        strategy = RawStrategy()
         registries = [ArtifactRegistry(tmp_path / f"shard{i}") for i in range(3)]
         for registry in registries:
-            registry.save(FittedScoreTable("t0", {}), strategy, zoo=None)
+            registry.save_packed({"target": "t0"}, arrays, strategy, "t0")
 
         threads = 4 * (os.cpu_count() or 1) + 2
         deadline = time.monotonic() + 1.5
@@ -417,7 +391,7 @@ class TestConcurrentLoads:
                 while time.monotonic() < deadline:
                     for _ in range(4):
                         _Cycle()
-                    loaded = registry.load("t0", strategy, zoo=None)
+                    _, loaded = registry.load("t0", strategy, zoo=None)
                     assert loaded.keys() == arrays.keys()
                     for key, expected in arrays.items():
                         assert loaded[key].dtype == expected.dtype
@@ -441,3 +415,169 @@ class TestConcurrentLoads:
             gc.set_threshold(*thresholds)
         assert errors == []
         assert all(count > 0 for count in loads)
+
+
+class TestCrashSafety:
+    """An artifact is one file replaced atomically and checked by digest:
+    a reader sees one whole generation, never a mix, whatever a writer
+    was doing when it raced or died."""
+
+    def test_reader_racing_a_writer_sees_whole_generations(self, tmp_path):
+        registry, strategy = ArtifactRegistry(tmp_path), RawStrategy()
+        registry.save_packed(*generation(0), strategy, "t0")
+        stop = threading.Event()
+        written = [0]
+
+        def write() -> None:
+            while not stop.is_set():
+                written[0] += 1
+                registry.save_packed(*generation(written[0]), strategy, "t0")
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        seen, failures = set(), []
+        deadline = time.monotonic() + 1.0
+        try:
+            while time.monotonic() < deadline:
+                try:
+                    seen.add(whole_generation(registry.load("t0", strategy, None)))
+                except ArtifactError:
+                    pass  # allowed: degrades to a refit
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(repr(exc))
+        finally:
+            stop.set()
+            writer.join(30)
+        assert not writer.is_alive()
+        assert failures == []
+        assert written[0] > 1 and len(seen) > 1  # the race really ran
+
+    def test_writers_killed_mid_save_leave_a_whole_generation(self, tmp_path):
+        registry, strategy = ArtifactRegistry(tmp_path), RawStrategy()
+        registry.save_packed(*generation(0), strategy, "t0")
+        # each writer is forked from one single-threaded server that has
+        # imported the registry, so a kill costs milliseconds, not imports
+        ctx = multiprocessing.get_context("forkserver")
+        ctx.set_forkserver_preload(["repro.serving"])
+        rng = random.Random(0)
+        served = 0
+        for kill in range(1, 25):
+            started = ctx.Event()
+            writer = ctx.Process(target=save_generations,
+                                 args=(str(tmp_path), kill * 100_000, started))
+            writer.start()
+            assert started.wait(30)
+            time.sleep(rng.uniform(0.0, 0.03))
+            writer.kill()
+            writer.join(30)
+            assert not writer.is_alive()
+            served = whole_generation(registry.load("t0", strategy, None))
+        assert served > 0  # some writer finished a save before its kill
+
+        namespace = registry.path_for("t0", strategy).parent
+        leftovers = [p for p in namespace.iterdir() if p.suffix != ".artifact"]
+        report = registry.gc([strategy])
+        assert report["artifacts_removed"] == len(leftovers)
+        assert report["artifacts_kept"] == 1
+        assert [p.name for p in namespace.iterdir()] == ["t0.artifact"]
+        assert whole_generation(registry.load("t0", strategy, None)) == served
+
+    @pytest.mark.parametrize("damage", ["truncate", "meta", "arrays"])
+    def test_damaged_file_raises_and_rank_refits(self, tiny_image_zoo,
+                                                 tmp_path, damage):
+        zoo, strategy = tiny_image_zoo, resolve_strategy("lr:all")
+        target = zoo.target_names()[0]
+        registry = ArtifactRegistry(tmp_path)
+        served = SelectionService(zoo, strategy, registry=registry).rank(target)
+        path = registry.path_for(target, strategy)
+        original = bytearray(path.read_bytes())
+
+        damaged = bytearray(original)
+        if damage == "truncate":
+            damaged = damaged[:len(damaged) // 2]
+        elif damage == "meta":
+            # flip the stored target name's last character: still
+            # well-formed, so only the digest tells it from the fit's
+            field = f'"target":"{target}'.encode()
+            damaged[original.index(field) + len(field) - 1] ^= 1
+        else:  # a byte in the middle of the array bytes after the header
+            tail = 8 + int.from_bytes(original[4:8], "big")
+            damaged[(tail + len(original)) // 2] ^= 0xFF
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(ArtifactError):
+            registry.load(target, strategy, zoo)
+
+        service = SelectionService(zoo, strategy, registry=registry)
+        assert service.rank(target) == served
+        assert service.stats()["fits"] == 1
+        assert service.stats()["registry_hits"] == 0
+        assert path.read_bytes() == bytes(original)  # rewritten whole
+
+    def test_old_layout_directory_is_a_partial(self, tmp_path):
+        registry, strategy = ArtifactRegistry(tmp_path), RawStrategy()
+        old = tmp_path / strategy.fingerprint() / "t0"
+        old.mkdir(parents=True)
+        (old / "meta.json").write_text('{"target": "t0"}')
+        (old / "arrays.npz").write_bytes(b"PK\x05\x06" + bytes(18))
+
+        assert not registry.contains("t0", strategy)
+        assert registry.targets(strategy) == []
+        with pytest.raises(ArtifactNotFoundError):
+            registry.load("t0", strategy, None)
+        report = registry.gc([strategy])
+        assert report["artifacts_removed"] == 1
+        assert report["bytes_reclaimed"] > 0
+        assert not old.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_registry(tmp_path_factory):
+    return ArtifactRegistry(tmp_path_factory.mktemp("fuzz"))
+
+
+class TestArtifactFuzz:
+    """Whatever bytes a damaged artifact file holds, a load raises
+    ``ArtifactError`` (never a not-found, since the file exists), and
+    nothing else."""
+
+    def _load_fails_typed(self, registry, data: bytes) -> None:
+        path = registry.path_for("t0", RawStrategy())
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+        with pytest.raises(ArtifactError) as caught:
+            registry.load("t0", RawStrategy(), None)
+        assert not isinstance(caught.value, ArtifactNotFoundError)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.binary(max_size=512))
+    def test_arbitrary_bytes_raise_artifact_error(self, fuzz_registry, data):
+        self._load_fails_typed(fuzz_registry, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(position=st.integers(min_value=0), mask=st.integers(1, 255),
+           truncate=st.booleans())
+    def test_every_flipped_or_cut_byte_raises_artifact_error(
+            self, fuzz_registry, position, mask, truncate):
+        path = fuzz_registry.save_packed(*generation(7, size=8),
+                                         RawStrategy(), "t0")
+        data = bytearray(path.read_bytes())
+        position %= len(data)
+        if truncate:
+            data = data[:position]
+        else:
+            data[position] ^= mask
+        self._load_fails_typed(fuzz_registry, bytes(data))
+
+    @pytest.mark.parametrize("old, new", [
+        (b'"dtype":"<f8"', b'"dtype":"=f8"'),  # one dtype on little-endian hosts
+        (b"1e-05", b"1E-05"),                   # one JSON number
+        (b"caf\\u00e9", b"caf\\u00E9"),         # one JSON string
+    ], ids=["dtype", "number", "escape"])
+    def test_same_content_spelled_otherwise_raises_artifact_error(
+            self, fuzz_registry, old, new):
+        meta = {"generation": 7, "target": "t0", "lr": 1e-05, "name": "café"}
+        path = fuzz_registry.save_packed(
+            meta, {"floats": np.ones(2, dtype="<f8")}, RawStrategy(), "t0")
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        self._load_fails_typed(fuzz_registry, data.replace(old, new))

@@ -119,7 +119,7 @@ class TestCorruptArtifacts:
         served = first.rank(target)
 
         path = registry.path_for(target, lr_config)
-        (path / "meta.json").write_text('{"trunc')
+        path.write_bytes(path.read_bytes()[:40])
 
         second = SelectionService(tiny_image_zoo, lr_config,
                                   registry=registry)

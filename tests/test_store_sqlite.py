@@ -21,7 +21,7 @@ class TestRegistryIndex:
         path = self.save_fake(registry, strategy, "t1")
         self.save_fake(registry, strategy, "t2")
         assert registry.targets(strategy) == ["t1", "t2"]
-        shutil.rmtree(path)
+        path.unlink()
         assert not registry.contains("t1", strategy)
         assert registry.targets(strategy) == ["t2"]
 
