@@ -745,6 +745,7 @@ def _cmd_warmup(args) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
+    import signal
 
     from repro.obs import EventLog, Observability
     from repro.serving import GatewayHTTPServer, SelectionGateway
@@ -824,12 +825,6 @@ def _cmd_serve(args) -> int:
               f"(fit budgets {budgets}; registry shard {root / name})",
               flush=True)
 
-    if not args.no_prestart:
-        workers = gateway.prestart_fit_planes()  # no-op in thread mode
-        if workers:
-            noun = "fleet workers" if fleet is not None else "worker processes"
-            print(f"fit plane: {workers} {noun} live", flush=True)
-
     async def run() -> None:
         if args.warmup:  # before binding: no traffic races the warmup
             print("warming namespaces ...", flush=True)
@@ -858,7 +853,15 @@ def _cmd_serve(args) -> int:
         finally:
             await server.close()
 
+    # SIGTERM takes the Ctrl-C path, so the finally below still shuts the
+    # fit plane down instead of orphaning its worker processes.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        if not args.no_prestart:
+            workers = gateway.prestart_fit_planes()  # no-op in thread mode
+            if workers:
+                noun = "fleet workers" if fleet is not None else "worker processes"
+                print(f"fit plane: {workers} {noun} live", flush=True)
         asyncio.run(run())
     except KeyboardInterrupt:
         print("shutting down")

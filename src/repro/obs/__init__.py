@@ -63,24 +63,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS", "EXPOSITION_CONTENT_TYPE",
 ]
 
-#: buckets for per-stage fit timings: stages range from sub-ms feature
-#: assembly to multi-second SGNS training
-_STAGE_BUCKETS_MS = (
-    1.0,
-    5.0,
-    10.0,
-    50.0,
-    100.0,
-    250.0,
-    500.0,
-    1000.0,
-    2500.0,
-    5000.0,
-    10000.0,
-    30000.0,
-)
-
-
 class Observability:
     """The live observability plane shared by one gateway/process."""
 
@@ -120,7 +102,6 @@ class Observability:
             "repro_fit_stage_ms",
             "Cold-fit pipeline stage durations in milliseconds.",
             ("namespace", "strategy", "stage"),
-            buckets=_STAGE_BUCKETS_MS,
         )
         self.queue_depth = m.gauge(
             "repro_queue_depth",

@@ -20,12 +20,18 @@ plane needs:
 Gauges additionally accept a zero-arg callback
 (:meth:`_Gauge.set_function`) evaluated at render time — how queue
 depth is exported without the router pushing a sample per admission.
+
+A :class:`Histogram` on :data:`PERCENTILE_BUCKETS_MS` is also the
+serving stack's only latency record: it reads percentiles from its
+bucket counts, which add (``merge``) and subtract (``since``) exactly.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
+from itertools import accumulate
 
 __all__ = [
     "MetricsRegistry",
@@ -33,18 +39,42 @@ __all__ = [
     "Gauge",
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS_MS",
+    "PERCENTILE_BUCKETS_MS",
     "EXPOSITION_CONTENT_TYPE",
 ]
 
 #: the content type Prometheus scrapers expect from a metrics endpoint
 EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-#: fixed latency buckets (milliseconds): sub-ms warm answers through
-#: multi-second cold TG fits, roughly log-spaced
+#: fixed exposition buckets (milliseconds), roughly log-spaced from warm
+#: in-process answers (0.05-0.1 ms) through multi-second cold TG fits;
+#: few of them, because the text format prints every bucket of every
+#: series
 DEFAULT_LATENCY_BUCKETS_MS = (
-    0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
-    1000.0, 2500.0, 5000.0, 10000.0,
+    0.05,
+    0.1,
+    0.25,
+    0.5,
+    1.0,
+    2.5,
+    5.0,
+    10.0,
+    25.0,
+    50.0,
+    100.0,
+    250.0,
+    500.0,
+    1000.0,
+    2500.0,
+    5000.0,
+    10000.0,
+    30000.0,
 )
+
+#: the in-process percentile layout (milliseconds): 0.001 * 2^(i/8) for
+#: i = 0..208, i.e. 1 us to ~67 s with each bucket 9.1% wider than the
+#: last; the floor sits below warm inline answers (a few us)
+PERCENTILE_BUCKETS_MS = tuple(0.001 * 2 ** (i / 8) for i in range(209))
 
 _ESCAPES = str.maketrans({"\\": r"\\", '"': r"\"", "\n": r"\n"})
 
@@ -202,33 +232,109 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram (cumulative ``le`` buckets + sum/count)."""
+    """Fixed-bucket histogram (cumulative ``le`` buckets + sum/count/max).
 
-    __slots__ = ("buckets", "_counts", "_sum", "_count", "_lock")
+    Bucket ``i`` counts values in ``(buckets[i-1], buckets[i]]``; the
+    last counts the rest (+Inf).  ``percentiles`` reads nearest-rank
+    percentiles back from the counts, and ``merge``/``since`` add and
+    subtract whole histograms over the same layout.
+    """
 
-    def __init__(self, buckets: tuple[float, ...]):
+    __slots__ = ("buckets", "_counts", "_sum", "_count", "_max", "_lock")
+
+    def __init__(self, buckets: tuple[float, ...] = PERCENTILE_BUCKETS_MS):
         self.buckets = buckets
         self._counts = [0] * (len(buckets) + 1)  # last = +Inf
         self._sum = 0.0
         self._count = 0
+        self._max = 0.0
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         value = float(value)
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
+        index = bisect_left(self.buckets, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
+            if value > self._max:
+                self._max = value
 
     def snapshot(self) -> tuple[list[int], float, int]:
         """(per-bucket counts, sum, count) under one lock acquisition."""
+        return self._state()[:3]
+
+    def _state(self) -> tuple[list[int], float, int, float]:
         with self._lock:
-            return list(self._counts), self._sum, self._count
+            return list(self._counts), self._sum, self._count, self._max
+
+    def _from_state(self, counts, total, count, top) -> "Histogram":
+        out = Histogram(self.buckets)
+        out._counts, out._sum, out._count, out._max = counts, total, count, top
+        return out
+
+    @property
+    def count(self) -> int:
+        with self._lock:
+            return self._count
+
+    @property
+    def max(self) -> float:
+        """The largest observed value (0.0 when empty)."""
+        with self._lock:
+            return self._max
+
+    def copy(self) -> "Histogram":
+        return self._from_state(*self._state())
+
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Add ``other``'s samples into this histogram; returns self."""
+        if other.buckets != self.buckets:
+            raise ValueError("histograms have different bucket layouts")
+        counts, total, count, top = other._state()
+        with self._lock:
+            self._counts = [a + b for a, b in zip(self._counts, counts)]
+            self._sum += total
+            self._count += count
+            self._max = max(self._max, top)
+        return self
+
+    def since(self, earlier: "Histogram") -> "Histogram":
+        """A new histogram of what was observed after ``earlier`` (a copy).
+
+        Counts, sum and count subtract exactly.  The maximum of the
+        later samples alone is not recorded, so the delta's ``max`` is
+        its p100 read: the upper edge of its highest non-empty bucket,
+        capped at this histogram's max.
+        """
+        if earlier.buckets != self.buckets:
+            raise ValueError("histograms have different bucket layouts")
+        counts, total, count, top = self._state()
+        old_counts, old_total, old_count, _ = earlier._state()
+        counts = [a - b for a, b in zip(counts, old_counts)]
+        delta = self._from_state(counts, total - old_total, count - old_count, top)
+        (delta._max,) = delta.percentiles((100,))
+        return delta
+
+    def percentiles(self, qs) -> tuple[float, ...]:
+        """Nearest-rank percentiles (``qs`` in 0-100) from the counts.
+
+        Rank ``ceil(q * count / 100)`` reads as the upper edge of the
+        bucket holding it, capped at the observed max: never below the
+        exact nearest-rank value, never more than one bucket above it,
+        and exact for a histogram of one repeated value.  An empty
+        histogram reads 0.0.
+        """
+        counts, _, count, top = self._state()
+        if not count:
+            return tuple(0.0 for _ in qs)
+        cumulative = list(accumulate(counts))
+        out = []
+        for q in qs:
+            index = bisect_left(cumulative, max(1, math.ceil(q * count / 100)))
+            edge = self.buckets[index] if index < len(self.buckets) else top
+            out.append(min(edge, top))
+        return tuple(out)
 
     def render_series(self, name, labelnames, labelvalues):
         counts, total, count = self.snapshot()

@@ -18,9 +18,9 @@ module turns the comparison itself into a served workload:
   :meth:`SelectionGateway.compare`, and aggregate a machine-readable
   benchmark report (``BENCH_compare.json``) with per-strategy mean
   correlations, mean top-k overlap, warm-rank latency percentiles from
-  the live router stats, and each strategy's fit-queue budget.  The CI
-  benchmark gate (``benchmarks/compare_gate.py``) consumes exactly this
-  schema.
+  the router's stats snapshots, and each strategy's fit-queue budget.
+  The CI benchmark gate (``benchmarks/compare_gate.py``) consumes
+  exactly this schema.
 
 Scores, not rank positions, feed the Pearson correlation (matching the
 offline :func:`repro.core.evaluate_strategy` harness); Spearman is the
@@ -155,8 +155,8 @@ async def served_evaluation(
     stays the unit of concurrency, so warm-rank latencies are clean.
     The report aggregates per strategy: mean correlations and top-k
     overlap vs the reference, shed counts, warm-rank latency
-    percentiles (stats-window delta over this pass only), and the
-    strategy's fit-queue budget.
+    percentiles (the latency histogram's delta over this pass only,
+    read from bucket counts), and the strategy's fit-queue budget.
     """
     if targets is None:
         targets = gateway.service(namespace).zoo.target_names()
@@ -210,15 +210,16 @@ async def served_evaluation(
     for spec, row in sorted(per_strategy.items()):
         service_b, _ = before[spec]
         service_a, _ = gateway.router(namespace, spec).stats_snapshot()
-        warm_window = service_a.since(service_b)
+        warm = service_a.since(service_b).latencies_ms
+        warm_p50, warm_p95 = warm.percentiles((50, 95))
         strategies_out[spec] = {
             "mean_pearson": _mean(row["pearson"]),
             "mean_spearman": _mean(row["spearman"]),
             "mean_top_k_overlap": _mean(row["top_k_overlap"]),
             "targets_ok": row["targets_ok"],
             "targets_shed": row["targets_shed"],
-            "warm_rank_p50_ms": warm_window.latency_percentile(50),
-            "warm_rank_p95_ms": warm_window.latency_percentile(95),
+            "warm_rank_p50_ms": warm_p50,
+            "warm_rank_p95_ms": warm_p95,
             "fit_budget": gateway.router(namespace, spec).max_pending_fits,
         }
 

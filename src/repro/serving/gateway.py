@@ -18,7 +18,7 @@ their optional ``strategy`` field selects:
   namespaces/targets/models keep their own typed errors;
 - :meth:`SelectionGateway.stats` merges every namespace's raw counter
   snapshots — pooled across its strategies — into a fleet-wide summary
-  (true percentiles over the pooled latency windows, not averages of
+  (percentiles of the pooled latency histograms, not averages of
   per-namespace percentiles).
 
 Serving several strategies over one namespace turns the paper's
@@ -464,7 +464,13 @@ class SelectionGateway:
                 sheds[spec] = float(answer.retry_after_s)
             else:
                 rankings[spec] = answer
-        latencies = {spec: ns.entries[spec].router.latency_summary() for spec in specs}
+        latencies = {}
+        for spec in specs:
+            service_snap, router_snap = ns.entries[spec].router.stats_snapshot()
+            latencies[spec] = {
+                **service_snap.latency_summary(),
+                **router_snap.latency_summary(),
+            }
         results = build_comparisons(
             rankings, sheds, reference=reference, top_k=top_k, latencies=latencies
         )
@@ -504,11 +510,12 @@ class SelectionGateway:
         """Per-namespace summaries + fleet-wide aggregate.
 
         Each namespace row pools its strategies' *raw* snapshots, and
-        the fleet row pools every namespace — counters sum, latency
-        windows extend — so all percentiles are computed over every
-        query, not averaged from partial percentiles.  The additive
-        ``strategies`` block breaks each namespace down by spec with its
-        *measured* fit cost (``fit_ms_p50``/``fit_ms_p95``).
+        the fleet row pools every namespace — counters and latency
+        histogram counts add — so every percentile is read from the
+        pooled bucket counts of every query since process start (or
+        ``reset_stats``), not averaged from partial percentiles.  The
+        additive ``strategies`` block breaks each namespace down by spec
+        with its *measured* fit cost (``fit_ms_p50``/``fit_ms_p95``).
         """
         per_namespace: dict[str, dict[str, float]] = {}
         fleet_service, fleet_router = ServiceStats(), RouterStats()

@@ -600,8 +600,9 @@ class StrategyComparison:
       under backpressure: no ranking, a ``retry_after_s`` hint instead
       (the rest of the comparison still answers — partial failure never
       fails the whole compare);
-    - ``latency`` is the strategy's *live* serving summary (rolling
-      stats-window percentiles from its router), present either way.
+    - ``latency`` is the strategy's serving summary (percentiles since
+      its router started, read from latency-histogram bucket counts),
+      present either way.
     """
 
     status: str
@@ -830,7 +831,7 @@ class StatsResponse(_Message):
 
     ``strategies`` (optional, additive) breaks each namespace down by
     strategy spec with *measured* serving cost — ``fit_ms_p50`` /
-    ``fit_ms_p95`` from the router's rolling fit-latency window — the
+    ``fit_ms_p95`` from the router's fit-latency histogram — the
     numbers ROADMAP item 5's budget retuning reads.  Empty means the
     server predates the field (or has no routers); it is omitted from
     the wire form so pre-observability stats bodies stay byte-stable.
@@ -903,7 +904,7 @@ class ErrorResponse(_Message):
     """A typed failure: machine-readable code, client-safe message.
 
     ``retry_after_s`` is populated for ``queue_full`` errors with the
-    router's adaptive backpressure hint (stats-window p95 fit latency
+    router's adaptive backpressure hint (p95 of every timed fit
     scaled by queue depth); clients should wait that long before
     retrying.
     """

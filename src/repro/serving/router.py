@@ -35,7 +35,7 @@ loop:
 - **bounded cold-fit queue** — at most ``max_pending_fits`` cold fits
   may be admitted (in flight or waiting for a fit worker); an overflow
   either raises :class:`QueueFullError` with an adaptive
-  ``retry_after_s`` hint derived from the stats-window p95 fit latency
+  ``retry_after_s`` hint derived from the p95 of every timed fit
   (``overflow="reject"``, the default) or waits for capacity
   (``overflow="wait"``);
 - **probabilistic early shedding** — with ``shed_start < 1``, reject
@@ -45,9 +45,11 @@ loop:
   degrades smoothly instead of flipping between all-accept and
   all-reject;
 - **router stats** — coalesced-request count, rejections, peak queue
-  depth, and per-stage latencies (queue wait / fit / inline answer,
-  the last still reported as ``predict_*``), merged with the service's
-  counters by :meth:`AsyncSelectionRouter.stats`.
+  depth, and per-stage latency histograms (queue wait / fit / inline
+  answer, the last still reported as ``predict_*``), merged with the
+  service's counters by :meth:`AsyncSelectionRouter.stats`.  Every
+  percentile is read from :class:`repro.obs.metrics.Histogram` bucket
+  counts over the router's lifetime.
 
 The router also answers typed protocol requests
 (:meth:`AsyncSelectionRouter.handle`), sharing the response constructors
@@ -63,13 +65,13 @@ import os
 import random
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.obs import graft_spans, run_in_context, set_outcome, span
+from repro.obs.metrics import Histogram
 from repro.serving.protocol import (
     RankRequest,
     RankResponse,
@@ -78,18 +80,7 @@ from repro.serving.protocol import (
 )
 from repro.serving.service import Answer, SelectionService, ServiceStats
 
-__all__ = [
-    "AsyncSelectionRouter",
-    "RouterStats",
-    "QueueFullError",
-    "ROUTER_LATENCY_WINDOW",
-]
-
-#: rolling window of per-stage latencies kept for percentile reporting
-ROUTER_LATENCY_WINDOW = 10_000
-
-#: most-recent fit samples feeding the adaptive retry hint's p95
-_HINT_SAMPLE_WINDOW = 1_024
+__all__ = ["AsyncSelectionRouter", "RouterStats", "QueueFullError"]
 
 _COUNTER_FIELDS = (
     "requests",
@@ -98,19 +89,9 @@ _COUNTER_FIELDS = (
     "early_sheds",
     "failed_waits",
     "cold_fits",
-    "queue_waits",
-    "fits_timed",
-    "predicts_timed",
 )
 
-#: total-appended counter paired with each latency deque, so ``since``
-#: stays correct after the bounded deque wraps (same idea as
-#: ``ServiceStats.since`` slicing by the queries counter)
-_STAGE_COUNTERS = {
-    "queue_wait_ms": "queue_waits",
-    "fit_ms": "fits_timed",
-    "predict_ms": "predicts_timed",
-}
+_STAGES = ("queue_wait_ms", "fit_ms", "predict_ms")
 
 
 class QueueFullError(RuntimeError):
@@ -123,7 +104,7 @@ class QueueFullError(RuntimeError):
 
 @dataclass
 class RouterStats:
-    """Counters and per-stage latencies accumulated by the router."""
+    """Counters and per-stage latency histograms accumulated by the router."""
 
     requests: int = 0
     #: requests that awaited another request's in-flight fit
@@ -140,86 +121,54 @@ class RouterStats:
     cold_fits: int = 0
     #: highest number of simultaneously pending cold fits observed
     peak_pending_fits: int = 0
-    #: lifetime append counts for the three latency deques below
-    queue_waits: int = 0
-    fits_timed: int = 0
-    predicts_timed: int = 0
-    queue_wait_ms: deque = field(
-        default_factory=lambda: deque(maxlen=ROUTER_LATENCY_WINDOW), repr=False
-    )
-    fit_ms: deque = field(
-        default_factory=lambda: deque(maxlen=ROUTER_LATENCY_WINDOW), repr=False
-    )
-    predict_ms: deque = field(
-        default_factory=lambda: deque(maxlen=ROUTER_LATENCY_WINDOW), repr=False
-    )
+    queue_wait_ms: Histogram = field(default_factory=Histogram, repr=False)
+    fit_ms: Histogram = field(default_factory=Histogram, repr=False)
+    predict_ms: Histogram = field(default_factory=Histogram, repr=False)
 
     def record_latency(self, stage: str, ms: float) -> None:
-        """Append one ``stage`` sample ('queue_wait_ms'/'fit_ms'/...)."""
-        getattr(self, stage).append(ms)
-        counter = _STAGE_COUNTERS[stage]
-        setattr(self, counter, getattr(self, counter) + 1)
+        """Record one ``stage`` sample ('queue_wait_ms'/'fit_ms'/...)."""
+        getattr(self, stage).observe(ms)
 
     def copy(self) -> "RouterStats":
-        out = RouterStats(**{f: getattr(self, f) for f in _COUNTER_FIELDS})
-        out.peak_pending_fits = self.peak_pending_fits
-        for name in _STAGE_COUNTERS:
-            getattr(out, name).extend(getattr(self, name))
-        return out
+        return RouterStats(
+            peak_pending_fits=self.peak_pending_fits,
+            **{f: getattr(self, f) for f in _COUNTER_FIELDS},
+            **{s: getattr(self, s).copy() for s in _STAGES},
+        )
 
     def since(self, earlier: "RouterStats") -> "RouterStats":
-        """Counters/latencies accumulated after the ``earlier`` snapshot.
+        """Counters and latencies accumulated after the ``earlier`` snapshot.
 
-        Each stage's fresh samples are sliced by its append counter (not
-        deque lengths, which stop growing once the window wraps);
         ``peak_pending_fits`` is a high-water mark, not a counter, so the
         delta carries the current peak unchanged.
         """
-        out = RouterStats(
-            **{f: getattr(self, f) - getattr(earlier, f) for f in _COUNTER_FIELDS}
+        return RouterStats(
+            peak_pending_fits=self.peak_pending_fits,
+            **{f: getattr(self, f) - getattr(earlier, f) for f in _COUNTER_FIELDS},
+            **{s: getattr(self, s).since(getattr(earlier, s)) for s in _STAGES},
         )
-        out.peak_pending_fits = self.peak_pending_fits
-        for name, counter in _STAGE_COUNTERS.items():
-            fresh = getattr(out, counter)
-            if fresh > 0:
-                getattr(out, name).extend(list(getattr(self, name))[-fresh:])
-        return out
 
     def merge(self, other: "RouterStats") -> "RouterStats":
         """Pool another snapshot in (fleet aggregation over namespaces):
-        counters sum, stage windows extend, the peak stays a max."""
+        counters and histogram counts add, the peak stays a max."""
         for name in _COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.peak_pending_fits = max(self.peak_pending_fits, other.peak_pending_fits)
-        for name in _STAGE_COUNTERS:
-            getattr(self, name).extend(getattr(other, name))
+        for name in _STAGES:
+            getattr(self, name).merge(getattr(other, name))
         return self
-
-    @staticmethod
-    def _percentile(values, q: float) -> float:
-        if not values:
-            return 0.0
-        return float(np.percentile(np.asarray(values), q))
-
-    @staticmethod
-    def _percentiles(values: deque, qs: tuple) -> tuple:
-        """Several percentiles of one window in a single pass."""
-        if not values:
-            return tuple(0.0 for _ in qs)
-        return tuple(float(v) for v in np.percentile(np.asarray(values), qs))
 
     def latency_summary(self) -> dict[str, float]:
         """The per-stage latency slice of :meth:`summary` alone.
 
         Compare responses embed this per strategy (merged with the
-        service's per-query window), so it stays a flat name->float map
-        and batches each stage's percentiles into one
-        ``np.percentile`` call.
+        service's per-query slice), so it stays a flat name->float map.
         """
-        fit_p50, fit_p95 = self._percentiles(self.fit_ms, (50, 95))
-        predict_p50, predict_p95 = self._percentiles(self.predict_ms, (50, 95))
+        (queue_wait_p95,) = self.queue_wait_ms.percentiles((95,))
+        fit_p50, fit_p95 = self.fit_ms.percentiles((50, 95))
+        predict_p50, predict_p95 = self.predict_ms.percentiles((50, 95))
         return {
-            "queue_wait_p95_ms": self._percentile(self.queue_wait_ms, 95),
+            "queue_wait_p95_ms": queue_wait_p95,
             "fit_p50_ms": fit_p50,
             "fit_p95_ms": fit_p95,
             "predict_p50_ms": predict_p50,
@@ -265,9 +214,9 @@ class AsyncSelectionRouter:
         (carrying a ``retry_after_s`` hint); ``"wait"`` parks it until a
         slot frees up.
     retry_after_s:
-        Floor for the retry hint; the adaptive hint is the stats-window
-        p95 fit latency times the queue-drain rounds ahead of the shed
-        request (pending fits / fit workers).
+        Floor for the retry hint; the adaptive hint is the p95 latency
+        of every timed fit times the queue-drain rounds ahead of the
+        shed request (pending fits / fit workers).
     shed_start:
         Fraction of ``max_pending_fits`` at which probabilistic early
         shedding begins (reject mode only).  Below it nothing is shed;
@@ -368,8 +317,6 @@ class AsyncSelectionRouter:
         )
         self._stats = RouterStats()  # guarded by: self._stats_lock
         self._stats_lock = threading.Lock()
-        #: (fits_timed generation, p95 ms) — see _retry_after_hint
-        self._p95_cache: tuple[int, float] = (-1, 0.0)
         #: in-flight fit futures keyed by (target, config_fp); mutated
         #: only from the event-loop thread, so no lock is needed
         self._inflight: dict[tuple[str, str], asyncio.Future] = {}
@@ -402,27 +349,16 @@ class AsyncSelectionRouter:
     def _retry_after_hint(self) -> float:
         """Adaptive backpressure: when will a retry plausibly be admitted?
 
-        The stats-window p95 fit latency (not the mean: shed clients who
+        The p95 of every timed fit (not the mean: shed clients who
         return too early are shed again, so the hint must cover slow
         fits) times the number of queue-drain rounds ahead of the shed
         request — pending fits spread over the fit workers.  Falls back
-        to the configured floor until the window has samples.
-
-        The p95 is cached per fit-count generation: a rejection storm —
-        exactly when this path is hot — recomputes nothing and holds
-        ``_stats_lock`` only long enough to read one counter.  Only the
-        event-loop thread calls this, so the cache needs no lock.
+        to the configured floor until a fit has been timed.  The p95 is
+        read from the fit histogram's bucket counts, O(buckets).
         """
         with self._stats_lock:
-            generation = self._stats.fits_timed
-            samples = (
-                list(self._stats.fit_ms)[-_HINT_SAMPLE_WINDOW:]
-                if generation != self._p95_cache[0]
-                else None
-            )
-        if samples is not None:  # percentile math outside the lock
-            self._p95_cache = (generation, RouterStats._percentile(samples, 95))
-        p95_ms = self._p95_cache[1]
+            fit_ms = self._stats.fit_ms
+        (p95_ms,) = fit_ms.percentiles((95,))
         if p95_ms <= 0.0:
             return self.retry_after_s
         drain_rounds = math.ceil((self._pending_fits or 1) / self.fit_workers)
@@ -711,19 +647,8 @@ class AsyncSelectionRouter:
         """Paired (service, router) snapshots, e.g. to diff a replay."""
         return self.service.stats_snapshot(), self.router_stats()
 
-    def latency_summary(self) -> dict[str, float]:
-        """Live latency percentiles: the service's per-query window
-        merged with the router's per-stage windows.  This is what a
-        ``/v1/compare`` response reports per strategy — summarised under
-        the stats locks directly, not from full snapshot copies (the
-        windows hold up to 10k samples each; a fan-out would otherwise
-        copy all of them once per strategy per request)."""
-        with self._stats_lock:
-            router_part = self._stats.latency_summary()
-        return {**self.service.latency_summary(), **router_part}
-
     def fit_cost_summary(self) -> dict[str, float]:
-        """Measured cold-fit cost: rolling-window fit-latency percentiles.
+        """Measured cold-fit cost: fit-latency percentiles and count.
 
         This is the number the strategy's declared ``fit_weight``
         approximates; ``/v1/stats`` and healthz expose it per strategy
@@ -731,12 +656,12 @@ class AsyncSelectionRouter:
         proxy (ROADMAP item 5).
         """
         with self._stats_lock:
-            p50, p95 = RouterStats._percentiles(self._stats.fit_ms, (50, 95))
-            fits = self._stats.fits_timed
+            fit_ms = self._stats.fit_ms.copy()
+        p50, p95 = fit_ms.percentiles((50, 95))
         return {
             "fit_ms_p50": p50,
             "fit_ms_p95": p95,
-            "fits_timed": float(fits),
+            "fits_timed": float(fit_ms.count),
         }
 
     @property

@@ -44,12 +44,13 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.obs import record_cache, set_outcome, span
+from repro.obs.metrics import Histogram
 from repro.strategies.artifacts import ArtifactError
 from repro.serving.protocol import (
     RankRequest,
@@ -65,13 +66,7 @@ from repro.strategies import (
     resolve_strategy,
 )
 
-__all__ = ["Answer", "SelectionService", "ServiceStats", "LATENCY_WINDOW"]
-
-#: rolling window of per-query latencies kept for percentile reporting —
-#: about 0.3 MB per service (a boxed float and a deque slot per sample),
-#: so a server answering thousands of warm queries a second holds the
-#: same memory as a slow one
-LATENCY_WINDOW = 10_000
+__all__ = ["Answer", "SelectionService", "ServiceStats"]
 
 _COUNTER_FIELDS = (
     "queries",
@@ -103,7 +98,7 @@ class Answer:
 
 @dataclass
 class ServiceStats:
-    """Counters and latencies accumulated by a :class:`SelectionService`."""
+    """Counters and the per-query latency histogram of a service."""
 
     queries: int = 0
     cache_hits: int = 0
@@ -113,69 +108,46 @@ class ServiceStats:
     refreshes: int = 0
     evictions: int = 0
     invalidations: int = 0
-    latencies_ms: deque = field(
-        default_factory=lambda: deque(maxlen=LATENCY_WINDOW), repr=False
-    )
+    latencies_ms: Histogram = field(default_factory=Histogram, repr=False)
 
     def hit_rate(self) -> float:
         """Fraction of fitted-pipeline lookups served from memory."""
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
 
-    def latency_percentile(self, q: float) -> float:
-        """q-th percentile (0-100) of per-query latency in milliseconds."""
-        if not self.latencies_ms:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies_ms), q))
-
     def copy(self) -> "ServiceStats":
-        out = ServiceStats(**{f: getattr(self, f) for f in _COUNTER_FIELDS})
-        out.latencies_ms.extend(self.latencies_ms)
-        return out
+        return ServiceStats(
+            latencies_ms=self.latencies_ms.copy(),
+            **{f: getattr(self, f) for f in _COUNTER_FIELDS},
+        )
 
     def since(self, earlier: "ServiceStats") -> "ServiceStats":
-        """Counters/latencies accumulated after the ``earlier`` snapshot.
-
-        Each query appends exactly one latency, so the delta's latencies
-        are the last ``queries`` entries (bounded by the rolling window).
-        """
-        out = ServiceStats(
-            **{f: getattr(self, f) - getattr(earlier, f) for f in _COUNTER_FIELDS}
+        """Counters and latencies accumulated after the ``earlier`` snapshot."""
+        return ServiceStats(
+            latencies_ms=self.latencies_ms.since(earlier.latencies_ms),
+            **{f: getattr(self, f) - getattr(earlier, f) for f in _COUNTER_FIELDS},
         )
-        if out.queries > 0:
-            out.latencies_ms.extend(list(self.latencies_ms)[-out.queries:])
-        return out
 
     def merge(self, other: "ServiceStats") -> "ServiceStats":
-        """Pool another snapshot in: counters sum, latency windows extend.
+        """Pool another snapshot in: counters and histogram counts add.
 
         Used for fleet-wide aggregation across gateway namespaces —
-        percentiles of the merged window are true pooled percentiles,
-        not averages of per-namespace ones.
+        percentiles of the merged histogram are pooled percentiles, not
+        averages of per-namespace ones.
         """
         for name in _COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.latencies_ms.extend(other.latencies_ms)
+        self.latencies_ms.merge(other.latencies_ms)
         return self
 
     def latency_summary(self) -> dict[str, float]:
         """The per-query latency slice of :meth:`summary` alone.
 
         Compare responses embed this per strategy (the protocol's
-        ``StrategyComparison.latency``), so it stays a flat name->float
-        map of rolling stats-window percentiles — and it is computed in
-        *one* pass over the window (a single ``np.percentile`` call),
-        because ``/v1/compare`` recomputes it per strategy per request.
+        ``StrategyComparison.latency``), so it is a flat name->float map.
         """
-        if not self.latencies_ms:
-            return {"p50_ms": 0.0, "p95_ms": 0.0, "max_ms": 0.0}
-        window = np.asarray(self.latencies_ms)
-        p50, p95 = np.percentile(window, (50, 95))
-        return {
-            "p50_ms": float(p50),
-            "p95_ms": float(p95),
-            "max_ms": float(window.max()),
-        }
+        p50, p95 = self.latencies_ms.percentiles((50, 95))
+        return {"p50_ms": p50, "p95_ms": p95, "max_ms": self.latencies_ms.max}
 
     def summary(self) -> dict[str, float]:
         return {
@@ -383,16 +355,14 @@ class SelectionService:
         elapsed_ms = (time.perf_counter() - started) * 1e3
         with self._lock:
             self._stats.queries += 1
-            self._stats.latencies_ms.append(elapsed_ms)
-
-    _record = record_query
+            self._stats.latencies_ms.observe(elapsed_ms)
 
     # ------------------------------------------------------------------ #
     def rank(self, target: str, top_k: int | None = None) -> list[tuple[str, float]]:
         """Models ranked for ``target``, best first (optionally truncated)."""
         started = time.perf_counter()
         ranking = self._answer(target).ranking[:top_k]
-        self._record(started)
+        self.record_query(started)
         return ranking
 
     def score_batch(self, pairs: list[tuple[str, str]]) -> np.ndarray:
@@ -404,7 +374,7 @@ class SelectionService:
         started = time.perf_counter()
         answers = {t: self._answer(t) for t in dict.fromkeys(t for _, t in pairs)}
         out = np.array([answers[t].scores[m] for m, t in pairs], dtype=np.float64)
-        self._record(started)
+        self.record_query(started)
         return out
 
     def handle(self, request: RankRequest | ScoreBatchRequest):
@@ -510,16 +480,6 @@ class SelectionService:
     def stats(self) -> dict[str, float]:
         """Counter + latency summary since construction (or last reset)."""
         return self.stats_snapshot().summary()
-
-    def latency_summary(self) -> dict[str, float]:
-        """Live per-query latency percentiles, without a window copy.
-
-        The compare fan-out calls this per strategy per request, so it
-        summarises under the stats lock instead of snapshotting the
-        whole rolling window first.
-        """
-        with self._lock:
-            return self._stats.latency_summary()
 
     def stats_snapshot(self) -> ServiceStats:
         """A copy of the raw counters, e.g. to diff around a workload."""

@@ -234,6 +234,59 @@ class TestServeEndToEnd:
             process.terminate()
             process.wait(timeout=10)
 
+    def test_sigterm_shuts_the_process_fit_plane_down(self, tmp_path):
+        """SIGTERM (what CI's `kill` sends) takes the Ctrl-C path: the
+        server exits 0 and closes its fit plane, so neither the spawn
+        worker nor the resource tracker outlives it as an orphan."""
+        import os
+        import signal
+        import subprocess
+        import sys as _sys
+        import time
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    state = fh.read().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return False
+            return state != "Z"  # a zombie has exited; only reaping is left
+
+        process = subprocess.Popen(
+            [_sys.executable, "-m", "repro", "--scale", "tiny", "--seed",
+             "7", "serve", "--port", "0", "--predictor", "lr",
+             "--fit-executor", "process", "--fit-workers", "1",
+             "--registry-dir", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        children = []
+        try:
+            for _ in range(200):           # zoo may build on first run
+                line = process.stdout.readline()
+                if not line:
+                    raise AssertionError("serve exited before its fit "
+                                         "plane was live")
+                if "fit plane: 1 worker processes live" in line:
+                    break
+            pid = process.pid
+            with open(f"/proc/{pid}/task/{pid}/children") as fh:
+                children = [int(child) for child in fh.read().split()]
+            assert children, "no fit-plane processes to check"
+
+            process.terminate()
+            assert process.wait(timeout=30) == 0
+            deadline = time.monotonic() + 10
+            while any(map(running, children)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert [c for c in children if running(c)] == []
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+            process.stdout.close()
+            for child in children:         # never leak orphans on failure
+                if running(child):
+                    os.kill(child, signal.SIGKILL)
+
 
 class TestStrategyFlags:
     def test_rank_accepts_strategy_spec(self):

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.obs import EXPOSITION_CONTENT_TYPE, MetricsRegistry
+from repro.obs import EXPOSITION_CONTENT_TYPE, MetricsRegistry, Observability
 
 
 class TestCounter:
@@ -161,3 +161,17 @@ class TestRegistry:
     def test_exposition_content_type_is_prometheus_text(self):
         assert EXPOSITION_CONTENT_TYPE.startswith("text/plain")
         assert "version=0.0.4" in EXPOSITION_CONTENT_TYPE
+
+    def test_latency_families_expose_sub_millisecond_bounds(self):
+        """A warm in-process answer (~0.07 ms) lands in its own bucket of
+        both latency families, not in one catch-all first bucket."""
+        obs = Observability()
+        obs.request_latency.labels("rank", "ns").observe(0.07)
+        obs.fit_stage.labels("ns", "lr:all", "fit.train").observe(0.07)
+        text = obs.metrics.render()
+        for series in ('repro_request_latency_ms_bucket{endpoint="rank",'
+                       'namespace="ns",',
+                       'repro_fit_stage_ms_bucket{namespace="ns",'
+                       'strategy="lr:all",stage="fit.train",'):
+            assert f'{series}le="0.05"}} 0' in text
+            assert f'{series}le="0.1"}} 1' in text

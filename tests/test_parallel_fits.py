@@ -130,13 +130,16 @@ class TestAdaptiveBackpressure:
         it and shed clients would come back too early)."""
         router = AsyncSelectionRouter(stub_service(), retry_after_s=0.01,
                                       fit_workers=1)
-        for _ in range(19):
+        for _ in range(18):
             router._stats.record_latency("fit_ms", 10.0)
-        router._stats.record_latency("fit_ms", 2000.0)
+        for _ in range(2):
+            router._stats.record_latency("fit_ms", 2000.0)
         router._pending_fits = 1
         hint = router._retry_after_hint()
-        mean_s = (19 * 10.0 + 2000.0) / 20 / 1e3
-        assert hint > mean_s  # p95 ~= 1.06 s >> mean ~= 0.11 s
+        mean_s = (18 * 10.0 + 2 * 2000.0) / 20 / 1e3
+        # p95 = 2 s under nearest rank or interpolation; mean = 0.209 s
+        assert hint > mean_s
+        assert 2.0 <= hint <= 2.0 * 2 ** (1 / 8)  # within one bucket
         router._pending_fits = 0
         router.close()
 

@@ -2,20 +2,26 @@
 
 - the in-memory LRU must evict in exact least-recently-used order under
   arbitrary access sequences (checked against a reference model);
-- ``ServiceStats.since`` must stay correct when the latency deque wraps
-  at the ``LATENCY_WINDOW`` boundary;
+- the latency histogram behind ``ServiceStats``/``RouterStats``:
+  ``since`` and ``merge`` are exact count arithmetic, and every
+  percentile read brackets numpy's nearest-rank value within one bucket;
 - cache keys must isolate configs: two services with different config
   fingerprints sharing one registry never serve each other's artifacts.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+import math
+from bisect import bisect_left
+from collections import OrderedDict
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FeatureSet, TransferGraphConfig
+from repro.obs.metrics import PERCENTILE_BUCKETS_MS, Histogram
 from repro.serving import ArtifactRegistry, SelectionService, ServiceStats
 from repro.strategies.fingerprint import config_fingerprint
 
@@ -68,55 +74,93 @@ class TestLRUInvariants:
 
 
 # ---------------------------------------------------------------------- #
-# ServiceStats.since at the latency-window boundary
+# the latency histogram: exact count arithmetic, bracketed percentiles
 # ---------------------------------------------------------------------- #
-def _stats_with_window(window: int) -> ServiceStats:
-    stats = ServiceStats()
-    stats.latencies_ms = deque(maxlen=window)
-    return stats
+#: latencies from 0.1 us (under the first bound) to 100 s (the +Inf bucket)
+_LATENCY = st.floats(min_value=-4.0, max_value=5.0).map(lambda e: 10.0**e)
+_QS = (0, 1, 25, 50, 90, 95, 99, 100)
 
 
-class TestStatsWindowBoundary:
+def _histogram(samples) -> Histogram:
+    hist = Histogram()
+    for value in samples:
+        hist.observe(value)
+    return hist
+
+
+def _bucket_edge(value: float) -> float:
+    """Upper edge of the bucket ``value`` falls in (+Inf past the last)."""
+    index = bisect_left(PERCENTILE_BUCKETS_MS, value)
+    return PERCENTILE_BUCKETS_MS[index] if index < len(PERCENTILE_BUCKETS_MS) \
+        else math.inf
+
+
+def _reads(hist: Histogram, samples) -> list[tuple[float, float]]:
+    """(numpy's exact nearest-rank value, the histogram's read) per q."""
+    return [(float(np.percentile(samples, q, method="inverted_cdf")), got)
+            for q, got in zip(_QS, hist.percentiles(_QS))]
+
+
+class TestLatencyHistogram:
     @settings(max_examples=80, deadline=None)
-    @given(window=st.integers(min_value=1, max_value=16),
-           n_before=st.integers(min_value=0, max_value=40),
-           n_after=st.integers(min_value=0, max_value=40))
-    def test_since_slices_exactly_the_new_latencies(self, window, n_before,
-                                                    n_after):
-        stats = _stats_with_window(window)
-        values = [float(i) for i in range(n_before + n_after)]
-        for v in values[:n_before]:
-            stats.queries += 1
-            stats.latencies_ms.append(v)
-        earlier = stats.copy()
-        for v in values[n_before:]:
-            stats.queries += 1
-            stats.latencies_ms.append(v)
-
-        delta = stats.since(earlier)
-        assert delta.queries == n_after
-        expected = values[-min(n_after, window):] if n_after else []
-        assert list(delta.latencies_ms) == expected
-
-    def test_window_overflow_keeps_most_recent(self):
-        """More new queries than the window: since() returns the newest
-        ``window`` latencies, never stale pre-snapshot entries."""
-        window = 8
-        stats = _stats_with_window(window)
-        earlier = stats.copy()
-        for i in range(3 * window):
-            stats.queries += 1
-            stats.latencies_ms.append(float(i))
-        delta = stats.since(earlier)
-        assert delta.queries == 3 * window
-        assert list(delta.latencies_ms) == [float(i) for i in
-                                            range(2 * window, 3 * window)]
-
-    def test_real_window_constant_bounds_the_deque(self):
-        from repro.serving.service import LATENCY_WINDOW
-
+    @given(samples=st.lists(_LATENCY, max_size=60), data=st.data())
+    def test_since_is_exactly_the_later_samples(self, samples, data):
+        split = data.draw(st.integers(min_value=0, max_value=len(samples)))
+        later = samples[split:]
         stats = ServiceStats()
-        assert stats.latencies_ms.maxlen == LATENCY_WINDOW
+        for value in samples[:split]:
+            stats.queries += 1
+            stats.latencies_ms.observe(value)
+        earlier = stats.copy()
+        for value in later:
+            stats.queries += 1
+            stats.latencies_ms.observe(value)
+
+        delta = stats.since(earlier)
+        counts, total, count = delta.latencies_ms.snapshot()
+        want_counts, want_total, want_count = _histogram(later).snapshot()
+        assert delta.queries == count == want_count == len(later)
+        assert counts == want_counts
+        assert total == pytest.approx(want_total)
+        if later:
+            # the delta's max is estimated: at most one bucket high
+            top = max(later)
+            assert top <= delta.latencies_ms.max <= _bucket_edge(top)
+            for exact, got in _reads(delta.latencies_ms, later):
+                assert exact <= got <= _bucket_edge(exact)
+        else:
+            assert delta.latency_summary() == {"p50_ms": 0.0, "p95_ms": 0.0,
+                                               "max_ms": 0.0}
+
+    @settings(max_examples=80, deadline=None)
+    @given(first=st.lists(_LATENCY, max_size=40),
+           second=st.lists(_LATENCY, max_size=40))
+    def test_merge_equals_one_histogram_of_both(self, first, second):
+        merged = _histogram(first).merge(_histogram(second))
+        both = _histogram(first + second)
+        counts, total, count = merged.snapshot()
+        want_counts, want_total, want_count = both.snapshot()
+        assert (counts, count) == (want_counts, want_count)
+        assert total == pytest.approx(want_total)
+        assert merged.max == both.max
+        assert merged.percentiles(_QS) == both.percentiles(_QS)
+
+    @settings(max_examples=80, deadline=None)
+    @given(samples=st.lists(_LATENCY, min_size=1, max_size=60))
+    def test_percentiles_bracket_numpy_nearest_rank(self, samples):
+        for exact, got in _reads(_histogram(samples), samples):
+            assert exact <= got <= min(_bucket_edge(exact), max(samples))
+
+    @settings(max_examples=60, deadline=None)
+    @given(value=_LATENCY, repeats=st.integers(min_value=1, max_value=30))
+    def test_one_repeated_value_reads_back_exactly(self, value, repeats):
+        hist = _histogram([value] * repeats)
+        assert hist.percentiles(_QS) == (value,) * len(_QS)
+        assert hist.max == value
+
+    def test_empty_histogram_reads_zero(self):
+        assert Histogram().percentiles((50, 95)) == (0.0, 0.0)
+        assert Histogram().max == 0.0
 
 
 # ---------------------------------------------------------------------- #

@@ -33,7 +33,7 @@ class TestCacheAccounting:
         assert stats["fits"] == 1
         assert stats["registry_hits"] == 0
         assert stats["hit_rate"] == pytest.approx(2 / 3)
-        assert len(service._stats.latencies_ms) == 3
+        assert service._stats.latencies_ms.count == 3
 
     def test_lru_eviction(self, tiny_image_zoo, lr_config):
         service = SelectionService(tiny_image_zoo, lr_config, cache_size=1)
