@@ -15,8 +15,9 @@ The ``--fit-executor`` option (thread | process | both) is the executor
 axis: the coalescing bench runs under the chosen executor(s), and
 whenever ``process`` is included, ``test_bench_cold_fit_speedup``
 additionally measures pure cold-fit throughput — four workers warming
-four distinct targets — under both executors and asserts the process
-fit plane beats the GIL-bound thread pool by >= 2x.
+four distinct targets — under both executors and asserts that four
+local fit-worker processes (the router's loopback fleet) beat the
+GIL-bound thread pool by >= 2x.  It skips on fewer than four cores.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ def _run(fit_executor: str) -> dict[str, float]:
     router = AsyncSelectionRouter(concurrent_service,
                                   fit_executor=fit_executor)
     try:
-        # Spawn + zoo hydration happen before the clock starts, so the
-        # process axis measures fit parallelism, not worker start-up.
+        # Worker spawn + zoo hydration happen before the clock starts,
+        # so the process axis measures fit parallelism, not start-up.
         router.prestart_fit_plane()
         concurrent = replay_concurrent(router, workload, clients=_CLIENTS)
     finally:
@@ -109,7 +110,7 @@ def test_bench_async_router(benchmark, fit_executor):
 
 
 # ---------------------------------------------------------------------- #
-# cold-fit throughput: thread pool vs process fit plane
+# cold-fit throughput: thread pool vs local fit-worker processes
 # ---------------------------------------------------------------------- #
 def _cold_fit_tput(zoo, targets: list[str], fit_executor: str
                    ) -> tuple[float, float]:
@@ -154,10 +155,10 @@ def test_bench_cold_fit_speedup(benchmark, request):
 
     if request.config.getoption("--fit-executor") == "thread":
         pytest.skip("thread-only run; pass --fit-executor process (or "
-                    "both) to bench the process fit plane")
+                    "both) to bench the local fit-worker processes")
     if (os.cpu_count() or 1) < _FIT_WORKERS:
         # The speedup is CPU parallelism; on fewer cores than workers
-        # the process plane can only lose to its own IPC overhead.
+        # the worker processes can only lose to their own IPC overhead.
         pytest.skip(f"{os.cpu_count()} cores < {_FIT_WORKERS} fit workers; "
                     "the >=2x cold-fit speedup needs real parallelism")
     rows = benchmark.pedantic(_run_cold_fit, rounds=1, iterations=1)
@@ -170,7 +171,7 @@ def test_bench_cold_fit_speedup(benchmark, request):
     print(f"  process executor       {rows['process_tput']:10.2f} fits/s "
           f"({rows['process_wall_s']:6.2f} s wall)")
     print(f"  process speedup        {speedup:10.1f}x")
-    # The whole point of the fit plane: pure-Python fit stages (walks,
+    # The whole point of process mode: pure-Python fit stages (walks,
     # SGNS) hold the GIL, so threads serve cold fits at ~1 core while
-    # processes scale with the worker count.
+    # worker processes scale with their count.
     assert speedup >= 2.0

@@ -18,8 +18,8 @@ def pytest_addoption(parser):
         choices=("thread", "process", "both"),
         help="fit-executor axis for the async-router benches: run them "
              "with this executor ('both' parametrizes over the two); "
-             "the thread-vs-process cold-fit speedup bench runs "
-             "whenever 'process' is included")
+             "the cold-fit speedup bench (thread pool vs local "
+             "fit-worker processes) runs whenever 'process' is included")
 
 
 def pytest_generate_tests(metafunc):

@@ -15,8 +15,8 @@ namespaces per gateway) stretches:
   (foundation -> strategies -> serving; ``obs`` a leaf;
   ``protocol.py`` stdlib-only) matches the real import graph;
 - ``pickle-boundary`` — nothing unpicklable on
-  :class:`~repro.strategies.SelectionStrategy` subclasses or submitted
-  across the process fit plane.
+  :class:`~repro.strategies.SelectionStrategy` subclasses, which cross
+  to fit workers by pickle.
 
 Everything is stdlib-only so the CI ``analysis`` job (and this
 container) needs no extra installs.  Run ``repro analyze`` locally;

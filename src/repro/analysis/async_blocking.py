@@ -2,7 +2,7 @@
 
 The serving stack's concurrency model is one asyncio event loop in
 front of executor pools: every blocking operation — strategy fits,
-artifact IO, process-pool round-trips — must cross
+artifact IO, waits on a remote fit — must cross
 ``loop.run_in_executor(...)`` (or ``asyncio.to_thread``), never run
 inline in a coroutine.  One inline ``strategy.fit()`` in a request
 handler stalls every in-flight request for seconds; it still passes
@@ -18,8 +18,8 @@ direct calls that block:
   ``read_text``/``write_text`` (artifact/file IO belongs in the
   executor);
 - ``<future>.result()`` (await the future instead);
-- anything under ``subprocess`` (the process fit plane wraps its pool
-  in an executor for a reason);
+- anything under ``subprocess`` (a child process is waited on from an
+  executor thread, never from the loop);
 - ``<strategy>.fit(...)`` and ``np.load`` (heavyweight calls the
   executors exist for);
 - anything under ``sqlite3`` and ``execute``/``executemany``/

@@ -1,25 +1,19 @@
-"""pickle-boundary: strategies must survive the process fit plane.
+"""pickle-boundary: strategies must survive the trip to a fit worker.
 
-``fit_executor="process"`` pickles the strategy instance into a spawn
-worker (``serving/fit_plane.py``), so every
-:class:`~repro.strategies.SelectionStrategy` subclass carries a hard
-contract, documented in ``strategies/base.py``: module-level classes
-with plain data attributes — no closures, no lambdas, no locks, no
-open handles.  Violating it is a runtime :class:`FitPlaneError` on the
-first cold fit routed to a worker; this rule turns that into a
-review-time finding.
+A remote cold fit (``fit_executor="process"`` or ``"socket"``) pickles
+the strategy instance into the FIT frame a ``fit-worker`` process
+unpickles, so every :class:`~repro.strategies.SelectionStrategy`
+subclass carries a hard contract, documented in ``strategies/base.py``:
+module-level classes with plain data attributes — no closures, no
+lambdas, no locks, no open handles.  Violating it is a runtime
+:class:`FitPlaneError` on the first cold fit routed to a worker; this
+rule turns that into a review-time finding.
 
-Two checks:
-
-- **strategy state** — inside any class that (transitively) subclasses
-  ``SelectionStrategy`` across ``strategies/`` and ``baselines/``,
-  flag ``self.x = <lambda>``, ``self.x = <nested def>``,
-  ``self.x = threading.Lock()`` (or any lock/semaphore sibling),
-  ``self.x = open(...)``, and ``self.x = ThreadPoolExecutor(...)``;
-- **executor submissions** — in ``serving/fit_plane.py``, a
-  ``pool.submit(fn, ...)`` whose callable is a lambda or a function
-  defined inside the enclosing scope cannot be pickled to a spawn
-  worker; workers take module-level functions only.
+Inside any class that (transitively) subclasses ``SelectionStrategy``
+across ``strategies/`` and ``baselines/``, it flags
+``self.x = <lambda>``, ``self.x = <nested def>``,
+``self.x = threading.Lock()`` (or any lock/semaphore sibling),
+``self.x = open(...)``, and ``self.x = ThreadPoolExecutor(...)``.
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ from repro.analysis.core import Finding, Project, Rule, SourceFile
 __all__ = ["PickleBoundaryRule"]
 
 _STRATEGY_SCOPE = ("src/repro/strategies/*.py", "src/repro/baselines/*.py")
-_FIT_PLANE = "src/repro/serving/fit_plane.py"
 
 _LOCK_FACTORIES = {
     "Lock",
@@ -46,7 +39,7 @@ _LOCK_FACTORIES = {
 _EXECUTOR_FACTORIES = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
 
 _HINT = (
-    "strategy instances cross the process fit plane by pickle: keep "
+    "strategy instances cross to fit workers by pickle: keep "
     "attributes to plain data (see strategies/base.py)"
 )
 
@@ -109,13 +102,12 @@ def _strategy_classes(sources: list[SourceFile]) -> dict[str, ast.ClassDef]:
 
 
 class PickleBoundaryRule(Rule):
-    """Nothing unpicklable on strategies or across the fit executor."""
+    """Nothing unpicklable on strategies."""
 
     id: ClassVar[str] = "pickle-boundary"
     description: ClassVar[str] = (
         "no lambdas, closures, locks, or open handles stored on "
-        "SelectionStrategy subclasses or submitted to the fit-plane "
-        "executor"
+        "SelectionStrategy subclasses"
     )
 
     def check(self, project: Project) -> list[Finding]:
@@ -125,9 +117,6 @@ class PickleBoundaryRule(Rule):
         for key, klass in sorted(_strategy_classes(sources).items()):
             rel = key.rsplit(":", 1)[0]
             findings.extend(self._check_class(by_rel[rel], klass))
-        fit_plane = project.source(_FIT_PLANE)
-        if fit_plane is not None:
-            findings.extend(self._check_submissions(fit_plane))
         return findings
 
     def _check_class(self, source: SourceFile, klass: ast.ClassDef) -> list[Finding]:
@@ -164,51 +153,6 @@ class PickleBoundaryRule(Rule):
                             line=node.lineno,
                             message=f"{klass.name}.{target.attr} stores {reason}",
                             hint=_HINT,
-                        )
-                    )
-        return findings
-
-    def _check_submissions(self, source: SourceFile) -> list[Finding]:
-        findings: list[Finding] = []
-        for scope in ast.walk(source.tree):
-            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            nested_defs = {
-                node.name
-                for node in ast.walk(scope)
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node is not scope
-            }
-            for node in ast.walk(scope):
-                if not isinstance(node, ast.Call):
-                    continue
-                if not (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "submit"
-                    and node.args
-                ):
-                    continue
-                fn = node.args[0]
-                reason = None
-                if isinstance(fn, ast.Lambda):
-                    reason = "a lambda"
-                elif isinstance(fn, ast.Name) and fn.id in nested_defs:
-                    reason = f"nested function {fn.id!r}"
-                if reason is not None:
-                    findings.append(
-                        Finding(
-                            rule=self.id,
-                            path=source.rel,
-                            line=node.lineno,
-                            message=(
-                                f"executor submission of {reason}; spawn "
-                                f"workers can only import module-level "
-                                f"callables"
-                            ),
-                            hint=(
-                                "lift the task function to module level "
-                                "(like _fit_task/_warm_worker)"
-                            ),
                         )
                     )
         return findings

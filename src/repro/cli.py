@@ -352,13 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("thread", "process", "socket"),
                        default=None,
                        help="where cold fits run: 'thread' shares the "
-                            "server process (GIL-bound), 'process' ships "
-                            "each fit to a worker process over the "
-                            "artifact boundary for true multi-core "
-                            "fitting, 'socket' dispatches to external "
-                            "'repro fit-worker' daemons via the fleet "
-                            "coordinator (default: $REPRO_FIT_EXECUTOR, "
-                            "else thread)")
+                            "server process (GIL-bound), 'process' "
+                            "spawns --fit-workers local fit-worker "
+                            "processes per router on a loopback fleet "
+                            "for true multi-core fitting, 'socket' "
+                            "dispatches to external 'repro fit-worker' "
+                            "daemons via the fleet coordinator (default: "
+                            "$REPRO_FIT_EXECUTOR, else thread)")
     serve.add_argument("--fleet-listen", type=_host_port, default=None,
                        metavar="HOST:PORT",
                        help="fleet coordinator bind address for "
@@ -718,8 +718,9 @@ def _cmd_warmup(args) -> int:
           f"{service.registry.root} ({service.strategy.name}, "
           f"{executor} executor)")
     if executor == "process":
-        # Route through the async router so cold fits land on the
-        # process fit plane and distinct targets warm in parallel.
+        # Route through the async router so cold fits land on its
+        # local fit-worker processes and distinct targets warm in
+        # parallel.
         import asyncio
 
         from repro.serving import AsyncSelectionRouter
@@ -771,7 +772,6 @@ def _cmd_serve(args) -> int:
         fleet_host, fleet_port = args.fleet_listen or ("127.0.0.1", 0)
         secret = args.fleet_secret or os.environ.get("REPRO_FLEET_SECRET")
         fleet = FleetCoordinator(fleet_host, fleet_port,
-                                 fit_timeout_s=args.fit_timeout,
                                  secret=secret, obs=obs)
         fleet_host, fleet_port = fleet.start()
         if secret is None and fleet_host not in ("127.0.0.1", "::1",

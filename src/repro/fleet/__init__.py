@@ -1,28 +1,30 @@
-"""The fit fleet: distributed cold fitting over the artifact boundary.
+"""The fit fleet: cold fits in other processes, over the artifact boundary.
 
-PR 7 put cold fits behind the strategy pack/unpack boundary in a
-spawn-based process pool; this package lifts the *same* boundary onto a
-socket so N machines become a fit fleet (ROADMAP item 1b) — rankings
-stay instant at the edge while heavy TransferGraph fitting happens
-elsewhere, the operational shape evaluation-free selectors assume.
+Cold fits hold the GIL, so the router runs them elsewhere: on socket
+fit workers that return the *strategy-packed* artifact — rankings stay
+instant at the edge while heavy TransferGraph fitting happens in other
+processes, on this box or on N machines.
 
 - :mod:`repro.fleet.errors` — the typed :class:`FitPlaneError` family
-  every executor (thread pool, process pool, socket fleet) sheds with;
+  every remote fit sheds with;
 - :mod:`repro.fleet.work` — the worker-side fit task (hydrate → fit →
-  warm → pack) shared by process-pool and socket workers, which is what
-  keeps thread/process/socket artifacts byte-identical;
+  warm → pack) every fit worker runs, which is what keeps thread- and
+  worker-fitted artifacts byte-identical;
 - :mod:`repro.fleet.wire` — the length-prefixed, versioned, byte-stable
   frame protocol (HELLO/CHALLENGE/AUTH/REGISTER/HEARTBEAT/FIT/
   FIT_RESULT/FIT_ERROR) and the mutual HMAC fleet-secret handshake;
 - :mod:`repro.fleet.coordinator` — :class:`FleetCoordinator`, the
   gateway-side registry/heartbeat/dispatch loop with least-outstanding
-  worker selection and retry-once failover;
+  worker selection and retry-once failover (``fit_executor="socket"``);
 - :mod:`repro.fleet.worker` — :class:`FitWorker`, the
-  ``repro fit-worker`` daemon.
+  ``repro fit-worker`` daemon;
+- :mod:`repro.fleet.local` — :class:`LocalFleet`, a loopback
+  coordinator that spawns its own fit-worker processes
+  (``fit_executor="process"``).
 
-Layering: ``serving`` imports ``fleet`` (the router's
-``fit_executor="socket"`` plane), never the reverse — enforced by the
-``import-layering`` rule in ``repro analyze``.
+Layering: ``serving`` imports ``fleet`` (the router's remote fit
+path), never the reverse — enforced by the ``import-layering`` rule in
+``repro analyze``.
 """
 
 from repro.fleet.coordinator import FleetCoordinator
@@ -33,18 +35,19 @@ from repro.fleet.errors import (
     NoWorkersError,
     WireError,
 )
-from repro.fleet.work import run_fit, warm_worker, zoo_ref_for
+from repro.fleet.local import LocalFleet
+from repro.fleet.work import run_fit, zoo_ref_for
 from repro.fleet.worker import FitWorker
 
 __all__ = [
     "FleetCoordinator",
     "FitWorker",
+    "LocalFleet",
     "FitPlaneError",
     "FitTimeoutError",
     "FitWorkerCrashError",
     "NoWorkersError",
     "WireError",
     "run_fit",
-    "warm_worker",
     "zoo_ref_for",
 ]

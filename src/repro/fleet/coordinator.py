@@ -2,11 +2,13 @@
 
 The coordinator is the gateway-side half of the fit fleet.  It runs an
 asyncio socket server on its *own* daemon thread and private event loop
-— the serving event loop never touches fleet IO — and exposes the same
+— the serving event loop never touches fleet IO — and exposes one
 blocking ``submit_fit(strategy, zoo, target) -> (meta, arrays, spans)``
-surface as :class:`repro.serving.fit_plane.ProcessFitExecutor`, so the
-router's ``fit_executor="socket"`` path drops into the existing
-``_remote_fit`` plumbing unchanged: router fit threads block on
+call, the router's ``_remote_fit`` path for both remote executors:
+``fit_executor="socket"`` shares the gateway's coordinator, and
+``fit_executor="process"`` gives each router a
+:class:`~repro.fleet.local.LocalFleet`, this class plus the worker
+processes it spawns.  Router fit threads block on
 ``run_coroutine_threadsafe(...).result()`` while the dispatch runs on
 the coordinator loop.
 
@@ -30,8 +32,8 @@ Worker lifecycle:
    :class:`~repro.fleet.errors.FitWorkerCrashError`.
 
 Dispatch picks the live worker with the fewest outstanding fits
-(ties broken by registration order), bounds each fit by
-``fit_timeout_s`` (:class:`~repro.fleet.errors.FitTimeoutError`, the
+(ties broken by registration order), bounds each fit by the caller's
+``timeout_s`` (:class:`~repro.fleet.errors.FitTimeoutError`, the
 worker's late result is discarded), and surfaces an empty fleet as
 :class:`~repro.fleet.errors.NoWorkersError` — always typed, never hung.
 
@@ -129,7 +131,6 @@ class FleetCoordinator:
         *,
         heartbeat_interval_s: float = 2.0,
         heartbeat_misses: int = 3,
-        fit_timeout_s: float | None = None,
         secret: str | bytes | None = None,
         obs=None,
     ):
@@ -144,7 +145,6 @@ class FleetCoordinator:
         self._secret = secret
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_misses = heartbeat_misses
-        self.fit_timeout_s = fit_timeout_s
         self._obs = obs
         self.address: tuple[str, int] | None = None
         self._lock = threading.Lock()
@@ -246,10 +246,10 @@ class FleetCoordinator:
     def submit_fit(self, strategy, zoo, target: str, *, timeout_s=None):
         """Fit ``target`` on a fleet worker; returns ``(meta, arrays, spans)``.
 
-        Blocking, like the process plane's ``submit_fit`` — the caller
-        is a router fit thread.  Raises the typed
-        :class:`~repro.fleet.errors.FitPlaneError` family for plane
-        failures and re-raises ordinary fit exceptions with their
+        Blocking — the caller is a router fit thread.  ``timeout_s``
+        bounds the dispatch (None waits for the worker).  Raises the
+        typed :class:`~repro.fleet.errors.FitPlaneError` family for
+        plane failures and re-raises ordinary fit exceptions with their
         original type.
         """
         with self._lock:
@@ -267,18 +267,18 @@ class FleetCoordinator:
                 f"fit_executor='thread'): {exc}"
             ) from exc
         zoo_blob = pickle.dumps(zoo_ref_for(zoo))
-        timeout = timeout_s if timeout_s is not None else self.fit_timeout_s
         future = asyncio.run_coroutine_threadsafe(
-            self._run_fit(blob, zoo_blob, target, timeout), loop
+            self._run_fit(blob, zoo_blob, target, timeout_s), loop
         )
         return future.result()
 
-    def prestart(self, zoo=None, hold_s: float = 0.0) -> int:
-        """Fleet planes have no pool to spawn; reports live workers.
+    def prestart(self, zoo=None) -> int:
+        """Report live workers; a shared fleet has nothing to start.
 
-        Workers hydrate the zoo themselves on their first fit (cached
-        per zoo fingerprint thereafter); ``zoo``/``hold_s`` exist for
-        signature parity with the process plane's ``prestart``.
+        External workers hydrate the zoo themselves on their first fit
+        (cached per zoo fingerprint thereafter); ``zoo`` is what a
+        :class:`~repro.fleet.local.LocalFleet` hydrates in the workers
+        it spawns.
         """
         return self.worker_count
 
@@ -512,7 +512,7 @@ class FleetCoordinator:
                 result = await asyncio.wait_for(pending.future, remaining)
             except asyncio.TimeoutError:
                 # Late results for this fit_id are discarded in _resolve;
-                # the worker finishes as an orphan, like the process pool.
+                # the worker finishes the fit as an orphan.
                 self._pending.pop(fit_id, None)
                 worker.outstanding.pop(fit_id, None)
                 self._count("timeout")
@@ -543,7 +543,7 @@ def _revive_error(frame) -> BaseException:
     strings — the coordinator never unpickles worker-supplied bytes, so
     a worker cannot make the gateway execute code.  Types importable
     from ``builtins`` or this package's own ``repro.*`` modules re-raise
-    with their original type (matching the process plane); anything else
+    with their original type (matching the thread path); anything else
     — third-party or test-local exception classes, or constructors that
     reject a lone message argument — degrades to RuntimeError carrying
     the worker's message, and worker-side plane failures (zoo hydration,

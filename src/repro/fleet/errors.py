@@ -1,11 +1,10 @@
 """Typed fit-plane failures shared by every cold-fit executor.
 
-These classes started life in :mod:`repro.serving.fit_plane` (the
-process fit plane, PR 7) and moved down here when the socket fleet
-arrived: the coordinator, the worker daemon, and the process pool all
-shed a router's coalesced group with *the same* typed errors, so the
-hierarchy has to live below both ``serving`` and ``fleet`` in the
-import DAG.  ``repro.serving`` re-exports the executor-facing names, so
+The coordinator, the worker daemon and the router all shed a router's
+coalesced group with *the same* typed errors — in process mode and in
+socket mode alike — so the hierarchy lives at the bottom of ``fleet``,
+below everything that raises or catches it.  ``repro.serving``
+re-exports the executor-facing names, so
 ``from repro.serving import FitPlaneError`` works too.
 
 The contract, regardless of executor:
@@ -34,13 +33,14 @@ class FitPlaneError(RuntimeError):
 
 
 class FitWorkerCrashError(FitPlaneError):
-    """A worker died mid-fit (process pool broken, or a fleet worker
-    disconnected / missed its heartbeats with the fit outstanding and
-    no retry succeeded)."""
+    """A worker died mid-fit (disconnected or missed its heartbeats with
+    the fit outstanding) and the retry on another worker did not
+    succeed."""
 
 
 class FitTimeoutError(FitPlaneError):
-    """A fit exceeded ``fit_timeout_s``; its coalesced group is shed."""
+    """A fit exceeded the router's ``fit_timeout_s``; its coalesced
+    group is shed."""
 
 
 class NoWorkersError(FitPlaneError):

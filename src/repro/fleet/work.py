@@ -1,13 +1,13 @@
 """Worker-side fit execution: hydrate the zoo, fit, warm, pack.
 
-One module runs the actual cold fit for *every* remote executor — the
-spawn-based process pool (:class:`repro.serving.fit_plane.ProcessFitExecutor`)
-submits :func:`run_fit` by reference, and the socket fleet's
-``repro fit-worker`` daemon (:mod:`repro.fleet.worker`) calls it for
-each FIT frame.  Keeping it shared is what makes thread-, process- and
-socket-fitted artifacts byte-identical: the payload crossing any
-boundary is always the strategy-packed ``(meta, arrays)`` pair plus a
-span-record list, never a live pipeline.
+One module runs the actual cold fit for every remote fit: each
+``repro fit-worker`` (:mod:`repro.fleet.worker`) — a daemon on another
+box, or one of the processes a :class:`~repro.fleet.local.LocalFleet`
+spawns for ``fit_executor="process"`` — calls :func:`run_fit` for each
+FIT frame.  Keeping it shared is what makes thread- and worker-fitted
+artifacts byte-identical: the payload crossing the boundary is always
+the strategy-packed ``(meta, arrays)`` pair plus a span-record list,
+never a live pipeline.
 
 Zoo hydration is paid once per zoo fingerprint per worker process:
 :data:`_ZOO_CACHE` is a module global, so a long-lived worker re-uses
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import time
 from dataclasses import dataclass
 
 from repro.fleet.errors import FitPlaneError
@@ -29,7 +28,7 @@ from repro.obs.trace import Trace, activate, deactivate, span
 from repro.zoo.cache import load_zoo, zoo_cache_key
 from repro.zoo.zoo import ZooConfig, build_zoo
 
-__all__ = ["zoo_ref_for", "run_fit", "warm_worker"]
+__all__ = ["zoo_ref_for", "hydrate_zoo", "run_fit"]
 
 
 # ---------------------------------------------------------------------- #
@@ -80,14 +79,15 @@ def zoo_ref_for(zoo, cache_dir=None):
 
 
 # ---------------------------------------------------------------------- #
-# worker side (top-level functions: spawn pickles them by reference)
+# worker side
 # ---------------------------------------------------------------------- #
 #: per-worker-process zoo cache, keyed by zoo fingerprint — hydration
 #: (disk load or rebuild) is paid once per worker, not once per fit
 _ZOO_CACHE: dict[str, object] = {}
 
 
-def _hydrate_zoo(ref):
+def hydrate_zoo(ref):
+    """The zoo ``ref`` names, loaded once per worker process."""
     zoo = _ZOO_CACHE.get(ref.key)
     if zoo is not None:
         return zoo
@@ -119,7 +119,7 @@ def _fit_in_worker(strategy_blob: bytes, zoo_ref, target: str):
     """
     strategy = pickle.loads(strategy_blob)
     with span("fit.zoo_hydrate"):
-        zoo = _hydrate_zoo(zoo_ref)
+        zoo = hydrate_zoo(zoo_ref)
     fitted = strategy.fit(zoo, target)
     with span("fit.warm_predict"):
         fitted.predict(zoo.model_ids())
@@ -138,18 +138,3 @@ def run_fit(strategy_blob: bytes, zoo_ref, target: str):
         deactivate(tokens)
         trace.finish()
     return meta, arrays, trace.span_tree()
-
-
-def warm_worker(zoo_ref, hold_s: float):
-    """Pool warmup task: hydrate the zoo, then hold the worker briefly.
-
-    The hold makes N concurrently-submitted warmup tasks land on N
-    *distinct* workers with high probability, so every worker pays its
-    interpreter start + zoo hydration before traffic arrives instead of
-    on its first cold fit.
-    """
-    if zoo_ref is not None:
-        _hydrate_zoo(zoo_ref)
-    if hold_s > 0:
-        time.sleep(hold_s)
-    return True

@@ -9,9 +9,9 @@ pack — runs in a thread-pool executor so the worker's event loop stays
 responsive for heartbeats while a multi-second TG fit is in flight.
 Zoo hydration is cached per zoo fingerprint in the process-global
 :data:`repro.fleet.work._ZOO_CACHE`, so a long-lived worker pays the
-disk load once, exactly like a process-pool worker.
+disk load once.
 
-Error discipline mirrors the process plane: an ordinary exception from
+Error discipline mirrors the thread path: an ordinary exception from
 ``strategy.fit`` ships back inside FIT_ERROR (``kind="fit"``) as its
 ``(module, type, message)`` strings — never pickled, so the gateway
 needs no trust in worker bytes — and re-raises with its original type
@@ -113,7 +113,7 @@ class FitWorker:
         heartbeat_task = None
         # Strong references: the loop only weakly references tasks, so a
         # bare create_task could be collected mid-fit, silently dropping
-        # the reply and stranding the coordinator until fit_timeout_s.
+        # the reply and stranding the coordinator until the fit timeout.
         fit_tasks: set[asyncio.Task] = set()
         try:
             nonce = wire.new_nonce()

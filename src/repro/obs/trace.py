@@ -263,8 +263,8 @@ def record_cache(hit: bool) -> None:
 def graft_spans(records: list[dict]) -> None:
     """Attach span records from another process onto the active trace.
 
-    The process fit plane runs ``strategy.fit`` in a worker whose spans
-    cannot nest under the parent's contextvar trace; the worker ships
+    A remote fit runs ``strategy.fit`` in a worker whose spans cannot
+    nest under the parent's contextvar trace; the worker ships
     them back as :meth:`Trace.span_tree` records inside the packed
     payload, and the parent grafts them under its current span so the
     request's trace stays complete.  Grafted durations are re-reported

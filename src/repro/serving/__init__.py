@@ -16,11 +16,10 @@ true operationally:
   counters;
 - :mod:`repro.serving.router` — :class:`AsyncSelectionRouter`, the
   asyncio front-end answering warm requests inline, with single-flight
-  fit coalescing, parallel cold fits, and a bounded cold-fit queue with
-  adaptive backpressure;
-- :mod:`repro.serving.fit_plane` — the process fit plane
-  (``fit_executor="process"``): cold fits run in worker processes over
-  the strategy pack/unpack boundary for true multi-core fitting;
+  fit coalescing, parallel cold fits (in threads, or in worker
+  processes over the strategy pack/unpack boundary through
+  :mod:`repro.fleet`), and a bounded cold-fit queue with adaptive
+  backpressure;
 - :mod:`repro.serving.gateway` — :class:`SelectionGateway`, routing
   protocol requests across named namespaces (each a zoo behind a
   spec-keyed strategy map) with per-namespace registry shards;
@@ -80,7 +79,6 @@ from repro.serving.compare import (
 )
 from repro.serving.registry import ArtifactRegistry
 from repro.fleet.errors import FitPlaneError, FitTimeoutError, FitWorkerCrashError
-from repro.serving.fit_plane import ProcessFitExecutor
 from repro.serving.router import (
     AsyncSelectionRouter,
     QueueFullError,
@@ -137,7 +135,6 @@ __all__ = [
     "FitPlaneError",
     "FitTimeoutError",
     "FitWorkerCrashError",
-    "ProcessFitExecutor",
     "AsyncSelectionRouter",
     "QueueFullError",
     "RouterStats",

@@ -290,8 +290,9 @@ class SelectionGateway:
 
         ``fit_executor`` selects where every router in the namespace
         runs its cold fits: ``"thread"`` (in-process pool),
-        ``"process"`` (the :mod:`repro.serving.fit_plane` worker pool —
-        true multi-core fitting), ``"socket"`` (the gateway's shared
+        ``"process"`` (each router's own :class:`~repro.fleet.LocalFleet`
+        of ``fit_workers`` spawned worker processes — true multi-core
+        fitting), ``"socket"`` (the gateway's shared
         :class:`~repro.fleet.FleetCoordinator` dispatching to
         ``repro fit-worker`` daemons; requires the gateway's ``fleet``),
         or ``None`` to follow the ``REPRO_FIT_EXECUTOR`` environment
@@ -558,11 +559,11 @@ class SelectionGateway:
     def prestart_fit_planes(self) -> int:
         """Ready every remote fit plane now.
 
-        Process-mode routers spawn their worker pools (otherwise lazily
-        charged to an unlucky first request); the shared socket fleet —
-        counted once, not per router — reports its live ``fit-worker``
-        daemons.  Returns the number of workers confirmed live (0 when
-        every router runs the thread executor).
+        Process-mode routers spawn their local fit-worker processes
+        (otherwise charged to an unlucky first request); the shared
+        socket fleet — counted once, not per router — reports its live
+        ``fit-worker`` daemons.  Returns the number of workers confirmed
+        live (0 when every router runs the thread executor).
         """
         started = 0
         for ns in self._namespaces.values():

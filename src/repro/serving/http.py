@@ -16,7 +16,11 @@ body's optional ``request_id`` field if present, else an
 ``X-Request-Id`` header, else a server-minted id.  The id used is
 echoed in the ``X-Request-Id`` response header; the response *body*
 carries ``request_id`` only when the request body did (the protocol's
-additive byte-stability rule).
+additive byte-stability rule).  Because it is echoed into a header, a
+client-supplied id must be visible ASCII (``0x21``–``0x7E``): anything
+else — a CR or LF that would split the header, a space, a non-ASCII
+character — is a 400 ``bad_request`` before the request is traced or
+dispatched.
 
 A ``/v1/compare`` never answers 429: a strategy shed during the fan-out
 is marked ``"shed"`` inside the 200 response (with its ``retry_after_s``
@@ -57,6 +61,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import re
 
 from repro.obs import EXPOSITION_CONTENT_TYPE
 from repro.serving.gateway import (
@@ -90,6 +95,9 @@ _REASONS = {
 #: keep header parsing bounded: request line + each header line
 _MAX_LINE_BYTES = 8 * 1024
 _MAX_HEADERS = 64
+
+#: a client-supplied request id is echoed in a response header
+_HEADER_SAFE_ID = re.compile(r"[\x21-\x7e]+")
 
 
 class _HTTPError(Exception):
@@ -354,12 +362,23 @@ class GatewayHTTPServer:
         return await handler(headers, body)
 
     def _request_id(self, request, headers: dict[str, str]) -> str:
-        """Body field > X-Request-Id header > server-minted id."""
-        return (
-            request.request_id
-            or headers.get("x-request-id")
-            or self.gateway.obs.new_request_id()
-        )
+        """Body field > X-Request-Id header > server-minted id.
+
+        A client-supplied id goes back out in the ``X-Request-Id``
+        header, so one outside visible ASCII is refused here.
+        """
+        rid = request.request_id or headers.get("x-request-id")
+        if not rid:
+            return self.gateway.obs.new_request_id()
+        if not _HEADER_SAFE_ID.fullmatch(rid):
+            raise _HTTPError(
+                400,
+                ErrorResponse(
+                    code="bad_request",
+                    message="request_id must be visible ASCII (0x21-0x7E)",
+                ),
+            )
+        return rid
 
     async def _post_rank(self, headers: dict[str, str], body: bytes):
         request = RankRequest.from_json(body)  # ProtocolError here -> 400

@@ -212,7 +212,8 @@ def _check_summary(kind: str, name: str, value: object) -> dict[str, float]:
 def _json_loads(kind: str, text: str | bytes) -> Any:
     try:
         return json.loads(text)
-    except (ValueError, TypeError, UnicodeDecodeError):
+    except (ValueError, TypeError, UnicodeDecodeError, RecursionError):
+        # RecursionError: the decoder recurses once per nesting level
         raise ProtocolError(f"{kind} body is not valid JSON") from None
 
 

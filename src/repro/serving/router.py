@@ -26,12 +26,14 @@ loop:
   recording into the shared zoo catalog is lock-guarded — see
   :attr:`repro.store.ZooCatalog.lock` — so ``fit_workers`` defaults
   above one);
-- **process fit plane** — ``fit_executor="process"`` ships each cold fit
-  to a worker *process* (:mod:`repro.serving.fit_plane`) for true
-  multi-core fitting: pure-Python fit stages (walks, SGNS) hold the GIL,
+- **remote fits** — pure-Python fit stages (walks, SGNS) hold the GIL,
   so the thread pool alone serves cold traffic at roughly one core.
-  The fit threads then merely block on worker futures — queueing,
-  coalescing, shedding, and stats behave identically in both modes;
+  ``fit_executor="process"`` ships each cold fit to a
+  :class:`~repro.fleet.LocalFleet` of ``fit_workers`` worker processes
+  the router owns, and ``"socket"`` to the gateway's shared
+  :class:`~repro.fleet.FleetCoordinator`; either way the fit threads
+  merely block on the fleet — queueing, coalescing, shedding, and stats
+  behave identically in every mode;
 - **bounded cold-fit queue** — at most ``max_pending_fits`` cold fits
   may be admitted (in flight or waiting for a fit worker); an overflow
   either raises :class:`QueueFullError` with an adaptive
@@ -70,6 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.fleet.local import LocalFleet
 from repro.obs import graft_spans, run_in_context, set_outcome, span
 from repro.obs.metrics import Histogram
 from repro.serving.protocol import (
@@ -232,17 +235,18 @@ class AsyncSelectionRouter:
         worker processes (``"process"``).  Distinct cold targets fit in
         parallel: derived similarity/transferability recording into the
         shared zoo catalog is serialised by the catalog's own lock
-        (thread mode) or stays process-local and folds back through the
+        (thread mode) or stays worker-local and folds back through the
         packed artifact (process mode).
     fit_executor:
         ``"thread"`` fits in the router's thread pool (the default);
-        ``"process"`` ships cold fits to a spawn-based
-        ``ProcessPoolExecutor`` (see :mod:`repro.serving.fit_plane`) for
-        true CPU parallelism; ``"socket"`` dispatches them through a
-        shared :class:`~repro.fleet.FleetCoordinator` (the ``fleet``
-        parameter) to remote ``repro fit-worker`` daemons.  In every
-        remote mode the worker returns the strategy-packed artifact and
-        the parent unpacks and writes it through to the registry
+        ``"process"`` dispatches cold fits to a
+        :class:`~repro.fleet.LocalFleet` — a loopback coordinator and
+        ``fit_workers`` spawned ``fit-worker`` processes the router owns
+        — for true CPU parallelism; ``"socket"`` dispatches them through
+        a shared :class:`~repro.fleet.FleetCoordinator` (the ``fleet``
+        parameter) to ``repro fit-worker`` daemons.  In both remote
+        modes the worker returns the strategy-packed artifact and the
+        parent unpacks and writes it through to the registry
         byte-identically to the thread path.  ``None`` reads the
         ``REPRO_FIT_EXECUTOR`` environment variable, defaulting to
         ``"thread"``.
@@ -304,11 +308,7 @@ class AsyncSelectionRouter:
         #: shut a coordinator other routers still dispatch through
         self._owns_fit_plane = False
         if fit_executor == "process":
-            from repro.serving.fit_plane import ProcessFitExecutor
-
-            self._fit_plane = ProcessFitExecutor(
-                workers=fit_workers, fit_timeout_s=fit_timeout_s
-            )
+            self._fit_plane = LocalFleet(fit_workers)
             self._owns_fit_plane = True
         elif fit_executor == "socket":
             self._fit_plane = fleet
@@ -426,7 +426,7 @@ class AsyncSelectionRouter:
     def _remote_fit(self, strategy, zoo, target: str):
         """Process/socket-mode fit: block a fit thread on a remote worker.
 
-        The worker — a spawn-pool process or a fleet daemon — ships back
+        The worker — a local fleet's process or a fleet daemon — ships back
         ``(meta, arrays, spans)``; the child's fit-stage spans are
         grafted onto the live request trace here (this thread carries
         the request context via :func:`repro.obs.run_in_context`) and
@@ -672,11 +672,11 @@ class AsyncSelectionRouter:
     def prestart_fit_plane(self) -> int:
         """Ready the remote fit plane now (0 in thread mode).
 
-        Process workers otherwise spawn lazily on the first cold fits,
-        which would bill each of the first ``fit_workers`` requests for
-        an interpreter start plus a zoo hydration on top of its fit;
-        blocks until every worker is up with the zoo hydrated.  A
-        shared socket plane has no pool to spawn — its prestart reports
+        A process-mode router's workers otherwise spawn on its first
+        cold fit, which would bill that request for interpreter starts
+        plus zoo hydration on top of its fit; blocks until every worker
+        has hydrated the zoo and registered, and returns their count.  A
+        shared socket plane has nothing to start — its prestart reports
         the fleet's live worker count instead.
         """
         if self._fit_plane is None:

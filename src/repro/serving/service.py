@@ -293,10 +293,10 @@ class SelectionService:
         ``remote_fit`` replaces the in-process ``strategy.fit`` with a
         callable returning the *packed* artifact —
         ``remote_fit(strategy, zoo, target) -> (meta, arrays)`` — which
-        is how the router's process fit plane delivers a fit: the
+        is how the router delivers a fit from a fit worker: the
         pipeline is revived here via ``strategy.unpack`` (against this
         process's zoo) and the worker's exact payload is written through
-        to the registry, so thread- and process-fitted artifacts are
+        to the registry, so thread- and worker-fitted artifacts are
         byte-identical.
         """
         set_outcome("cold")  # cache miss path, revive or fresh fit

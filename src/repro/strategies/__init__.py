@@ -11,8 +11,8 @@
 - :mod:`repro.strategies.fingerprint` /
   :mod:`repro.strategies.artifacts` — the content hashes and
   pack/unpack forms of the strategy artifact contract (consumed by the
-  serving registry one layer up, and by the process fit plane as its
-  wire format).
+  serving registry one layer up, and by remote fits as their wire
+  format).
 """
 
 from repro.strategies.base import (

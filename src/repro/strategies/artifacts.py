@@ -11,8 +11,8 @@ An artifact is a pair ``(meta, arrays)``:
 
 This module lives in the *strategies* layer, not serving: pack/unpack
 is the :class:`~repro.strategies.SelectionStrategy` artifact contract
-(every strategy implements it, and the process fit plane ships fitted
-state across it), while the serving registry is merely its persistence.
+(every strategy implements it, and fit workers ship fitted state
+across it), while the serving registry is merely its persistence.
 
 Splitting this way keeps the metadata human-inspectable while arrays
 round-trip bit-for-bit.  The pruned LOO graph is stored too (node ids +

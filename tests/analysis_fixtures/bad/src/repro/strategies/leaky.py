@@ -10,7 +10,7 @@ class LeakyStrategy(SelectionStrategy):
     name = "Leaky"
 
     def __init__(self):
-        # BAD: locks do not pickle across the process fit plane.
+        # BAD: locks do not pickle into a fit worker.
         self._lock = threading.Lock()
         # BAD: neither do lambdas.
         self._scorer = lambda model_id: 0.0

@@ -80,8 +80,8 @@ class StubStrategy(SelectionStrategy):
     def fingerprint(self):
         return f"stub-{self.spec}"
 
-    # pack/unpack double as the process-fit wire format, so stub
-    # strategies can ride the process fit plane in tests too
+    # pack/unpack double as the remote-fit wire format, so stub
+    # strategies can ride the fit-worker processes in tests too
     def pack(self, fitted, zoo):
         meta = {"kind": "stub", "target": fitted.target,
                 "spec": self.spec, "scores": fitted.scores}

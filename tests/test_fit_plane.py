@@ -1,23 +1,25 @@
-"""Process fit plane: thread/process parity, crash semantics, warmup.
+"""Process mode: cold fits on a router's loopback fleet of fit-workers.
 
-The parity tests are the tentpole contract: a fit executed in a worker
-process — shipped back as a packed artifact, unpacked in the parent —
-must serve byte-identical rankings and write byte-identical registry
+``fit_executor="process"`` gives each router a
+:class:`~repro.fleet.LocalFleet`: a coordinator on ``127.0.0.1:0`` and
+``fit_workers`` spawned ``FitWorker`` processes.  The parity tests are
+the contract: a fit executed in a worker process — shipped back as a
+packed artifact over the fleet wire, unpacked in the parent — must
+serve byte-identical rankings and write byte-identical registry
 artifacts to the in-process thread path, for every strategy family.
 
-The failure tests use stub strategies (picklable, so they cross the
-spawn boundary) whose fits kill their own worker or oversleep a
-timeout, proving plane failures surface as typed errors that shed the
-coalesced group while the router itself stays serviceable.
+The crash test uses a stub strategy (picklable, so it crosses the spawn
+boundary) whose fit kills its own worker, proving a dead worker sheds
+the coalesced group typed and is replaced before the next dispatch.
+The timeout, fit-exception and unpicklable-strategy semantics are the
+socket fleet's and are tested once, in ``tests/test_fleet.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
-import time
 
 import pytest
 
@@ -26,13 +28,11 @@ from repro.serving import (
     ArtifactRegistry,
     AsyncSelectionRouter,
     FitPlaneError,
-    FitTimeoutError,
     FitWorkerCrashError,
-    ProcessFitExecutor,
     RankRequest,
     SelectionService,
 )
-from repro.fleet import zoo_ref_for
+from repro.fleet import FitWorker, LocalFleet, wire, zoo_ref_for
 
 from serving_stubs import STUB_SCORES, StubStrategy, StubZoo, stub_service
 
@@ -43,7 +43,7 @@ def run(coro):
 
 @pytest.fixture(scope="module")
 def cached_zoo(tiny_image_zoo, tmp_path_factory):
-    """The tiny zoo, saved where spawn workers can re-hydrate it.
+    """The tiny zoo, saved where fit-worker processes can re-hydrate it.
 
     Worker processes resolve the zoo cache through ``REPRO_CACHE_DIR``
     (inherited via the environment), so the fixture saves the shared
@@ -65,7 +65,7 @@ def cached_zoo(tiny_image_zoo, tmp_path_factory):
 
 
 # ---------------------------------------------------------------------- #
-# crash/timeout doubles (module-level: spawn pickles them by reference)
+# crash double (module-level: workers unpickle it by reference)
 # ---------------------------------------------------------------------- #
 class KillWorkerStrategy(StubStrategy):
     """SIGKILLs its own worker for selected targets; fits normally else."""
@@ -80,31 +80,13 @@ class KillWorkerStrategy(StubStrategy):
         return super().fit(zoo, target)
 
 
-class SlowStrategy(StubStrategy):
-    """Fits sleep long enough to overrun any sub-second fit timeout."""
-
-    def __init__(self, sleep_s=5.0):
-        super().__init__("slow", STUB_SCORES["agree"])
-        self.sleep_s = sleep_s
-
-    def fit(self, zoo, target):
-        time.sleep(self.sleep_s)
-        return super().fit(zoo, target)
-
-
-class FailingStrategy(StubStrategy):
-    """An ordinary fit exception (not a plane failure)."""
-
-    def __init__(self):
-        super().__init__("failing", STUB_SCORES["agree"])
-
-    def fit(self, zoo, target):
-        raise ValueError(f"no fit for {target!r}")
-
-
 def process_router(service, **kwargs):
     kwargs.setdefault("fit_workers", 2)
     return AsyncSelectionRouter(service, fit_executor="process", **kwargs)
+
+
+def _worker_pids(fleet):
+    return {d["pid"] for d in fleet.fleet_summary()["details"]}
 
 
 # ---------------------------------------------------------------------- #
@@ -176,115 +158,43 @@ class TestParity:
 
 
 # ---------------------------------------------------------------------- #
-# stats parity between executors
-# ---------------------------------------------------------------------- #
-class TestStatsParity:
-    def _drive(self, executor):
-        # fit_seconds: an instant fit can win the race against the
-        # waiters' first step and serve them from cache instead of
-        # coalescing them; a deterministic counter comparison needs the
-        # fit to outlive the gather's scheduling.
-        service = SelectionService(StubZoo(),
-                                   StubStrategy("agree",
-                                                STUB_SCORES["agree"],
-                                                fit_seconds=0.3))
-        router = AsyncSelectionRouter(service, fit_executor=executor)
-
-        async def traffic():
-            await asyncio.gather(*(router.rank("t0") for _ in range(5)))
-            await router.rank("t1")
-            before, router_before = router.stats_snapshot()
-            await router.rank("t2")
-            return (router.service.stats_snapshot().since(before),
-                    router.router_stats().since(router_before))
-
-        try:
-            return run(traffic()), router.stats()
-        finally:
-            router.close()
-
-    def test_counters_identical_across_executors(self):
-        (t_delta, t_router_delta), t_stats = self._drive("thread")
-        (p_delta, p_router_delta), p_stats = self._drive("process")
-        for field in ("queries", "cache_hits", "cache_misses", "fits"):
-            assert getattr(t_delta, field) == getattr(p_delta, field)
-        for field in ("requests", "coalesced", "cold_fits", "rejections"):
-            assert getattr(t_router_delta, field) == \
-                getattr(p_router_delta, field)
-        for key in ("fits", "cold_fits", "coalesced", "queries",
-                    "failed_waits"):
-            assert t_stats[key] == p_stats[key], key
-        assert p_stats["coalesced"] == 4
-        assert p_stats["fits"] == 3
-
-
-# ---------------------------------------------------------------------- #
 # plane failures
 # ---------------------------------------------------------------------- #
 class TestWorkerCrash:
     def test_crash_sheds_group_and_router_recovers(self):
         service = SelectionService(StubZoo(), KillWorkerStrategy(("t0",)))
         router = process_router(service)
+        fleet = router._fit_plane
 
         async def crash_then_recover():
             first = router.rank("t0")
             second = router.rank("t0")
             results = await asyncio.gather(first, second,
                                            return_exceptions=True)
-            # Whole coalesced group fails typed; queue slot released.
+            # The fit was retried once on the other worker, which died
+            # too: the whole coalesced group fails typed, slot released.
             assert all(isinstance(r, FitWorkerCrashError) for r in results)
             assert router.pending_fits == 0
-            # The pool was discarded and rebuilds: the router stays
-            # serviceable for targets whose fits don't crash.
+            # Both workers are replaced before the next dispatch.
             ranking = await router.rank("t1")
             assert ranking[0][0] == "m0"
 
         try:
+            assert router.prestart_fit_plane() == 2
+            before = _worker_pids(fleet)
             run(crash_then_recover())
+            after = _worker_pids(fleet)
             stats = router.stats()
         finally:
             router.close()
+        assert len(after) == 2 and not after & before
         assert stats["fits"] == 1          # only the surviving target
         assert stats["failed_waits"] == 1  # the coalesced waiter
         assert stats["cold_fits"] == 2     # t0's originator + t1
 
-    def test_timeout_is_typed_and_bounded(self):
-        service = SelectionService(StubZoo(), SlowStrategy(sleep_s=5.0))
-        router = process_router(service, fit_timeout_s=0.5)
-        try:
-            router.prestart_fit_plane()  # exclude spawn from the bound
-            started = time.perf_counter()
-            with pytest.raises(FitTimeoutError):
-                run(router.rank("t0"))
-            assert time.perf_counter() - started < 4.0
-            assert router.pending_fits == 0
-        finally:
-            router.close()
-
-    def test_ordinary_fit_exception_keeps_its_type(self):
-        service = SelectionService(StubZoo(), FailingStrategy())
-        router = process_router(service)
-        try:
-            with pytest.raises(ValueError, match="no fit for 't0'"):
-                run(router.rank("t0"))
-            assert router.pending_fits == 0
-        finally:
-            router.close()
-
-    def test_unpicklable_strategy_is_a_typed_submit_error(self):
-        # install_stub_fit patches fit with a closure — exactly the
-        # shape that cannot cross the process boundary.
-        service = stub_service()
-        router = process_router(service)
-        try:
-            with pytest.raises(FitPlaneError, match="not.*picklable"):
-                run(router.rank("t0"))
-        finally:
-            router.close()
-
 
 # ---------------------------------------------------------------------- #
-# pool warmup / lifecycle
+# prestart / lifecycle
 # ---------------------------------------------------------------------- #
 class TestPrestart:
     def test_thread_mode_prestart_is_a_noop(self):
@@ -301,16 +211,17 @@ class TestPrestart:
         router = process_router(service, fit_workers=2)
         try:
             assert router.prestart_fit_plane() == 2
+            assert router._fit_plane.worker_count == 2
             assert run(router.rank("t0"))[0][0] == "m0"
         finally:
             router.close()
 
     def test_executor_rebuilds_after_close_refuses(self):
-        executor = ProcessFitExecutor(workers=1)
-        executor.close()
+        fleet = LocalFleet(workers=1)
+        fleet.close()
         with pytest.raises(FitPlaneError, match="closed"):
-            executor.submit_fit(StubStrategy("agree", STUB_SCORES["agree"]),
-                                StubZoo(), "t0")
+            fleet.submit_fit(StubStrategy("agree", STUB_SCORES["agree"]),
+                             StubZoo(), "t0")
 
     def test_env_default_selects_process(self, monkeypatch):
         monkeypatch.setenv("REPRO_FIT_EXECUTOR", "process")
@@ -330,7 +241,7 @@ class TestEnvDefaultIntegration:
         """A router built with no explicit executor follows
         ``REPRO_FIT_EXECUTOR`` — CI runs this file once with the
         variable set to ``process``, driving a real-zoo fit through
-        whichever plane the environment selects."""
+        whichever executor the environment selects."""
         service = SelectionService(cached_zoo, "logme",
                                    registry=ArtifactRegistry(tmp_path))
         router = AsyncSelectionRouter(service)
@@ -366,3 +277,60 @@ class TestZooRefs:
 
         with pytest.raises(FitPlaneError, match="cannot be pickled"):
             zoo_ref_for(Unpicklable())
+
+
+# ---------------------------------------------------------------------- #
+# the fleet secret: only the fleet's own workers may register
+# ---------------------------------------------------------------------- #
+class TestLocalSecret:
+    def test_outsider_is_refused_before_register_and_gets_no_fit(self):
+        fleet = LocalFleet(workers=1)
+        try:
+            assert fleet.prestart(zoo=StubZoo()) == 1
+            host, port = fleet.address
+
+            # a FitWorker without the fleet's secret is told to bring one
+            outsider = FitWorker(host, port, name="outsider")
+            with pytest.raises(FitPlaneError, match="requires a fleet secret"):
+                run(outsider.run())
+            assert outsider.worker_id is None
+
+            async def forged_auth():
+                reader, writer = await asyncio.open_connection(host, port)
+                await wire.write_frame(writer, wire.Hello(
+                    "forger", os.getpid(), nonce=wire.new_nonce()))
+                assert isinstance(await wire.read_frame(reader),
+                                  wire.Challenge)
+                await wire.write_frame(writer, wire.Auth(proof="0" * 64))
+                # dropped: neither REGISTER nor any FIT frame follows
+                with pytest.raises(asyncio.IncompleteReadError):
+                    await wire.read_frame(reader)
+                writer.close()
+
+            run(forged_auth())
+            # a fit still lands on the fleet's own worker, and only there
+            meta, _, _ = fleet.submit_fit(
+                StubStrategy("agree", STUB_SCORES["agree"]), StubZoo(), "t0")
+            assert meta["target"] == "t0"
+            summary = fleet.fleet_summary()
+            assert summary["workers"] == 1
+            assert summary["details"][0]["fits_done"] == 1
+        finally:
+            fleet.close()
+
+    def test_secret_never_reaches_a_worker_command_line(self):
+        fleet = LocalFleet(workers=2)
+        try:
+            fleet.prestart(zoo=StubZoo())
+            secret = fleet._secret.encode()
+            pids = _worker_pids(fleet)
+            assert len(pids) == 2
+            for pid in pids:
+                with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                    cmdline = fh.read()
+                assert b"multiprocessing" in cmdline  # the spawned child
+                assert secret not in cmdline
+                with open(f"/proc/{pid}/environ", "rb") as fh:
+                    assert secret not in fh.read()
+        finally:
+            fleet.close()

@@ -5,10 +5,11 @@ Three layers of coverage:
 - property-based round-trips (hypothesis) for every fleet wire frame —
   encode/decode must be lossless and byte-stable, arrays must survive
   with dtype/shape/order intact;
-- in-thread worker integration: socket-vs-thread artifact parity (the
-  same byte-identity contract the process plane proved), coalescing,
-  typed timeout/no-workers/fit-error semantics, heartbeat reaping, and
-  version-skew refusal;
+- in-thread worker integration: coalescing, typed timeout/no-workers/
+  fit-error semantics, heartbeat reaping, and version-skew refusal
+  (thread-vs-worker artifact byte parity runs across real worker
+  processes in ``tests/test_fit_plane.py``, on the same coordinator,
+  worker and wire);
 - real-daemon failover: two ``repro fit-worker`` subprocesses, one
   SIGKILLed mid-fit — the coalesced group must land on the survivor
   with zero lost requests.
@@ -32,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro.core import FeatureSet, TransferGraphConfig
+from repro.core import TransferGraphConfig
 from repro.fleet import (
     FitPlaneError,
     FitTimeoutError,
@@ -44,10 +45,8 @@ from repro.fleet import (
 from repro.fleet import wire
 from repro.obs import Observability
 from repro.serving import (
-    ArtifactRegistry,
     AsyncSelectionRouter,
     GatewayHTTPServer,
-    RankRequest,
     SelectionGateway,
     SelectionService,
 )
@@ -61,22 +60,6 @@ SRC_DIR = TESTS_DIR.parent / "src"
 
 def run(coro):
     return asyncio.run(coro)
-
-
-@pytest.fixture(scope="module")
-def cached_zoo(tiny_image_zoo, tmp_path_factory):
-    """The tiny zoo, saved where fleet workers can re-hydrate it."""
-    from repro.zoo.cache import save_zoo
-
-    cache_dir = tmp_path_factory.mktemp("fleet_zoo_cache")
-    save_zoo(tiny_image_zoo, cache_dir)
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(cache_dir)
-    yield tiny_image_zoo
-    if previous is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = previous
 
 
 # ---------------------------------------------------------------------- #
@@ -634,56 +617,6 @@ class TestLifecycleRaces:
             if fleet._thread is not None:
                 fleet._thread.join(timeout=10)
                 assert not fleet._thread.is_alive()
-
-
-# ---------------------------------------------------------------------- #
-# parity: socket-fitted artifacts byte-identical to thread-fitted
-# ---------------------------------------------------------------------- #
-PARITY_SPECS = [
-    pytest.param(TransferGraphConfig(predictor="lr", embedding_dim=16,
-                                     features=FeatureSet.everything()),
-                 id="tg"),
-    pytest.param("lr:all", id="lr-baseline"),
-    pytest.param("logme", id="score-table"),
-]
-
-
-def _serve_all(zoo, strategy, executor, registry_root, fleet=None):
-    service = SelectionService(zoo, strategy,
-                               registry=ArtifactRegistry(registry_root))
-    router = AsyncSelectionRouter(service, fit_executor=executor, fleet=fleet)
-    try:
-        responses = {}
-        for target in zoo.target_names():
-            response = run(router.handle(RankRequest(target=target)))
-            responses[target] = response.to_json()
-        stats = router.stats()
-    finally:
-        router.close()
-    assert stats["fits"] == len(zoo.target_names())
-    return responses
-
-
-class TestParity:
-    @pytest.mark.parametrize("strategy", PARITY_SPECS)
-    def test_rankings_and_artifacts_byte_identical(self, cached_zoo,
-                                                   tmp_path, strategy):
-        thread = _serve_all(cached_zoo, strategy, "thread",
-                            tmp_path / "thread_reg")
-        fleet, _, _ = fleet_with_workers(2)
-        try:
-            via_socket = _serve_all(cached_zoo, strategy, "socket",
-                                    tmp_path / "socket_reg", fleet=fleet)
-        finally:
-            fleet.close()
-        assert thread == via_socket
-
-        # Registry parity: every artifact file is byte-identical.
-        thread_reg = ArtifactRegistry(tmp_path / "thread_reg")
-        socket_reg = ArtifactRegistry(tmp_path / "socket_reg")
-        for target in cached_zoo.target_names():
-            assert thread_reg.path_for(target, strategy).read_bytes() == \
-                socket_reg.path_for(target, strategy).read_bytes()
 
 
 # ---------------------------------------------------------------------- #

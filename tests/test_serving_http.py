@@ -10,6 +10,10 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.serving import (
     ErrorResponse,
     GatewayHTTPServer,
@@ -17,6 +21,7 @@ from repro.serving import (
     RankResponse,
     ScoreBatchResponse,
     StatsResponse,
+    message_from_json,
 )
 
 from serving_stubs import stub_gateway
@@ -275,6 +280,39 @@ class TestTypedFailures:
                 gateway.close()
 
         assert run(scenario()) == b""  # dropped, no 500 invented
+
+    def _rank_with_id(self, request_id):
+        return self._exchange("POST", "/v1/rank", body=json.dumps(
+            {"namespace": "alpha", "target": "t0",
+             "request_id": request_id}))
+
+    def test_body_request_id_cannot_inject_a_response_header(self):
+        status, headers, body = self._rank_with_id(
+            "abc\r\nSet-Cookie: pwned=1")
+        assert status == 400
+        assert ErrorResponse.from_json(body).code == "bad_request"
+        assert "set-cookie" not in headers
+        assert "x-request-id" not in headers
+
+    def test_header_request_id_with_a_bare_cr_is_refused(self):
+        payload = '{"namespace": "alpha", "target": "t0"}'
+        status, headers, body = self._exchange(None, None, raw_head=(
+            "POST /v1/rank HTTP/1.1\r\n"
+            "X-Request-Id: a\rInjected: 1\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n{payload}"))
+        assert status == 400
+        assert ErrorResponse.from_json(body).code == "bad_request"
+        assert not any("\r" in value for value in headers.values())
+
+    def test_unencodable_request_id_is_a_400_not_a_dropped_connection(self):
+        status, _, body = self._rank_with_id("\ud800")
+        assert status == 400
+        assert ErrorResponse.from_json(body).code == "bad_request"
+
+    def test_deeply_nested_json_is_400_not_500(self):
+        status, _, body = self._exchange("POST", "/v1/rank", body="[" * 3000)
+        assert status == 400
+        assert ErrorResponse.from_json(body).code == "bad_request"
 
     def test_oversized_body_is_413(self):
         async def scenario():
@@ -587,3 +625,142 @@ class TestCompareEndpoint:
         assert response.results["random"].status == "shed"
         assert response.results["random"].retry_after_s == 3.0
         assert response.results["tg:lr,n2v,all"].status == "ok"
+
+
+# ---------------------------------------------------------------------- #
+# request-parser fuzz: typed answer or a clean hang-up, never a 500
+# ---------------------------------------------------------------------- #
+_FUZZ_READ_TIMEOUT_S = 0.5
+_TYPED_STATUSES = {200, 400, 404, 405, 413, 429}
+#: every header name the server itself writes
+_SERVER_HEADERS = {"content-type", "content-length", "connection",
+                   "x-request-id", "retry-after", "allow"}
+_INTERIM = b"HTTP/1.1 100 Continue\r\n\r\n"
+_VALID_BODIES = {
+    "/v1/rank": {"namespace": "alpha", "target": "t0", "top_k": 2},
+    "/v1/score_batch": {"namespace": "alpha",
+                        "pairs": [["m0", "t0"], ["m2", "t1"]]},
+    "/v1/compare": {"namespace": "alpha", "target": "t0"},
+}
+_any_char = st.characters(exclude_categories=())  # surrogates too
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(_any_char, max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(_any_char, max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+#: the one field a mutated request changes: a body key (existing or
+#: not) or the X-Request-Id header
+_FIELDS = st.sampled_from(["namespace", "target", "top_k", "strategy",
+                           "request_id", "pairs", "kind", "bogus",
+                           "X-Request-Id"])
+
+
+def _post(path: str, body: bytes, request_id: str | None = None) -> bytes:
+    head = [f"POST {path} HTTP/1.1", "Host: fuzz"]
+    if request_id is not None:
+        head.append(f"X-Request-Id: {request_id}")
+    head.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+async def _exchange_raw(gateway, payload: bytes):
+    """Send ``payload``, half-close, read to EOF.
+
+    Returns (raw response, exception-handler contexts, seconds waited).
+    """
+    loop = asyncio.get_running_loop()
+    unhandled = []
+    loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+    server = GatewayHTTPServer(gateway, "127.0.0.1", 0,
+                               read_timeout_s=_FUZZ_READ_TIMEOUT_S)
+    await server.start()
+    host, port = server.address
+    reader, writer = await asyncio.open_connection(host, port)
+    started = loop.time()
+    try:
+        writer.write(payload)
+        writer.write_eof()
+        raw = await asyncio.wait_for(reader.read(),
+                                     _FUZZ_READ_TIMEOUT_S + 1.0)
+    finally:
+        waited = loop.time() - started
+        writer.close()
+    # let the server's connection task finish and report any exception
+    me = asyncio.current_task()
+    for _ in range(1000):
+        if all(t is me or t.done() for t in asyncio.all_tasks()):
+            break
+        await asyncio.sleep(0)
+    await asyncio.sleep(0)
+    await server.close()
+    return raw, unhandled, waited
+
+
+def _check_exchange(gateway, payload: bytes, complete: bool) -> None:
+    raw, unhandled, waited = asyncio.run(_exchange_raw(gateway, payload))
+    assert unhandled == []
+    assert waited <= _FUZZ_READ_TIMEOUT_S + 1.0
+    while raw.startswith(_INTERIM):
+        raw = raw[len(_INTERIM):]
+    if not raw:
+        assert not complete, "a complete request got no response"
+        return
+    head, sep, body = raw.partition(b"\r\n\r\n")
+    assert sep
+    status_line, *header_lines = head.decode("ascii").split("\r\n")
+    status = int(status_line.split()[1])
+    assert status in _TYPED_STATUSES
+    headers = {}
+    for line in header_lines:
+        name, colon, value = line.partition(": ")
+        assert colon and name.lower() in _SERVER_HEADERS, line
+        assert value.isprintable(), line
+        headers[name.lower()] = value
+    assert int(headers["content-length"]) == len(body)
+    if status != 200:
+        assert ErrorResponse.from_json(body).code
+    elif headers["content-type"] == "application/json":
+        payload = json.loads(body)
+        if "kind" in payload:
+            message_from_json(body)
+
+
+@pytest.fixture(scope="module")
+def fuzz_gateway():
+    gateway = stub_gateway(names=("alpha",))
+    yield gateway
+    gateway.close()
+
+
+class TestParserFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(payload=st.binary(max_size=512)
+           | st.builds(lambda path, body: _post(path, body),
+                       st.sampled_from(sorted(_VALID_BODIES)),
+                       st.binary(max_size=64)))
+    @example(payload=_post("/v1/rank", b"[" * 3000))
+    def test_arbitrary_bytes_get_a_typed_answer_or_a_hang_up(
+            self, fuzz_gateway, payload):
+        _check_exchange(fuzz_gateway, payload, complete=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(sorted(_VALID_BODIES)), field=_FIELDS,
+           value=_json_values,
+           header=st.text(st.characters(max_codepoint=255), max_size=16))
+    @example(path="/v1/rank", field="request_id",
+             value="abc\r\nSet-Cookie: pwned=1", header="")
+    @example(path="/v1/rank", field="request_id", value="\ud800", header="")
+    @example(path="/v1/rank", field="X-Request-Id", value=None,
+             header="a\rInjected: 1")
+    def test_one_mutated_field_gets_a_typed_answer(
+            self, fuzz_gateway, path, field, value, header):
+        body = dict(_VALID_BODIES[path])
+        request_id = None
+        if field == "X-Request-Id":
+            request_id = header
+        else:
+            body[field] = value
+        payload = _post(path, json.dumps(body).encode(), request_id)
+        _check_exchange(fuzz_gateway, payload, complete=True)

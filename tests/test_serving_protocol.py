@@ -122,6 +122,12 @@ class TestValidation:
         with pytest.raises(ProtocolError):
             RankRequest.from_json("[1, 2]")
 
+    def test_rejects_nesting_deeper_than_the_decoder_recurses(self):
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            RankRequest.from_json("[" * 3000)
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            message_from_json(b'{"kind": "rank", "target": ' + b"[" * 3000)
+
     def test_rejects_unknown_fields(self):
         with pytest.raises(ProtocolError, match="unknown field"):
             RankRequest.from_json('{"target": "dtd", "tpo_k": 3}')
