@@ -347,7 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-pending-fits", type=_positive_int, default=8,
                        help="per-namespace cold-fit queue bound")
     serve.add_argument("--fit-workers", type=_positive_int, default=2,
-                       help="per-namespace parallel cold-fit workers")
+                       help="parallel cold fits per strategy: in thread "
+                            "mode one pool of this many threads per "
+                            "strategy, shared by every namespace; in "
+                            "process mode this many fit-worker processes "
+                            "per namespace and strategy")
     serve.add_argument("--fit-executor",
                        choices=("thread", "process", "socket"),
                        default=None,

@@ -52,13 +52,14 @@ class LocalFleet(FleetCoordinator):
     The coordinator and the workers start on the first :meth:`prestart`
     or :meth:`submit_fit`; both top the fleet back up to ``workers``
     registered processes first, so a dead worker is replaced before the
-    next dispatch.
+    next dispatch.  ``obs`` receives the coordinator's worker gauge and
+    dispatch outcomes, as for a socket fleet.
     """
 
-    def __init__(self, workers: int = 2):
+    def __init__(self, workers: int = 2, *, obs=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        super().__init__("127.0.0.1", 0, secret=secrets.token_hex(32))
+        super().__init__("127.0.0.1", 0, secret=secrets.token_hex(32), obs=obs)
         self.workers = workers
         self._spawn_lock = threading.Lock()
         self._procs: list = []  # guarded by: self._spawn_lock

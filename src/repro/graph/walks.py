@@ -8,12 +8,19 @@ Following the paper's description:
   edge weights ("the probability of visiting the next neighbor is
   associated with the edge weights").
 
-Graphs here are small (hundreds of nodes), so transition distributions
-are computed on the fly instead of via alias tables.
+Graphs here are small (hundreds of nodes), so each walk state's
+transition distribution — one per (previous, current) pair, or per
+current node when p = q = 1 — is built lazily, once per
+:func:`generate_walks` call, as the inverse CDF that
+``Generator.choice(n, p=probs)`` would build, and every step inverts a
+uniform with a binary search.  Each walk draws its ``walk_length - 1``
+uniforms in one call; that is the same stream, in the same order, as
+one ``choice`` per step, so walks are identical to the per-step loop.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,26 +57,25 @@ def _collapse_neighbors(graph: ModelDatasetGraph,
     return names, np.array([totals[n] for n in names])
 
 
-def _step_probabilities(neighbors: list[str], weights: np.ndarray,
-                        previous: str | None,
-                        previous_neighbors: set[str],
-                        config: WalkConfig) -> np.ndarray:
-    base = weights if config.weighted else np.ones(len(neighbors))
-    bias = np.empty(len(neighbors))
-    for k, candidate in enumerate(neighbors):
-        if previous is None:
-            bias[k] = 1.0
-        elif candidate == previous:
-            bias[k] = 1.0 / config.p
-        elif candidate in previous_neighbors:
-            bias[k] = 1.0
-        else:
-            bias[k] = 1.0 / config.q
-    probs = base * bias
+def _step_cdf(weights: np.ndarray, bias: np.ndarray,
+              config: WalkConfig) -> list[float]:
+    """Inverse-CDF table of one walk state, as ``Generator.choice`` builds it.
+
+    ``choice(n, p=probs)`` inverts ``probs.cumsum() / cdf[-1]`` with
+    ``searchsorted(u, side="right")``; :func:`bisect.bisect_right` on the
+    same doubles picks the same neighbor.
+    """
+    probs = weights * bias if config.weighted else bias
     total = probs.sum()
     if total <= 0:
-        return np.full(len(neighbors), 1.0 / len(neighbors))
-    return probs / total
+        probs = np.full(len(bias), 1.0 / len(bias))
+    else:
+        probs = probs / total
+    if not (probs >= 0).all():  # choice() rejects these (NaN, negatives)
+        raise ValueError("walk transition probabilities are not non-negative")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def generate_walks(graph: ModelDatasetGraph, config: WalkConfig,
@@ -82,37 +88,55 @@ def generate_walks(graph: ModelDatasetGraph, config: WalkConfig,
     neighborhood here so re-walking costs O(changed nodes), not
     O(graph).  Unknown names are ignored.
     """
-    neighbor_cache: dict[str, tuple[list[str], np.ndarray]] = {
-        node: _collapse_neighbors(graph, node) for node in graph.nodes()
-    }
-    neighbor_sets = {node: set(names) for node, (names, _) in neighbor_cache.items()}
+    names = graph.nodes()
+    index = {node: i for i, node in enumerate(names)}
+    neighbors: list[list[int]] = []
+    weights: list[np.ndarray] = []
+    for node in names:
+        neighbor_names, neighbor_weights = _collapse_neighbors(graph, node)
+        neighbors.append([index[n] for n in neighbor_names])
+        weights.append(neighbor_weights)
+    neighbor_sets = [set(row) for row in neighbors]
+
+    # (previous, current) -> inverse CDF; previous == -1 at a walk's start
+    cdfs: dict[tuple[int, int], list[float]] = {}
+
+    def step_cdf(previous: int, current: int) -> list[float]:
+        row = neighbors[current]
+        if previous < 0:
+            bias = np.ones(len(row))
+        else:
+            near = neighbor_sets[previous]
+            bias = np.array([1.0 / config.p if candidate == previous
+                             else 1.0 if candidate in near
+                             else 1.0 / config.q for candidate in row])
+        cdf = cdfs[previous, current] = _step_cdf(weights[current], bias, config)
+        return cdf
 
     walks: list[list[str]] = []
     if start_nodes is None:
-        nodes = graph.nodes()
+        starts = list(range(len(names)))
     else:
-        known = set(graph.nodes())
-        nodes = sorted(n for n in set(start_nodes) if n in known)
-    if not nodes:
+        starts = sorted(index[n] for n in set(start_nodes) if n in index)
+    if not starts:
         return walks
+    steps = config.walk_length - 1
+    # With p = q = 1 every bias is 1, so a step's distribution does not
+    # depend on the previous node: key every state by its current node.
+    memoryless = config.p == 1 and config.q == 1
     for _ in range(config.num_walks):
-        order = rng.permutation(len(nodes))
-        for node_idx in order:
-            start = nodes[node_idx]
-            if not neighbor_cache[start][0]:
+        for position in rng.permutation(len(starts)).tolist():
+            current = starts[position]
+            if not neighbors[current]:
                 continue  # isolated node: nothing to walk
-            walk = [start]
-            previous: str | None = None
-            current = start
-            while len(walk) < config.walk_length:
-                neighbors, weights = neighbor_cache[current]
-                if not neighbors:
-                    break
-                probs = _step_probabilities(
-                    neighbors, weights, previous,
-                    neighbor_sets[previous] if previous else set(), config)
-                nxt = neighbors[int(rng.choice(len(neighbors), p=probs))]
-                walk.append(nxt)
-                previous, current = current, nxt
+            # The graph is undirected, so every later node has a neighbor
+            # (the one the walk came from) and the walk never ends early.
+            walk = [names[current]]
+            previous = -1
+            for uniform in rng.random(steps).tolist():
+                cdf = cdfs.get((previous, current)) or step_cdf(previous, current)
+                nxt = neighbors[current][bisect_right(cdf, uniform)]
+                walk.append(names[nxt])
+                previous, current = (-1 if memoryless else current), nxt
             walks.append(walk)
     return walks

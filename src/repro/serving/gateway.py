@@ -21,6 +21,15 @@ their optional ``strategy`` field selects:
   (percentiles of the pooled latency histograms, not averages of
   per-namespace percentiles).
 
+Thread-mode routers share their fit pools: every namespace's router
+for one strategy spec (with one ``fit_workers``) runs its cold fits on a
+single gateway-owned thread pool, so a gateway fitting many namespaces
+keeps ``fit_workers`` fit threads per strategy instead of starting new
+ones — each with its own glibc malloc arena holding that fit's freed
+temporaries — for every namespace.  Process- and socket-mode routers
+keep their own pools: their threads only wait on remote fits, and
+sharing would cap the fleet's concurrency.
+
 Serving several strategies over one namespace turns the paper's
 Table-style comparison into a live workload: the same ``/v1/rank``
 request with different ``strategy`` values answers a TG variant, an LR
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import re
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.obs import Observability
@@ -53,6 +63,7 @@ from repro.serving.router import (
     AsyncSelectionRouter,
     QueueFullError,
     RouterStats,
+    resolve_fit_executor,
 )
 from repro.serving.service import SelectionService, ServiceStats
 from repro.strategies import (
@@ -243,6 +254,9 @@ class SelectionGateway:
         self.obs = obs if obs is not None else Observability()
         self.fleet = fleet
         self._namespaces: dict[str, _Namespace] = {}
+        #: (strategy spec, fit_workers) -> the fit pool every thread-mode
+        #: router of that strategy shares (module doc)
+        self._fit_pools: dict[tuple[str, int], ThreadPoolExecutor] = {}
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -289,7 +303,9 @@ class SelectionGateway:
           wrong budget).
 
         ``fit_executor`` selects where every router in the namespace
-        runs its cold fits: ``"thread"`` (in-process pool),
+        runs its cold fits: ``"thread"`` (the gateway's in-process pool
+        for that strategy, shared with every other namespace's
+        thread-mode router of the same spec and ``fit_workers``),
         ``"process"`` (each router's own :class:`~repro.fleet.LocalFleet`
         of ``fit_workers`` spawned worker processes — true multi-core
         fitting), ``"socket"`` (the gateway's shared
@@ -310,6 +326,7 @@ class SelectionGateway:
         if registry is None and self._registry_root is not None:
             registry = ArtifactRegistry(self._registry_root / name)
 
+        fit_executor = resolve_fit_executor(fit_executor)
         ns = _Namespace(name, zoo)
         resolved = [resolve_strategy(strategy)]
         resolved += [resolve_strategy(s) for s in strategies]
@@ -323,6 +340,9 @@ class SelectionGateway:
             service = SelectionService(
                 zoo, strat, registry=registry, cache_size=cache_size
             )
+            fit_pool = None  # remote-mode threads only wait on their fleet
+            if fit_executor == "thread":
+                fit_pool = self._fit_pool(strat.spec, fit_workers)
             router = AsyncSelectionRouter(
                 service,
                 max_pending_fits=budgets[strat.spec],
@@ -333,6 +353,8 @@ class SelectionGateway:
                 fit_executor=fit_executor,
                 fit_timeout_s=fit_timeout_s,
                 fleet=self.fleet,
+                fit_pool=fit_pool,
+                obs=self.obs,
             )
             ns.entries[strat.spec] = _Entry(service, router)
             self.obs.watch_queue_depth(
@@ -341,6 +363,16 @@ class SelectionGateway:
         ns.default_spec = resolved[0].spec
         self._namespaces[name] = ns
         return ns.entries[ns.default_spec].service
+
+    def _fit_pool(self, spec: str, fit_workers: int) -> ThreadPoolExecutor:
+        """The fit pool thread-mode routers of ``spec`` share."""
+        key = (spec, fit_workers)
+        pool = self._fit_pools.get(key)
+        if pool is None:
+            pool = self._fit_pools[key] = ThreadPoolExecutor(
+                max_workers=fit_workers, thread_name_prefix="gateway-fit"
+            )
+        return pool
 
     def namespaces(self) -> list[str]:
         return sorted(self._namespaces)
@@ -579,12 +611,15 @@ class SelectionGateway:
         return None if self.fleet is None else self.fleet.fleet_summary()
 
     def close(self) -> None:
-        """Shut every namespace's routers (and the fleet) down; idempotent."""
+        """Shut every namespace's routers, the shared fit pools and the
+        fleet down; idempotent."""
         if not self._closed:
             self._closed = True
             for ns in self._namespaces.values():
                 for entry in ns.entries.values():
                     entry.router.close()
+            for pool in self._fit_pools.values():
+                pool.shutdown(wait=True)
             if self.fleet is not None:
                 self.fleet.close()
 

@@ -25,7 +25,10 @@ loop:
   catalog writers.  Distinct cold targets fit in parallel (derived-score
   recording into the shared zoo catalog is lock-guarded — see
   :attr:`repro.store.ZooCatalog.lock` — so ``fit_workers`` defaults
-  above one);
+  above one).  The pool is the router's own unless one is injected
+  (``fit_pool``): the gateway shares one pool among its thread-mode
+  routers of a strategy, so fit threads — and the malloc arenas each new
+  thread gets — do not multiply with namespaces;
 - **remote fits** — pure-Python fit stages (walks, SGNS) hold the GIL,
   so the thread pool alone serves cold traffic at roughly one core.
   ``fit_executor="process"`` ships each cold fit to a
@@ -83,7 +86,12 @@ from repro.serving.protocol import (
 )
 from repro.serving.service import Answer, SelectionService, ServiceStats
 
-__all__ = ["AsyncSelectionRouter", "RouterStats", "QueueFullError"]
+__all__ = [
+    "AsyncSelectionRouter",
+    "RouterStats",
+    "QueueFullError",
+    "resolve_fit_executor",
+]
 
 _COUNTER_FIELDS = (
     "requests",
@@ -191,6 +199,18 @@ class RouterStats:
         }
 
 
+def resolve_fit_executor(fit_executor: str | None) -> str:
+    """The fit plane a router runs; ``None`` reads ``REPRO_FIT_EXECUTOR``."""
+    if fit_executor is None:
+        fit_executor = os.environ.get("REPRO_FIT_EXECUTOR", "thread")
+    if fit_executor not in ("thread", "process", "socket"):
+        raise ValueError(
+            f"fit_executor must be 'thread', 'process', or 'socket', "
+            f"got {fit_executor!r}"
+        )
+    return fit_executor
+
+
 def _retrieve_exception(future: asyncio.Future) -> None:
     # A failed fit with zero coalesced waiters would otherwise log
     # "exception was never retrieved" — the originator re-raises its own
@@ -259,6 +279,16 @@ class AsyncSelectionRouter:
         dispatch through.  Required for ``fit_executor="socket"``; the
         coordinator is shared (gateway-owned), so :meth:`close` leaves
         it running.
+    fit_pool:
+        A shared :class:`~concurrent.futures.ThreadPoolExecutor` to run
+        fit jobs on instead of a pool of the router's own; its owner
+        (the gateway) shuts it down, :meth:`close` leaves it running.
+        ``None`` (default) gives the router a ``fit_workers``-thread
+        pool it owns.
+    obs:
+        The :class:`~repro.obs.Observability` a process-mode
+        :class:`~repro.fleet.LocalFleet` reports its worker count and
+        dispatch outcomes to; ``None`` exports nothing.
     """
 
     def __init__(
@@ -274,6 +304,8 @@ class AsyncSelectionRouter:
         fit_executor: str | None = None,
         fit_timeout_s: float | None = None,
         fleet=None,
+        fit_pool: ThreadPoolExecutor | None = None,
+        obs=None,
     ):
         if max_pending_fits < 1:
             raise ValueError("max_pending_fits must be >= 1")
@@ -283,13 +315,7 @@ class AsyncSelectionRouter:
             raise ValueError("fit_workers must be >= 1")
         if not (0.0 <= shed_start <= 1.0):
             raise ValueError("shed_start must be in [0, 1]")
-        if fit_executor is None:
-            fit_executor = os.environ.get("REPRO_FIT_EXECUTOR", "thread")
-        if fit_executor not in ("thread", "process", "socket"):
-            raise ValueError(
-                f"fit_executor must be 'thread', 'process', or 'socket', "
-                f"got {fit_executor!r}"
-            )
+        fit_executor = resolve_fit_executor(fit_executor)
         if fit_executor == "socket" and fleet is None:
             raise ValueError(
                 "fit_executor='socket' needs a FleetCoordinator (fleet=...)"
@@ -308,13 +334,17 @@ class AsyncSelectionRouter:
         #: shut a coordinator other routers still dispatch through
         self._owns_fit_plane = False
         if fit_executor == "process":
-            self._fit_plane = LocalFleet(fit_workers)
+            self._fit_plane = LocalFleet(fit_workers, obs=obs)
             self._owns_fit_plane = True
         elif fit_executor == "socket":
             self._fit_plane = fleet
-        self._fit_pool = ThreadPoolExecutor(
-            max_workers=fit_workers, thread_name_prefix="router-fit"
-        )
+        #: an injected pool is shared (gateway-owned); close() leaves it
+        self._owns_fit_pool = fit_pool is None
+        if fit_pool is None:
+            fit_pool = ThreadPoolExecutor(
+                max_workers=fit_workers, thread_name_prefix="router-fit"
+            )
+        self._fit_pool = fit_pool
         self._stats = RouterStats()  # guarded by: self._stats_lock
         self._stats_lock = threading.Lock()
         #: in-flight fit futures keyed by (target, config_fp); mutated
@@ -686,13 +716,14 @@ class AsyncSelectionRouter:
     def close(self) -> None:
         """Shut the executors down; idempotent.
 
-        A shared socket fit plane (the gateway's fleet coordinator) is
-        left running — other routers may still dispatch through it, and
-        its owner closes it.
+        A shared fit pool or socket fit plane (the gateway's) is left
+        running — other routers may still use it, and its owner closes
+        it.
         """
         if not self._closed:
             self._closed = True
-            self._fit_pool.shutdown(wait=True)
+            if self._owns_fit_pool:
+                self._fit_pool.shutdown(wait=True)
             if self._fit_plane is not None and self._owns_fit_plane:
                 self._fit_plane.close()
 

@@ -194,6 +194,35 @@ class TestWorkerCrash:
 
 
 # ---------------------------------------------------------------------- #
+# observability
+# ---------------------------------------------------------------------- #
+class TestObservability:
+    def test_gateway_metrics_count_local_fleet_dispatches(self):
+        """A process-mode namespace's local fleet reports to the gateway's
+        metrics; healthz's ``fleet`` block stays the socket fleet's."""
+        from repro.obs import Observability
+        from repro.serving import SelectionGateway
+
+        obs = Observability()
+        gateway = SelectionGateway(obs=obs)
+        try:
+            gateway.add_namespace(
+                "alpha", StubZoo(), StubStrategy("agree", STUB_SCORES["agree"]),
+                fit_executor="process", fit_workers=1)
+            response = run(gateway.rank(RankRequest(target="t0",
+                                                    namespace="alpha")))
+            metrics = obs.render_metrics()
+            assert gateway.fleet_summary() is None
+        finally:
+            gateway.close()
+        assert response.ranking[0][0] == "m0"
+        assert 'repro_fleet_dispatch_total{outcome="ok"} 1' in metrics
+        assert "repro_fleet_workers 1" in metrics
+        # closed fleets drop out of the summed gauge
+        assert "repro_fleet_workers 0" in obs.render_metrics()
+
+
+# ---------------------------------------------------------------------- #
 # prestart / lifecycle
 # ---------------------------------------------------------------------- #
 class TestPrestart:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core import FeatureSet, TransferGraphConfig
 from repro.serving import (
+    AsyncSelectionRouter,
     RankRequest,
     RankResponse,
     ScoreBatchRequest,
@@ -17,7 +20,13 @@ from repro.serving import (
     UnknownTargetError,
 )
 
-from serving_stubs import stub_gateway
+from serving_stubs import (
+    STUB_SCORES,
+    StubStrategy,
+    StubZoo,
+    stub_gateway,
+    stub_service,
+)
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +185,96 @@ class TestLifecycle:
 
         response = run(scenario())
         assert response.ranking[0][0] == "m0"
+
+
+class TestSharedFitPools:
+    """Thread-mode routers of one strategy share one gateway fit pool."""
+
+    def test_fit_threads_bounded_across_namespaces(self):
+        fit_threads = set()
+        lock = threading.Lock()
+
+        def recording(fit):
+            def fit_on_thread(zoo, target):
+                with lock:
+                    fit_threads.add(threading.current_thread())
+                return fit(zoo, target)
+            return fit_on_thread
+
+        names = [f"ns{i}" for i in range(12)]
+        extra = StubStrategy("agree", STUB_SCORES["agree"], fit_seconds=0.01)
+        gateway = stub_gateway(names=names, strategies=(extra,),
+                               fit_seconds=0.01, fit_workers=2,
+                               fit_executor="thread")
+        wrapped = set()
+        for name in names:
+            for spec in gateway.strategies(name):
+                strategy = gateway.service(name, spec).strategy
+                if id(strategy) not in wrapped:
+                    wrapped.add(id(strategy))
+                    strategy.fit = recording(strategy.fit)
+
+        async def one_cold_fit_each():
+            return await asyncio.gather(*(
+                gateway.rank(RankRequest(target="t0", namespace=name,
+                                         strategy=spec))
+                for name in names for spec in gateway.strategies(name)))
+
+        try:
+            responses = run(one_cold_fit_each())
+            assert len(responses) == 24
+            assert gateway.stats().fleet["fits"] == 24
+        finally:
+            gateway.close()
+        # 2 strategies x fit_workers threads, not one pool per router
+        assert 1 < len(fit_threads) <= 2 * 2
+        assert not any(thread.is_alive() for thread in fit_threads)
+
+    def test_standalone_router_shuts_its_own_pool(self):
+        fit_threads = []
+        service = stub_service()
+        fit = service.strategy.fit
+
+        def fit_on_thread(zoo, target):
+            fit_threads.append(threading.current_thread())
+            return fit(zoo, target)
+
+        service.strategy.fit = fit_on_thread
+        router = AsyncSelectionRouter(service, fit_executor="thread")
+        run(router.rank("t0"))
+        router.close()
+        assert fit_threads and not fit_threads[0].is_alive()
+
+    def test_router_leaves_an_injected_pool_running(self):
+        pool = ThreadPoolExecutor(max_workers=1)
+        router = AsyncSelectionRouter(stub_service(), fit_executor="thread",
+                                      fit_pool=pool)
+        try:
+            assert run(router.rank("t0"))[0][0] == "m0"
+            router.close()
+            assert pool.submit(lambda: 7).result() == 7
+        finally:
+            pool.shutdown(wait=True)
+
+    def test_only_thread_mode_routers_share(self):
+        gateway = SelectionGateway()
+        try:
+            for name in ("a", "b"):
+                gateway.add_namespace(name, StubZoo(), TransferGraphConfig(),
+                                      fit_executor="thread")
+            gateway.add_namespace("p", StubZoo(), TransferGraphConfig(),
+                                  fit_executor="process")
+            gateway.add_namespace("w", StubZoo(), TransferGraphConfig(),
+                                  fit_executor="thread", fit_workers=3)
+            shared = gateway.router("a")._fit_pool
+            assert gateway.router("b")._fit_pool is shared
+            # a process-mode router's threads only wait on its workers
+            assert gateway.router("p")._fit_pool is not shared
+            # fit_workers is part of the pool's identity
+            assert gateway.router("w")._fit_pool is not shared
+        finally:
+            gateway.close()
+        # the process-mode router owned (and shut) its pool; no worker
+        # process was ever spawned
+        assert gateway.router("p")._fit_pool._shutdown
+        assert gateway.router("p")._fit_plane.worker_count == 0
