@@ -4,8 +4,9 @@ Not a paper figure: this measures what the wire costs.  The same warm
 skewed workload is replayed twice with 8 concurrent clients — once
 straight through an :class:`AsyncSelectionRouter` (function calls in one
 process) and once as real HTTP/1.1 exchanges against a
-:class:`GatewayHTTPServer` on a loopback socket (connection setup,
-request parsing, protocol JSON both ways).  Both sides are warmed first
+:class:`GatewayHTTPServer` on a loopback socket, each client on one
+kept-alive connection as the server serves it (request parsing,
+protocol JSON both ways).  Both sides are warmed first
 so the comparison isolates per-request overhead rather than cold-fit
 throughput (which `bench_async_router.py` already covers).
 """
@@ -35,22 +36,29 @@ _QUERIES = 60
 _NAMESPACE = "bench"
 
 
-async def _http_exchange(host: str, port: int, path: str,
-                         payload: bytes) -> int:
+async def _http_client(host: str, port: int,
+                       bodies: list[tuple[str, bytes]]) -> None:
+    """Replay ``bodies`` over one kept-alive connection, as a real client
+    would; responses are framed by their Content-Length."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        writer.write((f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
-                      f"Content-Length: {len(payload)}\r\n\r\n"
-                      ).encode() + payload)
-        await writer.drain()
-        raw = await reader.read()
+        for path, payload in bodies:
+            writer.write((f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+                          f"Content-Length: {len(payload)}\r\n\r\n"
+                          ).encode() + payload)
+            head = await reader.readuntil(b"\r\n\r\n")
+            status = int(head.split(b" ", 2)[1])
+            assert status == 200, f"unexpected HTTP {status}"
+            length = next(int(line.split(b":", 1)[1])
+                          for line in head.split(b"\r\n")
+                          if line.lower().startswith(b"content-length:"))
+            await reader.readexactly(length)
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except ConnectionError:
             pass
-    return int(raw.split(b" ", 2)[1])
 
 
 async def _http_replay(gateway: SelectionGateway, workload,
@@ -62,13 +70,9 @@ async def _http_replay(gateway: SelectionGateway, workload,
                 else "/v1/score_batch"), request.to_json().encode())
               for request in workload]
 
-    async def client() -> None:
-        for path, payload in bodies:
-            status = await _http_exchange(host, port, path, payload)
-            assert status == 200, f"unexpected HTTP {status}"
-
     started = time.perf_counter()
-    await asyncio.gather(*(client() for _ in range(clients)))
+    await asyncio.gather(*(_http_client(host, port, bodies)
+                           for _ in range(clients)))
     elapsed = time.perf_counter() - started
     await server.close()
     return elapsed

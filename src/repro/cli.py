@@ -805,10 +805,19 @@ def _cmd_serve(args) -> int:
         fit_budgets = dict(args.fit_budgets)
     elif args.weighted_fit_budgets:
         fit_budgets = "weighted"
+    # One ModelZoo per distinct (modality, scale), handed to every
+    # namespace that names it, just as a namespace's strategies share
+    # its zoo: `serve` exposes no catalog write, so all they share is
+    # deterministic derived fills (model-forward features, dataset
+    # similarities, transferability scores).  Registry shards stay per
+    # namespace.
+    zoos: dict = {}
     for name, modality, scale in specs:
         scale = scale or args.scale  # spec omitted :SCALE -> --scale
-        zoo = get_or_build_zoo(presets[scale](modality=modality,
-                                              seed=args.seed))
+        if (modality, scale) not in zoos:
+            zoos[modality, scale] = get_or_build_zoo(
+                presets[scale](modality=modality, seed=args.seed))
+        zoo = zoos[modality, scale]
         gateway.add_namespace(
             name, zoo, default_strategy,
             strategies=extra_strategies,
@@ -852,10 +861,7 @@ def _cmd_serve(args) -> int:
         print(f"  curl -X POST http://{host}:{port}/v1/compare -d "
               f"'{{\"namespace\": \"{example}\", \"target\": "
               f"\"{target}\"}}'", flush=True)
-        try:
-            await server.serve_forever()
-        finally:
-            await server.close()
+        await server.serve_forever()  # closes the server when cancelled
 
     # SIGTERM takes the Ctrl-C path, so the finally below still shuts the
     # fit plane down instead of orphaning its worker processes.

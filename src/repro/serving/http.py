@@ -48,8 +48,29 @@ anything else                         500     ``internal``
 The 429 carries the router's adaptive backpressure hint twice: machine-
 readable in ``ErrorResponse.retry_after_s`` (fractional seconds) and as
 the integral ``Retry-After`` header HTTP clients already understand.
-Connections are single-request (``Connection: close``): the server
-optimises for correctness and testability, not keep-alive throughput.
+
+Connections persist.  An ``HTTP/1.1`` request keeps its connection open
+unless it sends ``Connection: close``; any other version closes unless
+it sends ``Connection: keep-alive``.  Every response carries
+``Connection: close`` when the server closes after it and
+``Connection: keep-alive`` otherwise.  Pipelined requests are answered
+in order, one at a time.  Each request's read phase, the idle wait
+before its first byte included, is bounded by ``read_timeout_s``: a
+connection that does not deliver a whole request in time is dropped
+without a response.
+
+Framing is strict (RFC 9112 §6).  ``Content-Length`` must be ASCII
+digits, repeated ``Content-Length`` values must agree, and any
+``Transfer-Encoding`` is a 400 ``bad_request``, because the server
+implements no transfer coding.  A request whose bytes cannot be framed
+(a malformed request line or header, a line over 8 KiB, more than 64
+headers, a bad ``Content-Length``, a ``Transfer-Encoding``, or a 413
+whose body is left unread) is answered and then the connection closes:
+where a next request would start is unknown.  A request that was read
+completely keeps its connection, whatever the answer.
+:meth:`GatewayHTTPServer.close` stops accepting, closes idle
+connections at once, and lets an in-flight request finish with
+``Connection: close``.
 
 Handlers never block the event loop: fits and artifact I/O run behind
 the router's executor (the ``async-blocking`` analysis rule enforces
@@ -96,6 +117,12 @@ _REASONS = {
 _MAX_LINE_BYTES = 8 * 1024
 _MAX_HEADERS = 64
 
+#: a header field name is a token (RFC 9110 §5.1): no whitespace, so
+#: ``Content-Length : 5`` or an obs-folded line is malformed
+_TOKEN = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+#: Content-Length = 1*DIGIT, ASCII only (RFC 9110 §8.6)
+_DIGITS = re.compile(r"[0-9]+")
+
 #: a client-supplied request id is echoed in a response header
 _HEADER_SAFE_ID = re.compile(r"[\x21-\x7e]+")
 
@@ -115,8 +142,14 @@ class _HTTPError(Exception):
         self.headers = headers
 
 
+def _bad_request(message: str) -> _HTTPError:
+    return _HTTPError(400, ErrorResponse(code="bad_request", message=message))
+
+
 def _error_for(exc: Exception) -> _HTTPError:
     """Map a serving-layer exception to its typed HTTP failure."""
+    if isinstance(exc, _HTTPError):
+        return exc
     if isinstance(exc, QueueFullError):
         hint = float(exc.retry_after_s)
         return _HTTPError(
@@ -139,7 +172,7 @@ def _error_for(exc: Exception) -> _HTTPError:
     if isinstance(exc, UnknownModelError):
         return _HTTPError(400, ErrorResponse(code="unknown_model", message=str(exc)))
     if isinstance(exc, ProtocolError):
-        return _HTTPError(400, ErrorResponse(code="bad_request", message=str(exc)))
+        return _bad_request(str(exc))
     # Anything else is a server bug: report the class of failure only,
     # never internals (messages/tracebacks stay in server logs).
     return _HTTPError(
@@ -169,6 +202,11 @@ class GatewayHTTPServer:
         self.max_body_bytes = max_body_bytes
         self.read_timeout_s = read_timeout_s
         self._server: asyncio.AbstractServer | None = None
+        self._closing = False
+        #: every live connection's handler task, and the writers of those
+        #: reading a request (idle ones included), which close() drops
+        self._connections: set[asyncio.Task] = set()
+        self._reading: set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -177,6 +215,7 @@ class GatewayHTTPServer:
         """Bind and start accepting; returns the bound (host, port)."""
         if self._server is not None:
             raise RuntimeError("server already started")
+        self._closing = False
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -191,15 +230,36 @@ class GatewayHTTPServer:
         return host, port
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled, then :meth:`close`.
+
+        Not ``asyncio.Server.serve_forever``: from Python 3.12.1 its
+        cancellation waits for every open connection, so one idle
+        keep-alive client would hold shutdown for ``read_timeout_s``.
+        """
         if self._server is None:
             await self.start()
-        await self._server.serve_forever()
+        try:
+            await asyncio.get_running_loop().create_future()
+        finally:
+            await self.close()
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting, close idle connections, drain in-flight ones.
+
+        A connection waiting for (or part-way through) a request is
+        closed at once, without a response: its read sees EOF, so its
+        handler ends normally rather than cancelled.  A request already
+        read is answered with ``Connection: close``.
+        """
+        if self._server is None:
+            return
+        self._closing = True
+        self._server.close()
+        for writer in self._reading:
+            writer.close()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        await self._server.wait_closed()
+        self._server = None
 
     async def __aenter__(self) -> "GatewayHTTPServer":
         await self.start()
@@ -214,121 +274,138 @@ class GatewayHTTPServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        async def read_request():
-            method, path, headers = await self._read_head(reader)
-            if headers.get("expect", "").lower() == "100-continue":
-                # curl sends Expect for bodies over ~1 KB and waits up
-                # to a second for this interim reply before proceeding.
-                writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-                await writer.drain()
-            body = await self._read_body(reader, headers)
-            return method, path, headers, body
-
-        path = "-"  # for the response counter when parsing fails early
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            try:
-                # The timeout bounds the *read* phase only: a connection
-                # that never sends a full request (port scanner,
-                # slowloris) must not pin a task and fd forever.
-                method, path, headers, body = await asyncio.wait_for(
-                    read_request(), timeout=self.read_timeout_s
-                )
-                status, payload, extra = await self._route(method, path, headers, body)
-            except _HTTPError as exc:
-                status, payload, extra = exc.status, exc.error, exc.headers
-            except (ConnectionError, asyncio.IncompleteReadError, asyncio.TimeoutError):
-                # Client went away or never finished the request
-                # (probe, reset, half-close, slowloris): nothing to
-                # answer — and emphatically not a 500.
-                return
-            except Exception as exc:  # noqa: BLE001 - typed 500 boundary
-                mapped = _error_for(exc)
-                status, payload, extra = (mapped.status, mapped.error, mapped.headers)
-            self.gateway.obs.record_http_response(path, status)
-            await self._write_response(writer, status, payload, extra)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away while we wrote the response
+            while not self._closing and await self._serve_one(reader, writer):
+                pass
+        except ConnectionError:
+            pass  # client went away while we wrote a response
         finally:
+            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except ConnectionError:  # pragma: no cover - teardown race
                 pass
 
+    async def _serve_one(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Read, route and answer one request; True keeps the connection."""
+        self._reading.add(writer)
+        try:
+            # The timeout bounds each request's *read* phase, the idle
+            # wait before its first byte included: a connection that
+            # never sends a full request (port scanner, slowloris, a
+            # forgotten keep-alive client) must not pin a task and fd.
+            method, path, headers, body, keep_alive = await asyncio.wait_for(
+                self._read_request(reader, writer), timeout=self.read_timeout_s
+            )
+        except (ConnectionError, asyncio.IncompleteReadError, asyncio.TimeoutError):
+            # Client went away or never finished the request (probe,
+            # reset, half-close, slowloris): nothing to answer — and
+            # emphatically not a 500.
+            return False
+        except Exception as exc:  # noqa: BLE001 - typed answer, then close
+            # Bytes that cannot be framed: where a next request would
+            # start is unknown, so answer this one and close.
+            failure = _error_for(exc)
+            self.gateway.obs.record_http_response("-", failure.status)
+            await self._write_response(
+                writer, failure.status, failure.error, failure.headers, keep_alive=False
+            )
+            return False
+        finally:
+            self._reading.discard(writer)
+        try:
+            status, payload, extra = await self._route(method, path, headers, body)
+        except Exception as exc:  # noqa: BLE001 - typed 500 boundary
+            failure = _error_for(exc)
+            status, payload, extra = failure.status, failure.error, failure.headers
+        keep_alive = keep_alive and not self._closing
+        self.gateway.obs.record_http_response(path, status)
+        await self._write_response(writer, status, payload, extra, keep_alive)
+        return keep_alive
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> tuple[str, str, dict[str, str], bytes, bool]:
+        """One framed request: (method, path, headers, body, keep-alive)."""
+        method, path, version, headers = await self._read_head(reader)
+        length = self._content_length(headers)
+        if headers.get("expect", "").lower() == "100-continue":
+            # curl sends Expect for bodies over ~1 KB and waits up to a
+            # second for this interim reply before proceeding.
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            await writer.drain()
+        body = await reader.readexactly(length) if length else b""
+        connection = headers.get("connection", "").lower()
+        options = {option.strip(" \t") for option in connection.split(",")}
+        if version == "HTTP/1.1":
+            return method, path, headers, body, "close" not in options
+        return method, path, headers, body, "keep-alive" in options
+
     async def _read_head(
         self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str]]:
+    ) -> tuple[str, str, str, dict[str, str]]:
         request_line = await self._read_line(reader)
         parts = request_line.split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise _HTTPError(
-                400,
-                ErrorResponse(
-                    code="bad_request", message="malformed HTTP request line"
-                ),
-            )
-        method, raw_path = parts[0].upper(), parts[1]
+            raise _bad_request("malformed HTTP request line")
+        method, raw_path, version = parts
         path = raw_path.split("?", 1)[0]
 
+        # A repeated field's values are joined into one comma-separated
+        # list (RFC 9110 §5.3), so repeated Content-Length values that
+        # differ cannot hide behind a last-one-wins dict.
         headers: dict[str, str] = {}
         # +1: the terminating blank line needs its own iteration, so a
         # request with exactly _MAX_HEADERS headers is still accepted
         for _ in range(_MAX_HEADERS + 1):
             line = await self._read_line(reader)
             if not line:
-                return method, path, headers
+                return method.upper(), path, version, headers
             name, sep, value = line.partition(":")
-            if not sep:
-                raise _HTTPError(
-                    400,
-                    ErrorResponse(code="bad_request", message="malformed HTTP header"),
-                )
-            headers[name.strip().lower()] = value.strip()
-        raise _HTTPError(
-            400, ErrorResponse(code="bad_request", message="too many HTTP headers")
-        )
+            if not sep or not _TOKEN.fullmatch(name):
+                raise _bad_request("malformed HTTP header")
+            name, value = name.lower(), value.strip(" \t")
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        raise _bad_request("too many HTTP headers")
 
     @staticmethod
     async def _read_line(reader: asyncio.StreamReader) -> str:
         try:
             raw = await reader.readuntil(b"\n")
         except asyncio.LimitOverrunError:
-            raise _HTTPError(
-                400, ErrorResponse(code="bad_request", message="HTTP line too long")
-            ) from None
+            raise _bad_request("HTTP line too long") from None
         if len(raw) > _MAX_LINE_BYTES:
-            raise _HTTPError(
-                400, ErrorResponse(code="bad_request", message="HTTP line too long")
-            )
+            raise _bad_request("HTTP line too long")
         return raw.decode("latin-1").rstrip("\r\n")
 
-    async def _read_body(
-        self, reader: asyncio.StreamReader, headers: dict[str, str]
-    ) -> bytes:
-        raw_length = headers.get("content-length")
-        if raw_length is None:
-            return b""
-        try:
-            length = int(raw_length)
-            if length < 0:
-                raise ValueError
-        except ValueError:
-            raise _HTTPError(
-                400,
-                ErrorResponse(
-                    code="bad_request",
-                    message="Content-Length must be a non-negative integer",
-                ),
-            ) from None
-        if length > self.max_body_bytes:
+    def _content_length(self, headers: dict[str, str]) -> int:
+        """The body length the head frames (RFC 9112 §6), else a typed 400/413."""
+        if "transfer-encoding" in headers:
+            raise _bad_request("Transfer-Encoding is not supported")
+        raw = headers.get("content-length")
+        if raw is None:
+            return 0
+        values = {value.strip(" \t") for value in raw.split(",")}
+        value = values.pop()
+        if values or not _DIGITS.fullmatch(value):
+            raise _bad_request("Content-Length must be one non-negative integer")
+        digits = value.lstrip("0") or "0"
+        # lengths first: int() refuses strings past ~4300 digits
+        limit = self.max_body_bytes
+        if len(digits) > len(str(limit)) or int(digits) > limit:
             raise _HTTPError(
                 413,
                 ErrorResponse(
                     code="payload_too_large",
-                    message=f"request body exceeds {self.max_body_bytes} bytes",
+                    message=f"request body exceeds {limit} bytes",
                 ),
             )
-        return await reader.readexactly(length) if length else b""
+        return int(digits)
 
     # ------------------------------------------------------------------ #
     # routing
@@ -371,13 +448,7 @@ class GatewayHTTPServer:
         if not rid:
             return self.gateway.obs.new_request_id()
         if not _HEADER_SAFE_ID.fullmatch(rid):
-            raise _HTTPError(
-                400,
-                ErrorResponse(
-                    code="bad_request",
-                    message="request_id must be visible ASCII (0x21-0x7E)",
-                ),
-            )
+            raise _bad_request("request_id must be visible ASCII (0x21-0x7E)")
         return rid
 
     async def _post_rank(self, headers: dict[str, str], body: bytes):
@@ -444,6 +515,7 @@ class GatewayHTTPServer:
         status: int,
         payload,
         extra: tuple[tuple[str, str], ...],
+        keep_alive: bool,
     ) -> None:
         if isinstance(payload, str):  # /v1/metrics exposition text
             body = payload.encode()
@@ -460,7 +532,7 @@ class GatewayHTTPServer:
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
             f"Content-Type: {content_type}",
             f"Content-Length: {len(body)}",
-            "Connection: close",
+            f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
         head.extend(f"{name}: {value}" for name, value in extra)
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)

@@ -288,6 +288,70 @@ class TestServeEndToEnd:
                     os.kill(child, signal.SIGKILL)
 
 
+class TestServeSharesZoos:
+    def test_namespaces_of_one_spec_share_one_zoo(self, monkeypatch,
+                                                  tmp_path):
+        """Two namespaces of one spec plus one of another load two zoos,
+        not three, and serve rankings byte-identical to separate zoos."""
+        import asyncio
+        import json
+
+        import repro.zoo
+        from repro.cli import _cli_default_strategy
+        from repro.serving import (GatewayHTTPServer, RankRequest,
+                                   SelectionGateway)
+        from test_obs_http import http_request
+
+        loaded = []
+        real_get_or_build_zoo = repro.zoo.get_or_build_zoo
+
+        def counting_get_or_build_zoo(config, *args, **kwargs):
+            loaded.append(config)
+            return real_get_or_build_zoo(config, *args, **kwargs)
+
+        served = {}
+
+        async def serve_once(server):
+            """Rank every namespace's first target over HTTP, then stop."""
+            host, port = server.address
+            for name in server.gateway.namespaces():
+                zoo = server.gateway.service(name).zoo
+                target = zoo.target_names()[0]
+                status, _, body = await http_request(
+                    host, port, "POST", "/v1/rank",
+                    body=json.dumps({"namespace": name, "target": target}))
+                assert status == 200, body
+                served[name] = (zoo, target, body)
+
+        monkeypatch.setattr(repro.zoo, "get_or_build_zoo",
+                            counting_get_or_build_zoo)
+        monkeypatch.setattr(GatewayHTTPServer, "serve_forever", serve_once)
+        argv = ["--scale", "tiny", "--seed", "7", "serve", "--port", "0",
+                "--predictor", "lr", "--namespace", "a=image",
+                "--namespace", "b=image:tiny", "--namespace", "c=text:tiny",
+                "--registry-dir", str(tmp_path / "shared")]
+        assert main(argv) == 0
+        assert [(c.modality, c.seed) for c in loaded] == [("image", 7),
+                                                          ("text", 7)]
+        assert served["a"][0] is served["b"][0]
+        assert served["c"][0] is not served["a"][0]
+
+        # the same ranks from a gateway whose namespaces own their zoos
+        strategy = _cli_default_strategy(build_parser().parse_args(argv))
+        separate = SelectionGateway(registry_root=tmp_path / "separate")
+        try:
+            for name, (zoo, _, _) in served.items():
+                separate.add_namespace(
+                    name, real_get_or_build_zoo(zoo.config), strategy)
+            for name, (zoo, target, body) in served.items():
+                assert separate.service(name).zoo is not zoo
+                response = asyncio.run(separate.rank(
+                    RankRequest(namespace=name, target=target)))
+                assert body == response.to_json().encode()
+        finally:
+            separate.close()
+
+
 class TestStrategyFlags:
     def test_rank_accepts_strategy_spec(self):
         args = build_parser().parse_args(

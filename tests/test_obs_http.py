@@ -22,11 +22,13 @@ def run(coro):
 
 async def http_request(host, port, method, path, body=None,
                        headers=()):
-    """One HTTP/1.1 exchange; returns (status, headers, body bytes)."""
+    """One HTTP/1.1 exchange on its own connection (``Connection:
+    close``, read to EOF); returns (status, headers, body bytes)."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
         payload = body.encode() if isinstance(body, str) else (body or b"")
-        head = [f"{method} {path} HTTP/1.1", f"Host: {host}"]
+        head = [f"{method} {path} HTTP/1.1", f"Host: {host}",
+                "Connection: close"]
         head.extend(f"{name}: {value}" for name, value in headers)
         if payload:
             head.append(f"Content-Length: {len(payload)}")

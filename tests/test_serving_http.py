@@ -31,19 +31,45 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def raw_request(method, path, body=b"", headers=()) -> bytes:
+    """One HTTP/1.1 request's bytes (``Content-Length`` when there is a body)."""
+    head = [f"{method} {path} HTTP/1.1", "Host: test"]
+    head.extend(f"{name}: {value}" for name, value in headers)
+    if body:
+        head.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+def parse_head(head: bytes) -> tuple[int, dict[str, str]]:
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        if line:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+    return int(lines[0].split()[1]), headers
+
+
+async def read_response(reader) -> tuple[int, dict[str, str], bytes]:
+    """One response framed by its ``Content-Length``: the connection
+    may stay open after it."""
+    status, headers = parse_head(await reader.readuntil(b"\r\n\r\n"))
+    body = await reader.readexactly(int(headers["content-length"]))
+    return status, headers, body
+
+
 async def http_request(host, port, method, path, body=None,
                        raw_head: str | None = None):
-    """One HTTP/1.1 exchange; returns (status, headers, body bytes)."""
+    """One HTTP/1.1 exchange on its own connection (``Connection:
+    close``, read to EOF); returns (status, headers, body bytes)."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
         if raw_head is not None:
             writer.write(raw_head.encode())
         else:
             payload = body.encode() if isinstance(body, str) else (body or b"")
-            head = [f"{method} {path} HTTP/1.1", f"Host: {host}"]
-            if payload:
-                head.append(f"Content-Length: {len(payload)}")
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + payload)
+            writer.write(raw_request(method, path, payload,
+                                     [("Connection", "close")]))
         await writer.drain()
         raw = await reader.read()
     finally:
@@ -53,12 +79,7 @@ async def http_request(host, port, method, path, body=None,
         except ConnectionError:
             pass
     head_raw, _, body_raw = raw.partition(b"\r\n\r\n")
-    lines = head_raw.decode("latin-1").split("\r\n")
-    status = int(lines[0].split()[1])
-    headers = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
+    status, headers = parse_head(head_raw)
     return status, headers, body_raw
 
 
@@ -150,7 +171,7 @@ class TestEndpoints:
                 host, port = server.address
                 payload = b'{"namespace": "alpha", "target": "t0"}'
                 head = (f"POST /v1/rank HTTP/1.1\r\nHost: {host}\r\n"
-                        f"Expect: 100-continue\r\n"
+                        f"Expect: 100-continue\r\nConnection: close\r\n"
                         f"Content-Length: {len(payload)}\r\n\r\n")
                 reader, writer = await asyncio.open_connection(host, port)
                 try:
@@ -297,7 +318,7 @@ class TestTypedFailures:
     def test_header_request_id_with_a_bare_cr_is_refused(self):
         payload = '{"namespace": "alpha", "target": "t0"}'
         status, headers, body = self._exchange(None, None, raw_head=(
-            "POST /v1/rank HTTP/1.1\r\n"
+            "POST /v1/rank HTTP/1.1\r\nConnection: close\r\n"
             "X-Request-Id: a\rInjected: 1\r\n"
             f"Content-Length: {len(payload)}\r\n\r\n{payload}"))
         assert status == 400
@@ -332,6 +353,260 @@ class TestTypedFailures:
         status, _, body = run(scenario())
         assert status == 413
         assert ErrorResponse.from_json(body).code == "payload_too_large"
+
+
+#: a valid /v1/rank body: 38 bytes
+_RANK_BODY = b'{"namespace": "alpha", "target": "t0"}'
+
+
+def run_on_connection(exchange, **server_options):
+    """``await exchange(reader, writer)`` on one client connection to a
+    fresh stub-gateway server; returns its result."""
+    async def scenario():
+        gateway = stub_gateway(names=("alpha",))
+        try:
+            server = GatewayHTTPServer(gateway, "127.0.0.1", 0,
+                                       **server_options)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                return await exchange(reader, writer)
+            finally:
+                writer.close()
+                await server.close()
+        finally:
+            gateway.close()
+
+    return run(scenario())
+
+
+async def read_eof(reader, timeout=5.0) -> bytes:
+    """Whatever the server still sends before it closes (b"" if nothing)."""
+    return await asyncio.wait_for(reader.read(), timeout)
+
+
+def rank_request(target, request_id, headers=()) -> bytes:
+    body = json.dumps({"namespace": "alpha", "target": target}).encode()
+    return raw_request("POST", "/v1/rank", body,
+                       [("X-Request-Id", request_id), *headers])
+
+
+class TestKeepAlive:
+    """Many requests per connection; the server closes only when told
+    to, after bytes it cannot frame, or when idle past the timeout."""
+
+    def test_requests_on_one_connection_answer_in_order(self):
+        async def exchange(reader, writer):
+            answers = []
+            for i, target in enumerate(("t0", "t1", "t2")):
+                writer.write(rank_request(target, f"keep-{i}"))
+                answers.append(await read_response(reader))
+            return answers
+
+        answers = run_on_connection(exchange)
+        assert [status for status, _, _ in answers] == [200, 200, 200]
+        assert [headers["x-request-id"] for _, headers, _ in answers] == \
+            ["keep-0", "keep-1", "keep-2"]
+        assert [RankResponse.from_json(body).target
+                for _, _, body in answers] == ["t0", "t1", "t2"]
+        assert all(headers["connection"] == "keep-alive"
+                   for _, headers, _ in answers)
+
+    def test_pipelined_requests_are_answered_in_order(self):
+        async def exchange(reader, writer):
+            writer.write(rank_request("t1", "pipe-0")
+                         + rank_request("t0", "pipe-1"))
+            return [await read_response(reader) for _ in range(2)]
+
+        (s0, h0, b0), (s1, h1, b1) = run_on_connection(exchange)
+        assert (s0, s1) == (200, 200)
+        assert (h0["x-request-id"], h1["x-request-id"]) == ("pipe-0", "pipe-1")
+        assert RankResponse.from_json(b0).target == "t1"
+        assert RankResponse.from_json(b1).target == "t0"
+
+    def test_connection_close_is_honoured(self):
+        async def exchange(reader, writer):
+            writer.write(rank_request("t0", "last", [("Connection", "close")]))
+            return await read_response(reader), await read_eof(reader)
+
+        (status, headers, _), rest = run_on_connection(exchange)
+        assert status == 200
+        assert headers["connection"] == "close"
+        assert rest == b""
+
+    def test_http_1_0_closes_unless_it_asks_for_keep_alive(self):
+        async def exchange(reader, writer):
+            writer.write(b"GET /v1/healthz HTTP/1.0\r\n"
+                         b"Connection: Keep-Alive\r\n\r\n")
+            kept = await read_response(reader)
+            writer.write(b"GET /v1/healthz HTTP/1.0\r\n\r\n")
+            return kept, await read_response(reader), await read_eof(reader)
+
+        (s0, kept, _), (s1, closed, _), rest = run_on_connection(exchange)
+        assert (s0, s1) == (200, 200)
+        assert kept["connection"] == "keep-alive"
+        assert closed["connection"] == "close"
+        assert rest == b""
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"BANANAS\r\n\r\n",
+        b"GET /v1/healthz HTTP/1.1\r\nno colon\r\n\r\n",
+        b"POST /v1/rank HTTP/1.1\r\nContent-Length : 38\r\n\r\n" + _RANK_BODY,
+        b"GET /v1/healthz HTTP/1.1\r\n folded: value\r\n\r\n",
+        b"GET /" + b"a" * 9000 + b" HTTP/1.1\r\n\r\n",
+        b"GET /v1/healthz HTTP/1.1\r\n" + b"X-A: 1\r\n" * 65 + b"\r\n",
+        b"POST /v1/rank HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+        b"POST /v1/rank HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"26\r\n" + _RANK_BODY + b"\r\n0\r\n\r\n",
+        b"POST /v1/rank HTTP/1.1\r\nContent-Length: 65\r\n\r\n",
+    ], ids=["request-line", "header", "space-before-colon", "obs-fold",
+            "long-line", "too-many-headers", "negative-length",
+            "transfer-encoding", "413-body-unread"])
+    def test_bytes_it_cannot_frame_are_answered_then_closed(
+            self, request_bytes):
+        """Nothing after unframeable bytes is trusted to start a request:
+        the valid rank pipelined behind them is never answered."""
+        async def exchange(reader, writer):
+            writer.write(request_bytes + rank_request("t0", "smuggled"))
+            return await read_response(reader), await read_eof(reader)
+
+        (status, headers, body), rest = run_on_connection(
+            exchange, max_body_bytes=64)
+        assert status in (400, 413)
+        assert ErrorResponse.from_json(body).code == (
+            "bad_request" if status == 400 else "payload_too_large")
+        assert headers["connection"] == "close"
+        assert rest == b""
+
+    def test_complete_requests_keep_the_connection_whatever_the_answer(self):
+        async def exchange(reader, writer):
+            answers = []
+            for request in (raw_request("GET", "/v2/rank"),
+                            raw_request("GET", "/v1/rank"),
+                            raw_request("POST", "/v1/rank", b"{not json"),
+                            rank_request("t0", "after")):
+                writer.write(request)
+                answers.append(await read_response(reader))
+            return answers
+
+        answers = run_on_connection(exchange)
+        assert [status for status, _, _ in answers] == [404, 405, 400, 200]
+        assert [ErrorResponse.from_json(body).code
+                for _, _, body in answers[:3]] == \
+            ["not_found", "method_not_allowed", "bad_request"]
+        assert all(headers["connection"] == "keep-alive"
+                   for _, headers, _ in answers)
+
+    def test_idle_kept_alive_connection_is_dropped_after_read_timeout(self):
+        async def exchange(reader, writer):
+            writer.write(rank_request("t0", "then-idle"))
+            status, _, _ = await read_response(reader)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            rest = await read_eof(reader)
+            return status, rest, loop.time() - started
+
+        status, rest, idle_s = run_on_connection(exchange, read_timeout_s=0.3)
+        assert status == 200
+        assert rest == b""  # dropped without a response
+        assert 0.2 <= idle_s < 5.0
+
+    def test_close_drops_idle_connections_at_once(self):
+        """With the default 30 s read timeout, an idle kept-alive client
+        and one that never sent a byte must not hold close(), and their
+        handlers end cleanly (a cancelled one is logged on 3.11)."""
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: unhandled.append(context))
+            gateway = stub_gateway(names=("alpha",))
+            try:
+                server = GatewayHTTPServer(gateway, "127.0.0.1", 0)
+                host, port = await server.start()
+                kept = await asyncio.open_connection(host, port)
+                silent = await asyncio.open_connection(host, port)
+                try:
+                    kept[1].write(rank_request("t0", "before-close"))
+                    status, headers, _ = await read_response(kept[0])
+                    await asyncio.wait_for(server.close(), 1.0)
+                    return (status, headers["connection"],
+                            await read_eof(kept[0], 1.0),
+                            await read_eof(silent[0], 1.0), unhandled)
+                finally:
+                    kept[1].close()
+                    silent[1].close()
+            finally:
+                gateway.close()
+
+        assert run(scenario()) == (200, "keep-alive", b"", b"", [])
+
+    def test_close_lets_an_in_flight_request_finish_with_connection_close(
+            self):
+        async def scenario():
+            gateway = stub_gateway(names=("alpha",), fit_seconds=0.3)
+            try:
+                server = GatewayHTTPServer(gateway, "127.0.0.1", 0)
+                host, port = await server.start()
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    writer.write(rank_request("t0", "in-flight"))
+                    # wait until the request is read and its cold fit runs
+                    for _ in range(500):
+                        if server._connections and not server._reading:
+                            break
+                        await asyncio.sleep(0.01)
+                    closing = asyncio.ensure_future(server.close())
+                    answer = await read_response(reader)
+                    await asyncio.wait_for(closing, 5.0)
+                    return answer, await read_eof(reader)
+                finally:
+                    writer.close()
+            finally:
+                gateway.close()
+
+        (status, headers, body), rest = run(scenario())
+        assert status == 200
+        assert RankResponse.from_json(body).target == "t0"
+        assert headers["connection"] == "close"
+        assert rest == b""
+
+
+class TestStrictFraming:
+    """RFC 9112 §6: a body length the server cannot be sure of is a 400
+    and the connection closes, never a guess."""
+
+    @pytest.mark.parametrize("framing", [
+        [("Content-Length", "+38")],
+        [("Content-Length", "3_8")],
+        [("Content-Length", "2"), ("Content-Length", "38")],
+        [("Transfer-Encoding", "chunked"), ("Content-Length", "38")],
+    ], ids=["plus-sign", "underscore", "differing-repeats",
+            "transfer-encoding-with-content-length"])
+    def test_ambiguous_body_length_is_a_400_that_closes(self, framing):
+        async def exchange(reader, writer):
+            head = ["POST /v1/rank HTTP/1.1", "Host: test"]
+            head.extend(f"{name}: {value}" for name, value in framing)
+            writer.write(("\r\n".join(head) + "\r\n\r\n").encode()
+                         + _RANK_BODY)
+            return await read_response(reader), await read_eof(reader)
+
+        (status, headers, body), rest = run_on_connection(exchange)
+        assert status == 400
+        assert ErrorResponse.from_json(body).code == "bad_request"
+        assert headers["connection"] == "close"
+        assert rest == b""
+
+    def test_repeated_equal_content_lengths_frame_one_body(self):
+        async def exchange(reader, writer):
+            writer.write(b"POST /v1/rank HTTP/1.1\r\nContent-Length: 38\r\n"
+                         b"Content-Length: 38\r\n\r\n" + _RANK_BODY
+                         + rank_request("t1", "next"))
+            return [await read_response(reader) for _ in range(2)]
+
+        (s0, _, b0), (s1, _, b1) = run_on_connection(exchange)
+        assert (s0, s1) == (200, 200)
+        assert RankResponse.from_json(b0).target == "t0"
+        assert RankResponse.from_json(b1).target == "t1"
 
 
 class TestTwoZooAcceptance:
@@ -668,6 +943,9 @@ def _post(path: str, body: bytes, request_id: str | None = None) -> bytes:
 async def _exchange_raw(gateway, payload: bytes):
     """Send ``payload``, half-close, read to EOF.
 
+    The half-close ends a kept-alive connection as soon as the server
+    has answered every request it could frame.
+
     Returns (raw response, exception-handler contexts, seconds waited).
     """
     loop = asyncio.get_running_loop()
@@ -698,33 +976,44 @@ async def _exchange_raw(gateway, payload: bytes):
     return raw, unhandled, waited
 
 
-def _check_exchange(gateway, payload: bytes, complete: bool) -> None:
+def _check_exchange(gateway, payload: bytes, complete: bool) -> list:
+    """Send ``payload`` on one connection; every response must be typed.
+
+    Returns the responses in order as (status, headers, body).
+    """
     raw, unhandled, waited = asyncio.run(_exchange_raw(gateway, payload))
     assert unhandled == []
     assert waited <= _FUZZ_READ_TIMEOUT_S + 1.0
-    while raw.startswith(_INTERIM):
-        raw = raw[len(_INTERIM):]
-    if not raw:
-        assert not complete, "a complete request got no response"
-        return
-    head, sep, body = raw.partition(b"\r\n\r\n")
-    assert sep
-    status_line, *header_lines = head.decode("ascii").split("\r\n")
-    status = int(status_line.split()[1])
-    assert status in _TYPED_STATUSES
-    headers = {}
-    for line in header_lines:
-        name, colon, value = line.partition(": ")
-        assert colon and name.lower() in _SERVER_HEADERS, line
-        assert value.isprintable(), line
-        headers[name.lower()] = value
-    assert int(headers["content-length"]) == len(body)
-    if status != 200:
-        assert ErrorResponse.from_json(body).code
-    elif headers["content-type"] == "application/json":
-        payload = json.loads(body)
-        if "kind" in payload:
-            message_from_json(body)
+    responses = []
+    while raw:
+        if raw.startswith(_INTERIM):
+            raw = raw[len(_INTERIM):]
+            continue
+        head, sep, raw = raw.partition(b"\r\n\r\n")
+        assert sep
+        status_line, *header_lines = head.decode("ascii").split("\r\n")
+        status = int(status_line.split()[1])
+        assert status in _TYPED_STATUSES
+        headers = {}
+        for line in header_lines:
+            name, colon, value = line.partition(": ")
+            assert colon and name.lower() in _SERVER_HEADERS, line
+            assert value.isprintable(), line
+            headers[name.lower()] = value
+        length = int(headers["content-length"])
+        body, raw = raw[:length], raw[length:]
+        assert len(body) == length
+        if status != 200:
+            assert ErrorResponse.from_json(body).code
+        elif headers["content-type"] == "application/json":
+            if "kind" in json.loads(body):
+                message_from_json(body)
+        responses.append((status, headers, body))
+    assert responses or not complete, "a complete request got no response"
+    # nothing follows a response that announced the close
+    assert all(headers["connection"] == "keep-alive"
+               for _, headers, _ in responses[:-1])
+    return responses
 
 
 @pytest.fixture(scope="module")
@@ -764,3 +1053,36 @@ class TestParserFuzz:
             body[field] = value
         payload = _post(path, json.dumps(body).encode(), request_id)
         _check_exchange(fuzz_gateway, payload, complete=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(prefix=st.binary(max_size=256).map(lambda raw: (raw, False))
+           | st.lists(st.builds(_post, st.sampled_from(sorted(_VALID_BODIES)),
+                                st.binary(max_size=64)),
+                      max_size=3).map(lambda posts: (b"".join(posts), True)))
+    @example(prefix=(b"", True))
+    @example(prefix=(b"GET /v1/healthz HTTP/1.1\r\nContent-Length: +0\r\n\r\n",
+                     False))
+    # the rank's request line becomes "0POST /v1/rank HTTP/1.1": one
+    # complete request, answered 405 and kept alive, then EOF
+    @example(prefix=(b"0", False))
+    def test_arbitrary_bytes_then_a_rank_on_one_connection(
+            self, fuzz_gateway, prefix):
+        """Either the rank is answered correctly, or it never started a
+        request of its own: its bytes were part of one the prefix began
+        (answered, refused as unframeable, or cut off by EOF).  After
+        whole requests (``framed``) it must be answered."""
+        prefix, framed = prefix
+        rank = _post("/v1/rank", json.dumps(_VALID_BODIES["/v1/rank"]).encode(),
+                     request_id="fuzz-rank")
+        responses = _check_exchange(fuzz_gateway, prefix + rank,
+                                    complete=framed)
+        answers = [response for response in responses
+                   if response[1].get("x-request-id") == "fuzz-rank"]
+        if framed:
+            assert answers, "a rank after whole requests went unanswered"
+        if answers:
+            assert answers == responses[-1:]
+            status, _, body = answers[0]
+            assert status == 200
+            expected = fuzz_gateway.service("alpha").rank("t0", top_k=2)
+            assert RankResponse.from_json(body).ranking == tuple(expected)
