@@ -11,23 +11,26 @@ gating every client).
 Both runs start from a cold service with no registry, so every distinct
 target costs one genuine fit in each mode and the comparison is fair.
 
-The ``--fit-executor`` option (thread | process | both) is the executor
-axis: the coalescing bench runs under the chosen executor(s), and
-whenever ``process`` is included, ``test_bench_cold_fit_speedup``
-additionally measures pure cold-fit throughput — four workers warming
-four distinct targets — under both executors and asserts that four
-local fit-worker processes (the router's loopback fleet) beat the
-GIL-bound thread pool by >= 2x.  It skips on fewer than four cores.
+``test_bench_cold_fit_speedup`` measures pure cold-fit throughput —
+four fits in flight over four distinct targets — on the router's
+thread pool and on a fit fleet of four ``repro fit-worker`` daemons on
+this box, and asserts that the daemons beat the GIL-bound thread pool
+by >= 2x.  It skips on fewer than four cores.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from benchmarks.conftest import print_header
 from benchmarks.helpers import BENCH_EMBEDDING_DIM
 from repro.core import FeatureSet, TransferGraphConfig
+from repro.fleet import FleetCoordinator
 from repro.serving import (
     AsyncSelectionRouter,
     SelectionService,
@@ -44,6 +47,8 @@ _QUERIES = 60
 #: the cold-fit speedup bench: this many workers over this many targets
 _FIT_WORKERS = 4
 
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def _bench_config() -> TransferGraphConfig:
     return TransferGraphConfig(
@@ -51,7 +56,7 @@ def _bench_config() -> TransferGraphConfig:
         embedding_dim=BENCH_EMBEDDING_DIM, features=FeatureSet.everything())
 
 
-def _run(fit_executor: str) -> dict[str, float]:
+def _run() -> dict[str, float]:
     zoo = get_or_build_zoo(ZooConfig.tiny(modality="image", seed=7))
     config = _bench_config()
     workload = generate_workload(zoo, WorkloadConfig(
@@ -63,12 +68,8 @@ def _run(fit_executor: str) -> dict[str, float]:
     assert serial["fits"] == distinct_targets
 
     concurrent_service = SelectionService(zoo, config)
-    router = AsyncSelectionRouter(concurrent_service,
-                                  fit_executor=fit_executor)
+    router = AsyncSelectionRouter(concurrent_service)
     try:
-        # Worker spawn + zoo hydration happen before the clock starts,
-        # so the process axis measures fit parallelism, not start-up.
-        router.prestart_fit_plane()
         concurrent = replay_concurrent(router, workload, clients=_CLIENTS)
     finally:
         router.close()
@@ -91,13 +92,11 @@ def _run(fit_executor: str) -> dict[str, float]:
     }
 
 
-def test_bench_async_router(benchmark, fit_executor):
-    rows = benchmark.pedantic(lambda: _run(fit_executor),
-                              rounds=1, iterations=1)
+def test_bench_async_router(benchmark):
+    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
     speedup = rows["concurrent_qps"] / rows["serial_qps"]
     print_header(f"Async router — serial vs {_CLIENTS} concurrent clients, "
-                 f"{_QUERIES}-query skewed workload (tiny image zoo, "
-                 f"{fit_executor} fit executor)")
+                 f"{_QUERIES}-query skewed workload (tiny image zoo)")
     print(f"  serial throughput      {rows['serial_qps']:10.1f} qps")
     print(f"  concurrent throughput  {rows['concurrent_qps']:10.1f} qps")
     print(f"  throughput speedup     {speedup:10.1f}x")
@@ -110,24 +109,20 @@ def test_bench_async_router(benchmark, fit_executor):
 
 
 # ---------------------------------------------------------------------- #
-# cold-fit throughput: thread pool vs local fit-worker processes
+# cold-fit throughput: thread pool vs a fleet of fit-worker daemons
 # ---------------------------------------------------------------------- #
-def _cold_fit_tput(zoo, targets: list[str], fit_executor: str
-                   ) -> tuple[float, float]:
-    """(targets-per-second, wall seconds) warming ``targets`` cold."""
-    service = SelectionService(zoo, _bench_config())
+def _warm(zoo, spec, targets: list[str], fleet=None) -> tuple[float, int]:
+    """(wall seconds, fits) warming ``targets`` cold, all in flight."""
+    service = SelectionService(zoo, spec)
     router = AsyncSelectionRouter(
         service, max_pending_fits=len(targets),
-        fit_workers=_FIT_WORKERS, fit_executor=fit_executor)
+        fit_workers=_FIT_WORKERS, fleet=fleet)
     try:
-        router.prestart_fit_plane()
         started = time.perf_counter()
         asyncio.run(router.warmup(targets))
-        wall = time.perf_counter() - started
-        assert router.stats()["fits"] == len(targets)
+        return time.perf_counter() - started, router.stats()["fits"]
     finally:
         router.close()
-    return len(targets) / wall, wall
 
 
 def _run_cold_fit() -> dict[str, float]:
@@ -137,41 +132,59 @@ def _run_cold_fit() -> dict[str, float]:
                                           num_targets=_FIT_WORKERS))
     targets = zoo.target_names()
     assert len(targets) >= _FIT_WORKERS
-    thread_tput, thread_wall = _cold_fit_tput(zoo, targets, "thread")
-    process_tput, process_wall = _cold_fit_tput(zoo, targets, "process")
+    thread_wall, fits = _warm(zoo, _bench_config(), targets)
+    assert fits == len(targets)
+
+    fleet = FleetCoordinator("127.0.0.1", 0)
+    host, port = fleet.start()
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    workers = [
+        subprocess.Popen(
+            [sys.executable, "-m", "repro", "fit-worker",
+             "--connect", f"{host}:{port}", "--name", f"bench{i}"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        for i in range(_FIT_WORKERS)]
+    try:
+        fleet.wait_for_workers(_FIT_WORKERS, timeout_s=120.0)
+        # One cheap fit per daemon first, so each has loaded the zoo
+        # before the clock starts: the bench measures fit parallelism,
+        # not interpreter start-up or zoo hydration.
+        _warm(zoo, "logme", targets, fleet)
+        fleet_wall, fits = _warm(zoo, _bench_config(), targets, fleet)
+        assert fits == len(targets)
+    finally:
+        fleet.close()
+        for worker in workers:
+            worker.terminate()
+            worker.wait(timeout=10)
     return {
         "targets": len(targets),
-        "thread_tput": thread_tput,
+        "thread_tput": len(targets) / thread_wall,
         "thread_wall_s": thread_wall,
-        "process_tput": process_tput,
-        "process_wall_s": process_wall,
+        "fleet_tput": len(targets) / fleet_wall,
+        "fleet_wall_s": fleet_wall,
     }
 
 
-def test_bench_cold_fit_speedup(benchmark, request):
-    import os
-
+def test_bench_cold_fit_speedup(benchmark):
     import pytest
 
-    if request.config.getoption("--fit-executor") == "thread":
-        pytest.skip("thread-only run; pass --fit-executor process (or "
-                    "both) to bench the local fit-worker processes")
     if (os.cpu_count() or 1) < _FIT_WORKERS:
         # The speedup is CPU parallelism; on fewer cores than workers
         # the worker processes can only lose to their own IPC overhead.
         pytest.skip(f"{os.cpu_count()} cores < {_FIT_WORKERS} fit workers; "
                     "the >=2x cold-fit speedup needs real parallelism")
     rows = benchmark.pedantic(_run_cold_fit, rounds=1, iterations=1)
-    speedup = rows["process_tput"] / rows["thread_tput"]
+    speedup = rows["fleet_tput"] / rows["thread_tput"]
     print_header(f"Cold-fit throughput — {_FIT_WORKERS} fit workers, "
                  f"{rows['targets']:.0f} distinct cold targets "
                  f"(TransferGraph fits)")
-    print(f"  thread executor        {rows['thread_tput']:10.2f} fits/s "
+    print(f"  thread pool            {rows['thread_tput']:10.2f} fits/s "
           f"({rows['thread_wall_s']:6.2f} s wall)")
-    print(f"  process executor       {rows['process_tput']:10.2f} fits/s "
-          f"({rows['process_wall_s']:6.2f} s wall)")
-    print(f"  process speedup        {speedup:10.1f}x")
-    # The whole point of process mode: pure-Python fit stages (walks,
+    print(f"  fit-worker daemons     {rows['fleet_tput']:10.2f} fits/s "
+          f"({rows['fleet_wall_s']:6.2f} s wall)")
+    print(f"  fleet speedup          {speedup:10.1f}x")
+    # The whole point of the fleet: pure-Python fit stages (walks,
     # SGNS) hold the GIL, so threads serve cold fits at ~1 core while
     # worker processes scale with their count.
     assert speedup >= 2.0

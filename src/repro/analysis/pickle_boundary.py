@@ -1,8 +1,8 @@
 """pickle-boundary: strategies must survive the trip to a fit worker.
 
-A remote cold fit (``fit_executor="process"`` or ``"socket"``) pickles
-the strategy instance into the FIT frame a ``fit-worker`` process
-unpickles, so every :class:`~repro.strategies.SelectionStrategy`
+A remote cold fit (a router given a fit fleet) pickles the strategy
+instance into the FIT frame a ``fit-worker`` process unpickles, so
+every :class:`~repro.strategies.SelectionStrategy`
 subclass carries a hard contract, documented in ``strategies/base.py``:
 module-level classes with plain data attributes — no closures, no
 lambdas, no locks, no open handles.  Violating it is a runtime

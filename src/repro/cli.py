@@ -301,13 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         "warmup", help="pre-fit all targets into the artifact registry")
     add_strategy_args(warmup)
     add_registry_arg(warmup)
-    warmup.add_argument("--fit-executor", choices=("thread", "process"),
-                        default=None,
-                        help="where cold fits run (default: "
-                             "$REPRO_FIT_EXECUTOR, else thread); 'process' "
-                             "warms targets in parallel worker processes")
-    warmup.add_argument("--fit-workers", type=_positive_int, default=2,
-                        help="parallel warmup fits (process executor only)")
 
     serve = sub.add_parser(
         "serve", help="HTTP front door over a multi-namespace gateway")
@@ -347,29 +340,20 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-pending-fits", type=_positive_int, default=8,
                        help="per-namespace cold-fit queue bound")
     serve.add_argument("--fit-workers", type=_positive_int, default=2,
-                       help="parallel cold fits per strategy: in thread "
-                            "mode one pool of this many threads per "
-                            "strategy, shared by every namespace; in "
-                            "process mode this many fit-worker processes "
-                            "per namespace and strategy")
-    serve.add_argument("--fit-executor",
-                       choices=("thread", "process", "socket"),
-                       default=None,
-                       help="where cold fits run: 'thread' shares the "
-                            "server process (GIL-bound), 'process' "
-                            "spawns --fit-workers local fit-worker "
-                            "processes per router on a loopback fleet "
-                            "for true multi-core fitting, 'socket' "
-                            "dispatches to external 'repro fit-worker' "
-                            "daemons via the fleet coordinator (default: "
-                            "$REPRO_FIT_EXECUTOR, else thread)")
+                       help="parallel cold fits per strategy: one pool of "
+                            "this many threads per strategy, shared by "
+                            "every namespace; with --fleet-listen, this "
+                            "many threads per namespace and strategy that "
+                            "wait on fleet fits")
     serve.add_argument("--fleet-listen", type=_host_port, default=None,
                        metavar="HOST:PORT",
-                       help="fleet coordinator bind address for "
-                            "--fit-executor socket (PORT 0 binds an "
-                            "ephemeral port; default 127.0.0.1:0 — "
-                            "bind beyond loopback only with "
-                            "--fleet-secret or on a trusted network)")
+                       help="run a fit-fleet coordinator on this address "
+                            "and send every cold fit to the 'repro "
+                            "fit-worker' daemons that connect to it (PORT "
+                            "0 binds an ephemeral port; bind beyond "
+                            "loopback only with --fleet-secret or on a "
+                            "trusted network); default: fit on this "
+                            "process's threads")
     serve.add_argument("--fleet-secret", default=None, metavar="SECRET",
                        help="shared fleet-auth secret: workers must "
                             "answer an HMAC challenge with the same "
@@ -379,13 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "--fleet-listen)")
     serve.add_argument("--fit-timeout", type=float, default=None,
                        dest="fit_timeout", metavar="SECONDS",
-                       help="bound one cold fit (process/socket executors "
-                            "only); an overrunning fit sheds its "
-                            "coalesced group with a typed error")
-    serve.add_argument("--no-prestart", action="store_true",
-                       help="skip readying the remote fit plane at "
-                            "startup; process workers then spawn lazily "
-                            "on the first cold fit")
+                       help="bound one cold fit (--fleet-listen only); an "
+                            "overrunning fit sheds its coalesced group "
+                            "with a typed error")
     serve.add_argument("--warmup", action="store_true",
                        help="pre-fit every namespace's targets before "
                             "accepting traffic")
@@ -403,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_worker.add_argument("--connect", type=_host_port, required=True,
                             metavar="HOST:PORT",
                             help="fleet coordinator address (printed by "
-                                 "'repro serve --fit-executor socket')")
+                                 "'repro serve --fleet-listen')")
     fit_worker.add_argument("--name", default=None,
                             help="worker name shown in healthz/fleet "
                                  "summaries (default: <hostname>-<pid>)")
@@ -436,11 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--shed-start", type=_fraction, default=1.0,
                      help="queue-depth fraction where probabilistic early "
                           "shedding begins (1.0 = hard cliff only)")
-    sim.add_argument("--fit-executor", choices=("thread", "process"),
-                     default=None,
-                     help="where the router runs cold fits (with "
-                          "--concurrency > 1; default: "
-                          "$REPRO_FIT_EXECUTOR, else thread)")
     sim.add_argument("--log-json", action="store_true",
                      help="emit one JSON event per replayed request on "
                           "stdout (same record shape as live serving)")
@@ -716,29 +691,9 @@ def _cmd_stats(args) -> int:
 def _cmd_warmup(args) -> int:
     zoo = _load_zoo(args)
     service = _service(zoo, args, cache_size=max(32, len(zoo.target_names())))
-    executor = args.fit_executor or os.environ.get("REPRO_FIT_EXECUTOR",
-                                                   "thread")
     print(f"warming {len(zoo.target_names())} targets into "
-          f"{service.registry.root} ({service.strategy.name}, "
-          f"{executor} executor)")
-    if executor == "process":
-        # Route through the async router so cold fits land on its
-        # local fit-worker processes and distinct targets warm in
-        # parallel.
-        import asyncio
-
-        from repro.serving import AsyncSelectionRouter
-
-        router = AsyncSelectionRouter(
-            service, max_pending_fits=len(zoo.target_names()) or 1,
-            fit_workers=args.fit_workers, fit_executor="process")
-        try:
-            router.prestart_fit_plane()
-            timings = asyncio.run(router.warmup())
-        finally:
-            router.close()
-    else:
-        timings = service.warmup()
+          f"{service.registry.root} ({service.strategy.name})")
+    timings = service.warmup()
     for target, seconds in timings.items():
         print(f"  {target:<26} {seconds * 1e3:8.1f} ms")
     summary = service.stats()
@@ -767,16 +722,12 @@ def _cmd_serve(args) -> int:
     # for machines); the same plane backs /v1/metrics.
     obs = Observability(event_log=EventLog(json_lines=args.log_json,
                                            slow_ms=args.slow_ms))
-    executor = args.fit_executor or os.environ.get("REPRO_FIT_EXECUTOR",
-                                                   "thread")
     fleet = None
-    if executor == "socket":
+    if args.fleet_listen is not None:
         from repro.fleet import FleetCoordinator
 
-        fleet_host, fleet_port = args.fleet_listen or ("127.0.0.1", 0)
         secret = args.fleet_secret or os.environ.get("REPRO_FLEET_SECRET")
-        fleet = FleetCoordinator(fleet_host, fleet_port,
-                                 secret=secret, obs=obs)
+        fleet = FleetCoordinator(*args.fleet_listen, secret=secret, obs=obs)
         fleet_host, fleet_port = fleet.start()
         if secret is None and fleet_host not in ("127.0.0.1", "::1",
                                                  "localhost"):
@@ -826,7 +777,6 @@ def _cmd_serve(args) -> int:
             fit_budgets=fit_budgets,
             fit_workers=args.fit_workers,
             shed_start=args.shed_start,
-            fit_executor=args.fit_executor,
             fit_timeout_s=args.fit_timeout)
         budgets = ", ".join(
             f"{spec}={gateway.router(name, spec).max_pending_fits}"
@@ -839,6 +789,11 @@ def _cmd_serve(args) -> int:
               flush=True)
 
     async def run() -> None:
+        # SIGTERM takes the path asyncio gives Ctrl-C: cancelling this
+        # task makes serve_forever close the server, which answers the
+        # requests in flight before gateway.close() runs below.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
         if args.warmup:  # before binding: no traffic races the warmup
             print("warming namespaces ...", flush=True)
             await gateway.warmup()
@@ -863,17 +818,9 @@ def _cmd_serve(args) -> int:
               f"\"{target}\"}}'", flush=True)
         await server.serve_forever()  # closes the server when cancelled
 
-    # SIGTERM takes the Ctrl-C path, so the finally below still shuts the
-    # fit plane down instead of orphaning its worker processes.
-    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        if not args.no_prestart:
-            workers = gateway.prestart_fit_planes()  # no-op in thread mode
-            if workers:
-                noun = "fleet workers" if fleet is not None else "worker processes"
-                print(f"fit plane: {workers} {noun} live", flush=True)
         asyncio.run(run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("shutting down")
     finally:
         gateway.close()
@@ -949,9 +896,7 @@ def _cmd_serve_sim(args) -> int:
                   f"registry={'on' if service.registry else 'off'})")
             router = AsyncSelectionRouter(
                 service, max_pending_fits=args.max_pending_fits,
-                shed_start=args.shed_start,
-                fit_executor=args.fit_executor)
-            router.prestart_fit_plane()
+                shed_start=args.shed_start)
             try:
                 summary = replay_concurrent(router, workload,
                                             clients=args.concurrency,

@@ -1,9 +1,9 @@
 """The fit fleet: cold fits in other processes, over the artifact boundary.
 
-Cold fits hold the GIL, so the router runs them elsewhere: on socket
-fit workers that return the *strategy-packed* artifact — rankings stay
-instant at the edge while heavy TransferGraph fitting happens in other
-processes, on this box or on N machines.
+Cold fits hold the GIL, so a router given a fleet runs them elsewhere:
+on ``repro fit-worker`` processes that return the *strategy-packed*
+artifact — rankings stay instant at the edge while heavy TransferGraph
+fitting happens in other processes, on this box or on N machines.
 
 - :mod:`repro.fleet.errors` — the typed :class:`FitPlaneError` family
   every remote fit sheds with;
@@ -15,12 +15,10 @@ processes, on this box or on N machines.
   FIT_RESULT/FIT_ERROR) and the mutual HMAC fleet-secret handshake;
 - :mod:`repro.fleet.coordinator` — :class:`FleetCoordinator`, the
   gateway-side registry/heartbeat/dispatch loop with least-outstanding
-  worker selection and retry-once failover (``fit_executor="socket"``);
+  worker selection and retry-once failover; a router or gateway given
+  one sends every cold fit to it;
 - :mod:`repro.fleet.worker` — :class:`FitWorker`, the
-  ``repro fit-worker`` daemon;
-- :mod:`repro.fleet.local` — :class:`LocalFleet`, a loopback
-  coordinator that spawns its own fit-worker processes
-  (``fit_executor="process"``).
+  ``repro fit-worker`` daemon.
 
 Layering: ``serving`` imports ``fleet`` (the router's remote fit
 path), never the reverse — enforced by the ``import-layering`` rule in
@@ -35,14 +33,12 @@ from repro.fleet.errors import (
     NoWorkersError,
     WireError,
 )
-from repro.fleet.local import LocalFleet
 from repro.fleet.work import run_fit, zoo_ref_for
 from repro.fleet.worker import FitWorker
 
 __all__ = [
     "FleetCoordinator",
     "FitWorker",
-    "LocalFleet",
     "FitPlaneError",
     "FitTimeoutError",
     "FitWorkerCrashError",

@@ -4,13 +4,12 @@ The coordinator is the gateway-side half of the fit fleet.  It runs an
 asyncio socket server on its *own* daemon thread and private event loop
 — the serving event loop never touches fleet IO — and exposes one
 blocking ``submit_fit(strategy, zoo, target) -> (meta, arrays, spans)``
-call, the router's ``_remote_fit`` path for both remote executors:
-``fit_executor="socket"`` shares the gateway's coordinator, and
-``fit_executor="process"`` gives each router a
-:class:`~repro.fleet.local.LocalFleet`, this class plus the worker
-processes it spawns.  Router fit threads block on
-``run_coroutine_threadsafe(...).result()`` while the dispatch runs on
-the coordinator loop.
+call, the ``_remote_fit`` path of every router given this coordinator
+(a gateway passes its ``fleet`` to all of its routers).  Router fit
+threads block on ``run_coroutine_threadsafe(...).result()`` while the
+dispatch runs on the coordinator loop.  The workers are ``repro
+fit-worker`` daemons, on this box (one per core for multi-core fitting)
+or on others.
 
 Worker lifecycle:
 
@@ -263,24 +262,14 @@ class FleetCoordinator:
         except Exception as exc:
             raise FitPlaneError(
                 f"strategy {getattr(strategy, 'spec', strategy)!r} is not "
-                f"picklable and cannot fit on a fleet worker (use "
-                f"fit_executor='thread'): {exc}"
+                f"picklable and cannot fit on a fleet worker (serve it "
+                f"without a fleet): {exc}"
             ) from exc
         zoo_blob = pickle.dumps(zoo_ref_for(zoo))
         future = asyncio.run_coroutine_threadsafe(
             self._run_fit(blob, zoo_blob, target, timeout_s), loop
         )
         return future.result()
-
-    def prestart(self, zoo=None) -> int:
-        """Report live workers; a shared fleet has nothing to start.
-
-        External workers hydrate the zoo themselves on their first fit
-        (cached per zoo fingerprint thereafter); ``zoo`` is what a
-        :class:`~repro.fleet.local.LocalFleet` hydrates in the workers
-        it spawns.
-        """
-        return self.worker_count
 
     def wait_for_workers(self, count: int, timeout_s: float = 30.0) -> int:
         """Block until ``count`` workers are registered; returns the count."""

@@ -1,13 +1,12 @@
-"""Typed fit-plane failures shared by every cold-fit executor.
+"""Typed fit-plane failures of the fit fleet.
 
 The coordinator, the worker daemon and the router all shed a router's
-coalesced group with *the same* typed errors — in process mode and in
-socket mode alike — so the hierarchy lives at the bottom of ``fleet``,
-below everything that raises or catches it.  ``repro.serving``
-re-exports the executor-facing names, so
+coalesced group with *the same* typed errors, so the hierarchy lives at
+the bottom of ``fleet``, below everything that raises or catches it.
+``repro.serving`` re-exports the router-facing names, so
 ``from repro.serving import FitPlaneError`` works too.
 
-The contract, regardless of executor:
+The contract:
 
 - :class:`FitPlaneError` and subclasses mean the *plane* failed — the
   infrastructure running the fit, not the fit itself.  Ordinary

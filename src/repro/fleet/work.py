@@ -1,10 +1,9 @@
 """Worker-side fit execution: hydrate the zoo, fit, warm, pack.
 
 One module runs the actual cold fit for every remote fit: each
-``repro fit-worker`` (:mod:`repro.fleet.worker`) — a daemon on another
-box, or one of the processes a :class:`~repro.fleet.local.LocalFleet`
-spawns for ``fit_executor="process"`` — calls :func:`run_fit` for each
-FIT frame.  Keeping it shared is what makes thread- and worker-fitted
+``repro fit-worker`` daemon (:mod:`repro.fleet.worker`), on this box or
+another, calls :func:`run_fit` for each FIT frame.  Keeping it shared
+is what makes thread- and worker-fitted
 artifacts byte-identical: the payload crossing the boundary is always
 the strategy-packed ``(meta, arrays)`` pair plus a span-record list,
 never a live pipeline.
@@ -28,7 +27,7 @@ from repro.obs.trace import Trace, activate, deactivate, span
 from repro.zoo.cache import load_zoo, zoo_cache_key
 from repro.zoo.zoo import ZooConfig, build_zoo
 
-__all__ = ["zoo_ref_for", "hydrate_zoo", "run_fit"]
+__all__ = ["zoo_ref_for", "run_fit"]
 
 
 # ---------------------------------------------------------------------- #
@@ -39,7 +38,6 @@ class _ConfigZooRef:
     """Re-hydrate from a :class:`ZooConfig`: disk cache, else rebuild."""
 
     config: ZooConfig
-    cache_dir: str | None
 
     @property
     def key(self) -> str:
@@ -54,7 +52,7 @@ class _PickleZooRef:
     key: str
 
 
-def zoo_ref_for(zoo, cache_dir=None):
+def zoo_ref_for(zoo):
     """The picklable reference a worker re-hydrates ``zoo`` from.
 
     Zoos built through :func:`repro.zoo.get_or_build_zoo` carry a
@@ -64,9 +62,7 @@ def zoo_ref_for(zoo, cache_dir=None):
     """
     config = getattr(zoo, "config", None)
     if isinstance(config, ZooConfig):
-        return _ConfigZooRef(
-            config=config, cache_dir=None if cache_dir is None else str(cache_dir)
-        )
+        return _ConfigZooRef(config=config)
     try:
         payload = pickle.dumps(zoo)
     except Exception as exc:
@@ -86,7 +82,7 @@ def zoo_ref_for(zoo, cache_dir=None):
 _ZOO_CACHE: dict[str, object] = {}
 
 
-def hydrate_zoo(ref):
+def _hydrate_zoo(ref):
     """The zoo ``ref`` names, loaded once per worker process."""
     zoo = _ZOO_CACHE.get(ref.key)
     if zoo is not None:
@@ -98,7 +94,7 @@ def hydrate_zoo(ref):
         # workers racing identical np.savez calls onto one cache path
         # could tear it for a later loader, and the rebuild is
         # deterministic in the config anyway.
-        zoo = load_zoo(ref.config, ref.cache_dir)
+        zoo = load_zoo(ref.config)
         if zoo is None:
             zoo = build_zoo(ref.config)
         if ref.config.include_lora:
@@ -119,7 +115,7 @@ def _fit_in_worker(strategy_blob: bytes, zoo_ref, target: str):
     """
     strategy = pickle.loads(strategy_blob)
     with span("fit.zoo_hydrate"):
-        zoo = hydrate_zoo(zoo_ref)
+        zoo = _hydrate_zoo(zoo_ref)
     fitted = strategy.fit(zoo, target)
     with span("fit.warm_predict"):
         fitted.predict(zoo.model_ids())

@@ -80,8 +80,6 @@ class Observability:
         self._traces: deque[dict] = deque(maxlen=trace_capacity)
         self._trace_lock = threading.Lock()
         self._trace_sinks: list = []  # guarded by: self._trace_lock
-        self._fleet_lock = threading.Lock()
-        self._fleet_sizes: list = []  # guarded by: self._fleet_lock
 
         m = self.metrics
         self.requests_total = m.counter(
@@ -202,18 +200,9 @@ class Observability:
         self.queue_depth.labels(namespace, strategy).set_function(fn)
 
     def watch_fleet_workers(self, fn) -> None:
-        """Add ``fn()`` (one fleet's live size) to the fleet-workers gauge.
-
-        The gauge is the sum over every fleet registered here — the
-        socket fleet and each process-mode router's local fleet — read
-        at scrape time.
-        """
-        with self._fleet_lock:
-            self._fleet_sizes.append(fn)
-            sizes = tuple(self._fleet_sizes)
-            self.fleet_workers.labels().set_function(
-                lambda: sum(size() for size in sizes)
-            )
+        """Export ``fn()`` (live fleet size) as a gauge, lazily read at
+        scrape time."""
+        self.fleet_workers.labels().set_function(fn)
 
     def record_fleet_dispatch(self, outcome: str) -> None:
         self.fleet_dispatch.labels(outcome).inc()

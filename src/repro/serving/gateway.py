@@ -21,14 +21,15 @@ their optional ``strategy`` field selects:
   (percentiles of the pooled latency histograms, not averages of
   per-namespace percentiles).
 
-Thread-mode routers share their fit pools: every namespace's router
-for one strategy spec (with one ``fit_workers``) runs its cold fits on a
-single gateway-owned thread pool, so a gateway fitting many namespaces
-keeps ``fit_workers`` fit threads per strategy instead of starting new
-ones — each with its own glibc malloc arena holding that fit's freed
-temporaries — for every namespace.  Process- and socket-mode routers
-keep their own pools: their threads only wait on remote fits, and
-sharing would cap the fleet's concurrency.
+Without a fleet, routers share their fit pools: every namespace's
+router for one strategy spec (with one ``fit_workers``) runs its cold
+fits on a single gateway-owned thread pool, so a gateway fitting many
+namespaces keeps ``fit_workers`` fit threads per strategy instead of
+starting new ones — each with its own glibc malloc arena holding that
+fit's freed temporaries — for every namespace.  A gateway with a fleet
+sends every router's cold fits to it, and each router keeps its own
+pool: those threads only wait on remote fits, and sharing would cap the
+fleet's concurrency.
 
 Serving several strategies over one namespace turns the paper's
 Table-style comparison into a live workload: the same ``/v1/rank``
@@ -59,12 +60,7 @@ from repro.serving.protocol import (
     StatsResponse,
 )
 from repro.serving.registry import ArtifactRegistry
-from repro.serving.router import (
-    AsyncSelectionRouter,
-    QueueFullError,
-    RouterStats,
-    resolve_fit_executor,
-)
+from repro.serving.router import AsyncSelectionRouter, QueueFullError, RouterStats
 from repro.serving.service import SelectionService, ServiceStats
 from repro.strategies import (
     UnknownStrategyError,
@@ -236,11 +232,12 @@ class SelectionGateway:
         :class:`~repro.obs.NullObservability` to disable collection
         entirely (the overhead benchmark's control arm).
     fleet:
-        A started :class:`~repro.fleet.FleetCoordinator` shared by
-        every ``fit_executor="socket"`` router the gateway builds.  The
-        gateway owns its shutdown: :meth:`close` closes it (dropping
-        all registered ``repro fit-worker`` daemons), and
-        ``/v1/healthz`` lists its live fleet.
+        A started :class:`~repro.fleet.FleetCoordinator` every router
+        the gateway builds sends its cold fits to; ``None`` (default)
+        fits on the gateway's shared thread pools.  The gateway owns its
+        shutdown: :meth:`close` closes it (dropping all registered
+        ``repro fit-worker`` daemons), and ``/v1/healthz`` lists its
+        live fleet.
     """
 
     def __init__(
@@ -254,8 +251,8 @@ class SelectionGateway:
         self.obs = obs if obs is not None else Observability()
         self.fleet = fleet
         self._namespaces: dict[str, _Namespace] = {}
-        #: (strategy spec, fit_workers) -> the fit pool every thread-mode
-        #: router of that strategy shares (module doc)
+        #: (strategy spec, fit_workers) -> the fit pool every router of
+        #: that strategy shares when there is no fleet (module doc)
         self._fit_pools: dict[tuple[str, int], ThreadPoolExecutor] = {}
         self._closed = False
 
@@ -273,7 +270,6 @@ class SelectionGateway:
                       retry_after_s: float = 0.5,
                       fit_workers: int = 2,
                       shed_start: float = 1.0,
-                      fit_executor: str | None = None,
                       fit_timeout_s: float | None = None
                       ) -> SelectionService:
         """Register one namespace; returns its *default* service.
@@ -302,18 +298,11 @@ class SelectionGateway:
           :class:`ValueError` (an ignored typo would silently serve the
           wrong budget).
 
-        ``fit_executor`` selects where every router in the namespace
-        runs its cold fits: ``"thread"`` (the gateway's in-process pool
-        for that strategy, shared with every other namespace's
-        thread-mode router of the same spec and ``fit_workers``),
-        ``"process"`` (each router's own :class:`~repro.fleet.LocalFleet`
-        of ``fit_workers`` spawned worker processes — true multi-core
-        fitting), ``"socket"`` (the gateway's shared
-        :class:`~repro.fleet.FleetCoordinator` dispatching to
-        ``repro fit-worker`` daemons; requires the gateway's ``fleet``),
-        or ``None`` to follow the ``REPRO_FIT_EXECUTOR`` environment
-        default.  ``fit_timeout_s`` bounds a process/socket-mode fit
-        before its coalesced group is shed with a typed error.
+        Cold fits run on the gateway's ``fleet`` when it has one, else
+        on the gateway's in-process pool for that strategy, shared with
+        every other namespace's router of the same spec and
+        ``fit_workers``.  ``fit_timeout_s`` bounds a fleet fit before
+        its coalesced group is shed with a typed error.
         """
         if not _NAMESPACE_NAME.fullmatch(name):
             raise ValueError(
@@ -326,7 +315,6 @@ class SelectionGateway:
         if registry is None and self._registry_root is not None:
             registry = ArtifactRegistry(self._registry_root / name)
 
-        fit_executor = resolve_fit_executor(fit_executor)
         ns = _Namespace(name, zoo)
         resolved = [resolve_strategy(strategy)]
         resolved += [resolve_strategy(s) for s in strategies]
@@ -340,8 +328,8 @@ class SelectionGateway:
             service = SelectionService(
                 zoo, strat, registry=registry, cache_size=cache_size
             )
-            fit_pool = None  # remote-mode threads only wait on their fleet
-            if fit_executor == "thread":
+            fit_pool = None  # with a fleet, fit threads only wait on it
+            if self.fleet is None:
                 fit_pool = self._fit_pool(strat.spec, fit_workers)
             router = AsyncSelectionRouter(
                 service,
@@ -350,11 +338,9 @@ class SelectionGateway:
                 retry_after_s=retry_after_s,
                 fit_workers=fit_workers,
                 shed_start=shed_start,
-                fit_executor=fit_executor,
                 fit_timeout_s=fit_timeout_s,
                 fleet=self.fleet,
                 fit_pool=fit_pool,
-                obs=self.obs,
             )
             ns.entries[strat.spec] = _Entry(service, router)
             self.obs.watch_queue_depth(
@@ -365,7 +351,7 @@ class SelectionGateway:
         return ns.entries[ns.default_spec].service
 
     def _fit_pool(self, spec: str, fit_workers: int) -> ThreadPoolExecutor:
-        """The fit pool thread-mode routers of ``spec`` share."""
+        """The fit pool the routers of ``spec`` share."""
         key = (spec, fit_workers)
         pool = self._fit_pools.get(key)
         if pool is None:
@@ -588,24 +574,6 @@ class SelectionGateway:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def prestart_fit_planes(self) -> int:
-        """Ready every remote fit plane now.
-
-        Process-mode routers spawn their local fit-worker processes
-        (otherwise charged to an unlucky first request); the shared
-        socket fleet — counted once, not per router — reports its live
-        ``fit-worker`` daemons.  Returns the number of workers confirmed
-        live (0 when every router runs the thread executor).
-        """
-        started = 0
-        for ns in self._namespaces.values():
-            for entry in ns.entries.values():
-                if entry.router.fit_executor != "socket":
-                    started += entry.router.prestart_fit_plane()
-        if self.fleet is not None:
-            started += self.fleet.prestart()
-        return started
-
     def fleet_summary(self) -> dict | None:
         """The fleet coordinator's live snapshot; None without a fleet."""
         return None if self.fleet is None else self.fleet.fleet_summary()

@@ -207,6 +207,15 @@ class GatewayHTTPServer:
         #: reading a request (idle ones included), which close() drops
         self._connections: set[asyncio.Task] = set()
         self._reading: set[asyncio.StreamWriter] = set()
+        #: path -> (method, handler)
+        self._routes = {
+            "/v1/rank": ("POST", self._post_rank),
+            "/v1/score_batch": ("POST", self._post_score_batch),
+            "/v1/compare": ("POST", self._post_compare),
+            "/v1/stats": ("GET", self._get_stats),
+            "/v1/healthz": ("GET", self._get_healthz),
+            "/v1/metrics": ("GET", self._get_metrics),
+        }
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -282,12 +291,15 @@ class GatewayHTTPServer:
         except ConnectionError:
             pass  # client went away while we wrote a response
         finally:
-            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except ConnectionError:  # pragma: no cover - teardown race
                 pass
+            finally:
+                # only now: close() must wait for a connection still
+                # closing, or loop teardown cancels it mid-close
+                self._connections.discard(task)
 
     async def _serve_one(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -324,7 +336,11 @@ class GatewayHTTPServer:
             failure = _error_for(exc)
             status, payload, extra = failure.status, failure.error, failure.headers
         keep_alive = keep_alive and not self._closing
-        self.gateway.obs.record_http_response(path, status)
+        # A path that is no route shares the label "-" with framing
+        # errors: the client picks the path, and each distinct label
+        # would be a metric series kept for the life of the process.
+        label = path if path in self._routes else "-"
+        self.gateway.obs.record_http_response(label, status)
         await self._write_response(writer, status, payload, extra, keep_alive)
         return keep_alive
 
@@ -413,15 +429,7 @@ class GatewayHTTPServer:
     async def _route(
         self, method: str, path: str, headers: dict[str, str], body: bytes
     ):
-        routes = {
-            "/v1/rank": ("POST", self._post_rank),
-            "/v1/score_batch": ("POST", self._post_score_batch),
-            "/v1/compare": ("POST", self._post_compare),
-            "/v1/stats": ("GET", self._get_stats),
-            "/v1/healthz": ("GET", self._get_healthz),
-            "/v1/metrics": ("GET", self._get_metrics),
-        }
-        entry = routes.get(path)
+        entry = self._routes.get(path)
         if entry is None:
             raise _HTTPError(
                 404, ErrorResponse(code="not_found", message=f"no route {path!r}")

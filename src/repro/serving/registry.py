@@ -155,9 +155,9 @@ class ArtifactRegistry:
     def save_packed(self, meta: dict, arrays: dict, strategy, target: str) -> Path:
         """Write one *already-packed* artifact atomically; returns its file.
 
-        The process and socket fit planes persist the worker's exact
-        ``(meta, arrays)`` payload through this, so their artifacts are
-        byte-identical to the thread path packing in-process.
+        A fleet fit persists the worker's exact ``(meta, arrays)``
+        payload through this, so its artifacts are byte-identical to the
+        thread path packing in-process.
         """
         strategy = resolve_strategy(strategy)
         path = self._path(strategy, target)

@@ -26,17 +26,16 @@ loop:
   recording into the shared zoo catalog is lock-guarded — see
   :attr:`repro.store.ZooCatalog.lock` — so ``fit_workers`` defaults
   above one).  The pool is the router's own unless one is injected
-  (``fit_pool``): the gateway shares one pool among its thread-mode
+  (``fit_pool``): a gateway without a fleet shares one pool among its
   routers of a strategy, so fit threads — and the malloc arenas each new
   thread gets — do not multiply with namespaces;
 - **remote fits** — pure-Python fit stages (walks, SGNS) hold the GIL,
-  so the thread pool alone serves cold traffic at roughly one core.
-  ``fit_executor="process"`` ships each cold fit to a
-  :class:`~repro.fleet.LocalFleet` of ``fit_workers`` worker processes
-  the router owns, and ``"socket"`` to the gateway's shared
-  :class:`~repro.fleet.FleetCoordinator`; either way the fit threads
-  merely block on the fleet — queueing, coalescing, shedding, and stats
-  behave identically in every mode;
+  so the thread pool alone serves cold traffic at roughly one core.  A
+  router given a :class:`~repro.fleet.FleetCoordinator` (``fleet``)
+  ships every cold fit to its ``repro fit-worker`` processes, on this
+  box or others; the fit threads then merely block on the fleet —
+  queueing, coalescing, shedding, and stats behave identically either
+  way;
 - **bounded cold-fit queue** — at most ``max_pending_fits`` cold fits
   may be admitted (in flight or waiting for a fit worker); an overflow
   either raises :class:`QueueFullError` with an adaptive
@@ -66,7 +65,6 @@ from __future__ import annotations
 
 import asyncio
 import math
-import os
 import random
 import threading
 import time
@@ -75,7 +73,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.fleet.local import LocalFleet
 from repro.obs import graft_spans, run_in_context, set_outcome, span
 from repro.obs.metrics import Histogram
 from repro.serving.protocol import (
@@ -90,7 +87,6 @@ __all__ = [
     "AsyncSelectionRouter",
     "RouterStats",
     "QueueFullError",
-    "resolve_fit_executor",
 ]
 
 _COUNTER_FIELDS = (
@@ -199,18 +195,6 @@ class RouterStats:
         }
 
 
-def resolve_fit_executor(fit_executor: str | None) -> str:
-    """The fit plane a router runs; ``None`` reads ``REPRO_FIT_EXECUTOR``."""
-    if fit_executor is None:
-        fit_executor = os.environ.get("REPRO_FIT_EXECUTOR", "thread")
-    if fit_executor not in ("thread", "process", "socket"):
-        raise ValueError(
-            f"fit_executor must be 'thread', 'process', or 'socket', "
-            f"got {fit_executor!r}"
-        )
-    return fit_executor
-
-
 def _retrieve_exception(future: asyncio.Future) -> None:
     # A failed fit with zero coalesced waiters would otherwise log
     # "exception was never retrieved" — the originator re-raises its own
@@ -251,44 +235,29 @@ class AsyncSelectionRouter:
         draw; defaults to :func:`random.random`.  Tests inject a
         deterministic sequence here.
     fit_workers:
-        Cold-fit parallelism: threads (``fit_executor="thread"``) or
-        worker processes (``"process"``).  Distinct cold targets fit in
-        parallel: derived similarity/transferability recording into the
-        shared zoo catalog is serialised by the catalog's own lock
-        (thread mode) or stays worker-local and folds back through the
-        packed artifact (process mode).
-    fit_executor:
-        ``"thread"`` fits in the router's thread pool (the default);
-        ``"process"`` dispatches cold fits to a
-        :class:`~repro.fleet.LocalFleet` — a loopback coordinator and
-        ``fit_workers`` spawned ``fit-worker`` processes the router owns
-        — for true CPU parallelism; ``"socket"`` dispatches them through
-        a shared :class:`~repro.fleet.FleetCoordinator` (the ``fleet``
-        parameter) to ``repro fit-worker`` daemons.  In both remote
-        modes the worker returns the strategy-packed artifact and the
-        parent unpacks and writes it through to the registry
-        byte-identically to the thread path.  ``None`` reads the
-        ``REPRO_FIT_EXECUTOR`` environment variable, defaulting to
-        ``"thread"``.
+        Cold-fit parallelism: the threads fit jobs run on.  Distinct
+        cold targets fit in parallel: derived similarity/transferability
+        recording into the shared zoo catalog is serialised by the
+        catalog's own lock, or, with a fleet, stays worker-local and
+        folds back through the packed artifact.
     fit_timeout_s:
-        Process/socket modes: a fit exceeding this many seconds raises
+        With a fleet: a fit exceeding this many seconds raises
         :class:`~repro.fleet.errors.FitTimeoutError`, shedding its
         coalesced group.  ``None`` (default) never times out.
     fleet:
-        The :class:`~repro.fleet.FleetCoordinator` socket-mode fits
-        dispatch through.  Required for ``fit_executor="socket"``; the
-        coordinator is shared (gateway-owned), so :meth:`close` leaves
-        it running.
+        A :class:`~repro.fleet.FleetCoordinator` to send every cold fit
+        to; its worker returns the strategy-packed artifact, which the
+        router unpacks and writes through to the registry
+        byte-identically to a fit on its own threads.  ``None``
+        (default) fits on the router's thread pool.  The fleet belongs
+        to its owner (a gateway shares one among all its routers), so
+        :meth:`close` leaves it running.
     fit_pool:
         A shared :class:`~concurrent.futures.ThreadPoolExecutor` to run
         fit jobs on instead of a pool of the router's own; its owner
         (the gateway) shuts it down, :meth:`close` leaves it running.
         ``None`` (default) gives the router a ``fit_workers``-thread
         pool it owns.
-    obs:
-        The :class:`~repro.obs.Observability` a process-mode
-        :class:`~repro.fleet.LocalFleet` reports its worker count and
-        dispatch outcomes to; ``None`` exports nothing.
     """
 
     def __init__(
@@ -301,11 +270,9 @@ class AsyncSelectionRouter:
         fit_workers: int = 2,
         shed_start: float = 1.0,
         shed_rng=None,
-        fit_executor: str | None = None,
         fit_timeout_s: float | None = None,
         fleet=None,
         fit_pool: ThreadPoolExecutor | None = None,
-        obs=None,
     ):
         if max_pending_fits < 1:
             raise ValueError("max_pending_fits must be >= 1")
@@ -315,11 +282,6 @@ class AsyncSelectionRouter:
             raise ValueError("fit_workers must be >= 1")
         if not (0.0 <= shed_start <= 1.0):
             raise ValueError("shed_start must be in [0, 1]")
-        fit_executor = resolve_fit_executor(fit_executor)
-        if fit_executor == "socket" and fleet is None:
-            raise ValueError(
-                "fit_executor='socket' needs a FleetCoordinator (fleet=...)"
-            )
         self.service = service
         self.max_pending_fits = max_pending_fits
         self.overflow = overflow
@@ -327,17 +289,8 @@ class AsyncSelectionRouter:
         self.shed_start = shed_start
         self._shed_rng = shed_rng if shed_rng is not None else random.random
         self.fit_workers = fit_workers
-        self.fit_executor = fit_executor
         self._fit_timeout_s = fit_timeout_s
-        self._fit_plane = None
-        #: socket planes are shared (gateway-owned); close() must not
-        #: shut a coordinator other routers still dispatch through
-        self._owns_fit_plane = False
-        if fit_executor == "process":
-            self._fit_plane = LocalFleet(fit_workers, obs=obs)
-            self._owns_fit_plane = True
-        elif fit_executor == "socket":
-            self._fit_plane = fleet
+        self._fleet = fleet
         #: an injected pool is shared (gateway-owned); close() leaves it
         self._owns_fit_pool = fit_pool is None
         if fit_pool is None:
@@ -454,17 +407,16 @@ class AsyncSelectionRouter:
             self._capacity.notify_all()
 
     def _remote_fit(self, strategy, zoo, target: str):
-        """Process/socket-mode fit: block a fit thread on a remote worker.
+        """Fleet fit: block a fit thread on a remote worker.
 
-        The worker — a local fleet's process or a fleet daemon — ships back
-        ``(meta, arrays, spans)``; the child's fit-stage spans are
-        grafted onto the live request trace here (this thread carries
-        the request context via :func:`repro.obs.run_in_context`) and
-        the packed payload is returned for
-        :meth:`SelectionService.load_or_fit` to unpack and write
-        through.
+        The ``fit-worker`` ships back ``(meta, arrays, spans)``; its
+        fit-stage spans are grafted onto the live request trace here
+        (this thread carries the request context via
+        :func:`repro.obs.run_in_context`) and the packed payload is
+        returned for :meth:`SelectionService.load_or_fit` to unpack and
+        write through.
         """
-        meta, arrays, spans = self._fit_plane.submit_fit(
+        meta, arrays, spans = self._fleet.submit_fit(
             strategy, zoo, target, timeout_s=self._fit_timeout_s
         )
         graft_spans(spans)
@@ -479,7 +431,7 @@ class AsyncSelectionRouter:
         ``ZooCatalog.lock``), and the loop only ever reads finished
         answers.
         """
-        remote = self._remote_fit if self._fit_plane is not None else None
+        remote = self._remote_fit if self._fleet is not None else None
         fitted = self.service.load_or_fit(target, remote_fit=remote)
         return self.service.cache_put(target, fitted)
 
@@ -699,33 +651,16 @@ class AsyncSelectionRouter:
         """Live cold-fit queue depth (exported as a metrics gauge)."""
         return self._pending_fits
 
-    def prestart_fit_plane(self) -> int:
-        """Ready the remote fit plane now (0 in thread mode).
-
-        A process-mode router's workers otherwise spawn on its first
-        cold fit, which would bill that request for interpreter starts
-        plus zoo hydration on top of its fit; blocks until every worker
-        has hydrated the zoo and registered, and returns their count.  A
-        shared socket plane has nothing to start — its prestart reports
-        the fleet's live worker count instead.
-        """
-        if self._fit_plane is None:
-            return 0
-        return self._fit_plane.prestart(zoo=self.service.zoo)
-
     def close(self) -> None:
-        """Shut the executors down; idempotent.
+        """Shut the router's own fit pool down; idempotent.
 
-        A shared fit pool or socket fit plane (the gateway's) is left
-        running — other routers may still use it, and its owner closes
-        it.
+        A shared fit pool and the fleet are left running — other routers
+        may still use them, and their owner closes them.
         """
         if not self._closed:
             self._closed = True
             if self._owns_fit_pool:
                 self._fit_pool.shutdown(wait=True)
-            if self._fit_plane is not None and self._owns_fit_plane:
-                self._fit_plane.close()
 
     async def __aenter__(self) -> "AsyncSelectionRouter":
         return self

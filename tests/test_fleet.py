@@ -1,18 +1,20 @@
 """The distributed fit fleet: wire protocol, dispatch, typed failover.
 
-Three layers of coverage:
+Four layers of coverage:
 
 - property-based round-trips (hypothesis) for every fleet wire frame —
   encode/decode must be lossless and byte-stable, arrays must survive
   with dtype/shape/order intact;
 - in-thread worker integration: coalescing, typed timeout/no-workers/
-  fit-error semantics, heartbeat reaping, and version-skew refusal
-  (thread-vs-worker artifact byte parity runs across real worker
-  processes in ``tests/test_fit_plane.py``, on the same coordinator,
-  worker and wire);
+  fit-error semantics, heartbeat reaping, and version-skew refusal;
 - real-daemon failover: two ``repro fit-worker`` subprocesses, one
   SIGKILLed mid-fit — the coalesced group must land on the survivor
-  with zero lost requests.
+  with zero lost requests;
+- cross-interpreter parity: a fit run in a ``repro fit-worker``
+  subprocess — shipped back as a packed artifact over the fleet wire,
+  unpacked in the parent — must serve byte-identical rankings and write
+  byte-identical registry artifacts to the in-process thread path, for
+  every strategy family.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro.core import TransferGraphConfig
+from repro.core import FeatureSet, TransferGraphConfig
 from repro.fleet import (
     FitPlaneError,
     FitTimeoutError,
@@ -41,12 +43,15 @@ from repro.fleet import (
     FleetCoordinator,
     NoWorkersError,
     WireError,
+    zoo_ref_for,
 )
 from repro.fleet import wire
 from repro.obs import Observability
 from repro.serving import (
+    ArtifactRegistry,
     AsyncSelectionRouter,
     GatewayHTTPServer,
+    RankRequest,
     SelectionGateway,
     SelectionService,
 )
@@ -288,19 +293,13 @@ def fleet_with_workers(count=2, secret=None, **kwargs):
     return fleet, workers, threads
 
 
-def socket_router(service, fleet, **kwargs):
-    return AsyncSelectionRouter(service, fit_executor="socket", fleet=fleet,
-                                **kwargs)
-
-
 class TestDispatch:
     def test_rank_and_coalescing_match_thread_counters(self):
-        def drive(executor, fleet=None):
+        def drive(fleet=None):
             service = SelectionService(
                 StubZoo(), StubStrategy("agree", STUB_SCORES["agree"],
                                         fit_seconds=0.3))
-            router = AsyncSelectionRouter(service, fit_executor=executor,
-                                          fleet=fleet)
+            router = AsyncSelectionRouter(service, fleet=fleet)
 
             async def traffic():
                 await asyncio.gather(*(router.rank("t0") for _ in range(5)))
@@ -315,8 +314,8 @@ class TestDispatch:
 
         fleet, _, threads = fleet_with_workers(2)
         try:
-            t_warm, t_stats = drive("thread")
-            s_warm, s_stats = drive("socket", fleet)
+            t_warm, t_stats = drive()
+            s_warm, s_stats = drive(fleet)
         finally:
             fleet.close()
         for t in threads:
@@ -334,7 +333,7 @@ class TestDispatch:
         service = SelectionService(StubZoo(),
                                    StubStrategy("agree",
                                                 STUB_SCORES["agree"]))
-        router = socket_router(service, fleet)
+        router = AsyncSelectionRouter(service, fleet=fleet)
         try:
             with pytest.raises(NoWorkersError, match="no live fit workers"):
                 run(router.rank("t0"))
@@ -346,7 +345,7 @@ class TestDispatch:
     def test_timeout_is_typed_and_bounded(self):
         fleet, _, _ = fleet_with_workers(1)
         service = SelectionService(StubZoo(), SlowFleetStrategy(sleep_s=2.0))
-        router = socket_router(service, fleet, fit_timeout_s=0.3)
+        router = AsyncSelectionRouter(service, fleet=fleet, fit_timeout_s=0.3)
         try:
             started = time.perf_counter()
             with pytest.raises(FitTimeoutError, match="exceeded 0.3s"):
@@ -360,14 +359,14 @@ class TestDispatch:
     def test_ordinary_fit_exception_keeps_its_type(self):
         fleet, _, _ = fleet_with_workers(1)
         service = SelectionService(StubZoo(), FailingFleetStrategy())
-        router = socket_router(service, fleet)
+        router = AsyncSelectionRouter(service, fleet=fleet)
         try:
             with pytest.raises(ValueError, match="no fit for 't0'"):
                 run(router.rank("t0"))
             # the worker survives a failed fit and serves the next one
             service2 = SelectionService(
                 StubZoo(), StubStrategy("agree", STUB_SCORES["agree"]))
-            router2 = socket_router(service2, fleet)
+            router2 = AsyncSelectionRouter(service2, fleet=fleet)
             try:
                 assert run(router2.rank("t0"))[0][0] == "m0"
             finally:
@@ -378,7 +377,7 @@ class TestDispatch:
 
     def test_unpicklable_strategy_is_a_typed_submit_error(self):
         fleet, _, _ = fleet_with_workers(1)
-        router = socket_router(stub_service(), fleet)
+        router = AsyncSelectionRouter(stub_service(), fleet=fleet)
         try:
             with pytest.raises(FitPlaneError, match="not.*picklable"):
                 run(router.rank("t0"))
@@ -386,14 +385,10 @@ class TestDispatch:
             router.close()
             fleet.close()
 
-    def test_router_requires_a_fleet_for_socket_mode(self):
-        with pytest.raises(ValueError, match="needs a FleetCoordinator"):
-            AsyncSelectionRouter(stub_service(), fit_executor="socket")
-
     def test_router_close_leaves_the_shared_fleet_running(self):
         fleet, _, _ = fleet_with_workers(1)
         try:
-            router = socket_router(stub_service(), fleet)
+            router = AsyncSelectionRouter(stub_service(), fleet=fleet)
             router.close()
             assert fleet.worker_count == 1  # not torn down with the router
         finally:
@@ -458,7 +453,7 @@ class TestAuth:
         service = SelectionService(StubZoo(),
                                    StubStrategy("agree",
                                                 STUB_SCORES["agree"]))
-        router = socket_router(service, fleet)
+        router = AsyncSelectionRouter(service, fleet=fleet)
         try:
             assert run(router.rank("t0"))[0][0] == "m0"
         finally:
@@ -573,7 +568,7 @@ class TestResolveOwnership:
     def test_fits_done_counts_successes_not_attempts(self):
         fleet, workers, _ = fleet_with_workers(1)
         failing = SelectionService(StubZoo(), FailingFleetStrategy())
-        router = socket_router(failing, fleet)
+        router = AsyncSelectionRouter(failing, fleet=fleet)
         try:
             with pytest.raises(ValueError, match="no fit for 't0'"):
                 run(router.rank("t0"))
@@ -582,7 +577,7 @@ class TestResolveOwnership:
         healthy = SelectionService(StubZoo(),
                                    StubStrategy("agree",
                                                 STUB_SCORES["agree"]))
-        router = socket_router(healthy, fleet)
+        router = AsyncSelectionRouter(healthy, fleet=fleet)
         try:
             run(router.rank("t0"))
             assert workers[0].fits_done == 1  # the failure didn't count
@@ -641,7 +636,7 @@ class TestFailover:
                  for i in range(2)]
         service = SelectionService(StubZoo(),
                                    SlowFleetStrategy(sleep_s=1.5))
-        router = socket_router(service, fleet)
+        router = AsyncSelectionRouter(service, fleet=fleet)
         try:
             fleet.wait_for_workers(2, timeout_s=60.0)
 
@@ -688,7 +683,7 @@ class TestFailover:
         proc = _spawn_fit_worker(host, port, "lone")
         service = SelectionService(StubZoo(),
                                    SlowFleetStrategy(sleep_s=1.5))
-        router = socket_router(service, fleet)
+        router = AsyncSelectionRouter(service, fleet=fleet)
         try:
             fleet.wait_for_workers(1, timeout_s=60.0)
 
@@ -712,7 +707,134 @@ class TestFailover:
 
 
 # ---------------------------------------------------------------------- #
-# gateway + HTTP: healthz fleet block, metrics, prestart dedup
+# cross-interpreter parity: fits in a real fit-worker daemon
+# ---------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def cached_zoo(tiny_image_zoo, tmp_path_factory):
+    """The tiny zoo, saved where fit-worker daemons can re-hydrate it.
+
+    A daemon resolves the zoo cache through ``REPRO_CACHE_DIR``
+    (inherited via the environment), so the fixture saves the shared
+    session zoo into a temp cache and points the variable there for the
+    module.  Without this every daemon would *rebuild* the zoo —
+    correct, but minutes instead of milliseconds.
+    """
+    from repro.zoo.cache import save_zoo
+
+    cache_dir = tmp_path_factory.mktemp("fleet_zoo_cache")
+    save_zoo(tiny_image_zoo, cache_dir)
+    previous = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = str(cache_dir)
+    yield tiny_image_zoo
+    if previous is None:
+        os.environ.pop("REPRO_CACHE_DIR", None)
+    else:
+        os.environ["REPRO_CACHE_DIR"] = previous
+
+
+@pytest.fixture(scope="module")
+def daemon_fleet(cached_zoo):
+    """A coordinator with one ``repro fit-worker`` daemon registered."""
+    fleet = FleetCoordinator("127.0.0.1", 0)
+    host, port = fleet.start()
+    proc = _spawn_fit_worker(host, port, "parity")
+    try:
+        fleet.wait_for_workers(1, timeout_s=60.0)
+        yield fleet
+    finally:
+        fleet.close()
+        proc.terminate()
+        proc.wait(timeout=10)
+
+
+#: a graph-features TG variant, a dataset-similarity LR baseline, and a
+#: transferability score table — the three artifact shapes that exist
+PARITY_SPECS = [
+    pytest.param(TransferGraphConfig(predictor="lr", embedding_dim=16,
+                                     features=FeatureSet.everything()),
+                 id="tg"),
+    pytest.param("lr:all", id="lr-baseline"),
+    pytest.param("logme", id="score-table"),
+]
+
+
+def _serve_all(zoo, strategy, registry_root, fleet=None):
+    """Rank every target through a fresh router; response JSON per target."""
+    service = SelectionService(zoo, strategy,
+                               registry=ArtifactRegistry(registry_root))
+    router = AsyncSelectionRouter(service, fleet=fleet)
+    try:
+        responses = {}
+        for target in zoo.target_names():
+            response = run(router.handle(RankRequest(target=target)))
+            responses[target] = response.to_json()
+        stats = router.stats()
+    finally:
+        router.close()
+    assert stats["fits"] == len(zoo.target_names())
+    return responses
+
+
+class TestParity:
+    @pytest.mark.parametrize("strategy", PARITY_SPECS)
+    def test_rankings_and_artifacts_byte_identical(self, cached_zoo,
+                                                   daemon_fleet, tmp_path,
+                                                   strategy):
+        thread = _serve_all(cached_zoo, strategy, tmp_path / "thread_reg")
+        fleet = _serve_all(cached_zoo, strategy, tmp_path / "fleet_reg",
+                           daemon_fleet)
+        # Wire parity: the serialized rank responses are byte-identical.
+        assert thread == fleet
+
+        # Registry parity: every artifact file is byte-identical.
+        thread_reg = ArtifactRegistry(tmp_path / "thread_reg")
+        fleet_reg = ArtifactRegistry(tmp_path / "fleet_reg")
+        for target in cached_zoo.target_names():
+            assert thread_reg.path_for(target, strategy).read_bytes() == \
+                fleet_reg.path_for(target, strategy).read_bytes()
+
+    def test_registry_artifact_revives_into_thread_service(self, cached_zoo,
+                                                           daemon_fleet,
+                                                           tmp_path):
+        """A fleet-fitted artifact serves a later thread-mode service."""
+        target = cached_zoo.target_names()[0]
+        registry = ArtifactRegistry(tmp_path / "reg")
+        service = SelectionService(cached_zoo, "logme", registry=registry)
+        router = AsyncSelectionRouter(service, fleet=daemon_fleet)
+        try:
+            fresh = run(router.rank(target))
+        finally:
+            router.close()
+
+        revived_service = SelectionService(cached_zoo, "logme",
+                                           registry=registry)
+        assert revived_service.rank(target) == fresh
+        assert revived_service.stats()["registry_hits"] == 1
+        assert revived_service.stats()["fits"] == 0
+
+
+class TestZooRefs:
+    def test_config_zoos_ship_by_reference(self, tiny_image_zoo):
+        ref = zoo_ref_for(tiny_image_zoo)
+        assert ref.key  # the zoo fingerprint keys the worker-side cache
+        assert not hasattr(ref, "payload")
+
+    def test_stub_zoos_ship_whole(self):
+        ref = zoo_ref_for(StubZoo())
+        assert ref.key.startswith("pickled-")
+
+    def test_unpicklable_zoo_is_typed(self):
+        class Unpicklable(StubZoo):
+            def __init__(self):
+                super().__init__()
+                self.lock = threading.Lock()
+
+        with pytest.raises(FitPlaneError, match="cannot be pickled"):
+            zoo_ref_for(Unpicklable())
+
+
+# ---------------------------------------------------------------------- #
+# gateway + HTTP: healthz fleet block, metrics
 # ---------------------------------------------------------------------- #
 class TestGatewayIntegration:
     def test_healthz_and_metrics_surface_the_fleet(self):
@@ -722,11 +844,7 @@ class TestGatewayIntegration:
         for name in ("alpha", "beta"):
             gateway.add_namespace(
                 name, StubZoo(), TransferGraphConfig(),
-                strategies=[StubStrategy("stub:a", STUB_SCORES["agree"])],
-                fit_executor="socket")
-        # one shared fleet: prestart reports its workers once, not
-        # once per socket router
-        assert gateway.prestart_fit_planes() == 2
+                strategies=[StubStrategy("stub:a", STUB_SCORES["agree"])])
 
         async def scenario():
             server = GatewayHTTPServer(gateway, "127.0.0.1", 0)
@@ -796,17 +914,15 @@ class TestCLI:
         assert args.concurrency == 2
         assert args.fleet_secret == "hunter2"
 
-    def test_serve_accepts_socket_executor_and_fleet_listen(self):
+    def test_serve_accepts_fleet_listen(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["serve", "--fit-executor", "socket",
-             "--fleet-listen", "0.0.0.0:7700", "--no-prestart",
+            ["serve", "--fleet-listen", "0.0.0.0:7700",
              "--fleet-secret", "hunter2"])
-        assert args.fit_executor == "socket"
         assert args.fleet_listen == ("0.0.0.0", 7700)
-        assert args.no_prestart
         assert args.fleet_secret == "hunter2"
+        assert build_parser().parse_args(["serve"]).fleet_listen is None
 
     @pytest.mark.parametrize("bad", ["7700", "host:", ":", "host:port",
                                      "host:70000"])

@@ -217,3 +217,38 @@ class TestMetricsEndpoint:
         assert "# TYPE repro_requests_total counter" in text
         assert "# TYPE repro_request_latency_ms histogram" in text
         assert 'repro_queue_depth{namespace="alpha"' in text
+
+    def test_unknown_paths_share_one_response_label(self):
+        """Clients choose the path; an unknown one must not mint a
+        metric series of its own."""
+        probes = 20
+
+        async def scenario():
+            gateway = stub_gateway(names=("alpha",))
+            try:
+                server = GatewayHTTPServer(gateway, "127.0.0.1", 0)
+                await server.start()
+                host, port = server.address
+                for i in range(probes):
+                    status, _, _ = await http_request(host, port, "GET",
+                                                      f"/probe-{i}")
+                    assert status == 404
+                status, _, _ = await http_request(
+                    host, port, "POST", "/v1/rank",
+                    body=json.dumps({"namespace": "alpha", "target": "t0"}))
+                assert status == 200
+                _, _, body = await http_request(host, port, "GET",
+                                                "/v1/metrics")
+                await server.close()
+                return body.decode()
+            finally:
+                gateway.close()
+
+        text = run(scenario())
+        series = [line for line in text.splitlines()
+                  if line.startswith("repro_http_responses_total{")]
+        assert (f'repro_http_responses_total{{path="-",status="404"}} '
+                f'{probes}') in series
+        assert not any("probe" in line for line in series)
+        assert ('repro_http_responses_total{path="/v1/rank",status="200"} 1'
+                in series)

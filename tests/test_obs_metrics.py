@@ -102,17 +102,6 @@ class TestGauge:
         depth[0] = 7
         assert "queue_depth 7" in registry.render()
 
-    def test_fleet_workers_sum_every_watched_fleet(self):
-        obs = Observability()
-        assert not any(line.startswith("repro_fleet_workers ")
-                       for line in obs.render_metrics().splitlines())
-        sizes = [2, 3]
-        obs.watch_fleet_workers(lambda: sizes[0])
-        obs.watch_fleet_workers(lambda: sizes[1])
-        assert "repro_fleet_workers 5" in obs.render_metrics()
-        sizes[0] = 0
-        assert "repro_fleet_workers 3" in obs.render_metrics()
-
 
 class TestRegistry:
     def test_reregister_same_schema_returns_same_family(self):

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core import FeatureSet, TransferGraphConfig
+from repro.fleet import FleetCoordinator
 from repro.serving import (
     AsyncSelectionRouter,
     RankRequest,
@@ -188,7 +189,7 @@ class TestLifecycle:
 
 
 class TestSharedFitPools:
-    """Thread-mode routers of one strategy share one gateway fit pool."""
+    """Without a fleet, routers of one strategy share one gateway fit pool."""
 
     def test_fit_threads_bounded_across_namespaces(self):
         fit_threads = set()
@@ -204,8 +205,7 @@ class TestSharedFitPools:
         names = [f"ns{i}" for i in range(12)]
         extra = StubStrategy("agree", STUB_SCORES["agree"], fit_seconds=0.01)
         gateway = stub_gateway(names=names, strategies=(extra,),
-                               fit_seconds=0.01, fit_workers=2,
-                               fit_executor="thread")
+                               fit_seconds=0.01, fit_workers=2)
         wrapped = set()
         for name in names:
             for spec in gateway.strategies(name):
@@ -240,15 +240,14 @@ class TestSharedFitPools:
             return fit(zoo, target)
 
         service.strategy.fit = fit_on_thread
-        router = AsyncSelectionRouter(service, fit_executor="thread")
+        router = AsyncSelectionRouter(service)
         run(router.rank("t0"))
         router.close()
         assert fit_threads and not fit_threads[0].is_alive()
 
     def test_router_leaves_an_injected_pool_running(self):
         pool = ThreadPoolExecutor(max_workers=1)
-        router = AsyncSelectionRouter(stub_service(), fit_executor="thread",
-                                      fit_pool=pool)
+        router = AsyncSelectionRouter(stub_service(), fit_pool=pool)
         try:
             assert run(router.rank("t0"))[0][0] == "m0"
             router.close()
@@ -260,21 +259,25 @@ class TestSharedFitPools:
         gateway = SelectionGateway()
         try:
             for name in ("a", "b"):
-                gateway.add_namespace(name, StubZoo(), TransferGraphConfig(),
-                                      fit_executor="thread")
-            gateway.add_namespace("p", StubZoo(), TransferGraphConfig(),
-                                  fit_executor="process")
+                gateway.add_namespace(name, StubZoo(), TransferGraphConfig())
             gateway.add_namespace("w", StubZoo(), TransferGraphConfig(),
-                                  fit_executor="thread", fit_workers=3)
+                                  fit_workers=3)
             shared = gateway.router("a")._fit_pool
             assert gateway.router("b")._fit_pool is shared
-            # a process-mode router's threads only wait on its workers
-            assert gateway.router("p")._fit_pool is not shared
             # fit_workers is part of the pool's identity
             assert gateway.router("w")._fit_pool is not shared
         finally:
             gateway.close()
-        # the process-mode router owned (and shut) its pool; no worker
-        # process was ever spawned
-        assert gateway.router("p")._fit_pool._shutdown
-        assert gateway.router("p")._fit_plane.worker_count == 0
+
+        # with a fleet, a router's threads only wait on remote fits
+        fleet_gateway = SelectionGateway(fleet=FleetCoordinator())
+        try:
+            for name in ("a", "b"):
+                fleet_gateway.add_namespace(name, StubZoo(),
+                                            TransferGraphConfig())
+            own = fleet_gateway.router("a")._fit_pool
+            assert fleet_gateway.router("b")._fit_pool is not own
+        finally:
+            fleet_gateway.close()
+        # each fleet router owned (and shut) its pool
+        assert own._shutdown

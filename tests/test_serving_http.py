@@ -571,6 +571,43 @@ class TestKeepAlive:
         assert rest == b""
 
 
+    def test_close_waits_for_a_connection_still_closing(self, monkeypatch):
+        """A client that hangs up just before close() leaves its handler
+        waiting on the transport's close; close() must wait for it too,
+        or loop teardown cancels the handler mid-close (and 3.11 logs a
+        CancelledError traceback for it)."""
+        closing = []
+        wait_closed = asyncio.StreamWriter.wait_closed
+
+        async def slow_wait_closed(writer):
+            closing.append(asyncio.current_task())
+            await asyncio.sleep(0.2)
+            await wait_closed(writer)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                            slow_wait_closed)
+
+        async def scenario():
+            gateway = stub_gateway(names=("alpha",))
+            try:
+                server = GatewayHTTPServer(gateway, "127.0.0.1", 0)
+                host, port = await server.start()
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(rank_request("t0", "then-hang-up"))
+                status, _, _ = await read_response(reader)
+                writer.close()
+                for _ in range(500):  # until the handler is closing
+                    if closing:
+                        break
+                    await asyncio.sleep(0.01)
+                await asyncio.wait_for(server.close(), 5.0)
+                return status, [task.done() for task in closing]
+            finally:
+                gateway.close()
+
+        assert run(scenario()) == (200, [True])
+
+
 class TestStrictFraming:
     """RFC 9112 §6: a body length the server cannot be sure of is a 400
     and the connection closes, never a guess."""
