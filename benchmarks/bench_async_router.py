@@ -28,8 +28,6 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import print_header
-from benchmarks.helpers import BENCH_EMBEDDING_DIM
-from repro.core import FeatureSet, TransferGraphConfig
 from repro.fleet import FleetCoordinator
 from repro.serving import (
     AsyncSelectionRouter,
@@ -50,24 +48,20 @@ _FIT_WORKERS = 4
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _bench_config() -> TransferGraphConfig:
-    return TransferGraphConfig(
-        predictor="lr", graph_learner="node2vec",
-        embedding_dim=BENCH_EMBEDDING_DIM, features=FeatureSet.everything())
+_TG = "tg:lr,n2v,all"
 
 
 def _run() -> dict[str, float]:
     zoo = get_or_build_zoo(ZooConfig.tiny(modality="image", seed=7))
-    config = _bench_config()
     workload = generate_workload(zoo, WorkloadConfig(
         num_queries=_QUERIES, zipf_alpha=1.2, seed=3))
     distinct_targets = len({q.target for q in workload})
 
-    serial_service = SelectionService(zoo, config)
+    serial_service = SelectionService(zoo, _TG)
     serial = replay(serial_service, workload)
     assert serial["fits"] == distinct_targets
 
-    concurrent_service = SelectionService(zoo, config)
+    concurrent_service = SelectionService(zoo, _TG)
     router = AsyncSelectionRouter(concurrent_service)
     try:
         concurrent = replay_concurrent(router, workload, clients=_CLIENTS)
@@ -132,7 +126,7 @@ def _run_cold_fit() -> dict[str, float]:
                                           num_targets=_FIT_WORKERS))
     targets = zoo.target_names()
     assert len(targets) >= _FIT_WORKERS
-    thread_wall, fits = _warm(zoo, _bench_config(), targets)
+    thread_wall, fits = _warm(zoo, _TG, targets)
     assert fits == len(targets)
 
     fleet = FleetCoordinator("127.0.0.1", 0)
@@ -150,7 +144,7 @@ def _run_cold_fit() -> dict[str, float]:
         # before the clock starts: the bench measures fit parallelism,
         # not interpreter start-up or zoo hydration.
         _warm(zoo, "logme", targets, fleet)
-        fleet_wall, fits = _warm(zoo, _bench_config(), targets, fleet)
+        fleet_wall, fits = _warm(zoo, _TG, targets, fleet)
         assert fits == len(targets)
     finally:
         fleet.close()

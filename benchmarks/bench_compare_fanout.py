@@ -26,8 +26,6 @@ import asyncio
 import time
 
 from benchmarks.conftest import print_header
-from benchmarks.helpers import BENCH_EMBEDDING_DIM
-from repro.core import FeatureSet, TransferGraphConfig
 from repro.serving import CompareRequest, RankRequest, SelectionGateway
 from repro.zoo import ZooConfig, get_or_build_zoo
 
@@ -36,11 +34,8 @@ _ROUNDS = 30
 
 
 def _build_gateway(zoo) -> SelectionGateway:
-    config = TransferGraphConfig(
-        predictor="lr", graph_learner="node2vec",
-        embedding_dim=BENCH_EMBEDDING_DIM, features=FeatureSet.everything())
     gateway = SelectionGateway()
-    gateway.add_namespace(_NAMESPACE, zoo, config,
+    gateway.add_namespace(_NAMESPACE, zoo, "tg:lr,n2v,all",
                           strategies=("logme", "random"),
                           fit_budgets="weighted")
     return gateway

@@ -10,14 +10,14 @@ between feature sets (cf. Fig. 8).
 import numpy as np
 
 from benchmarks.conftest import print_header
-from benchmarks.helpers import tg_strategy
 from repro.core import evaluate_strategy
+from repro.strategies import get_strategy
 
 
 def _run(zoo):
     out = {}
     for predictor in ("rf", "xgb", "lr"):
-        ev = evaluate_strategy(tg_strategy(predictor=predictor), zoo)
+        ev = evaluate_strategy(get_strategy(f"tg:{predictor},n2v,all"), zoo)
         out[predictor] = ev.correlations()
     return out
 

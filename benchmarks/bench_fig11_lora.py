@@ -9,11 +9,10 @@ Two settings, as in §VII-F:
 """
 
 from benchmarks.conftest import print_header
-from benchmarks.helpers import format_row, tg_strategy
-from repro.baselines import AmazonLR
+from benchmarks.helpers import format_row
 from repro.core import evaluate_strategy
 from repro.graph import GraphConfig
-from repro.strategies import TransferabilityStrategy
+from repro.strategies import get_strategy
 
 
 def _run(zoo):
@@ -23,10 +22,10 @@ def _run(zoo):
     # (a) LoRA everywhere: history labels + graph edges + ground truth.
     lora_graph = GraphConfig(history_method="lora")
     strategies_a = [
-        TransferabilityStrategy("logme"),
-        AmazonLR("all+logme", label_method="lora"),
-        tg_strategy(graph_learner="node2vec+", graph=lora_graph,
-                    label_method="lora"),
+        get_strategy("logme"),
+        get_strategy("lr:all+logme", label_method="lora"),
+        get_strategy("tg:lr,n2v+,all", graph=lora_graph,
+                     label_method="lora"),
     ]
     rows["a"] = {
         s.name: evaluate_strategy(s, zoo, ground_truth_method="lora")
@@ -35,11 +34,8 @@ def _run(zoo):
     }
 
     # (b) train on full-FT history, predict LoRA ground truth.
-    strategies_b = [
-        TransferabilityStrategy("logme"),
-        AmazonLR("all+logme"),
-        tg_strategy(graph_learner="node2vec+"),
-    ]
+    strategies_b = [get_strategy(spec) for spec in (
+        "logme", "lr:all+logme", "tg:lr,n2v+,all")]
     rows["b"] = {
         s.name: evaluate_strategy(s, zoo, ground_truth_method="lora")
         .average_correlation()

@@ -6,10 +6,10 @@ most of the datasets"; Task2Vec shows no advantage for GraphSAGE.
 """
 
 from benchmarks.conftest import print_header
-from benchmarks.helpers import tg_strategy
 from repro.core import evaluate_strategy
 from repro.graph import GraphConfig
 from repro.probe import compute_dataset_embeddings, record_dataset_similarities
+from repro.strategies import get_strategy
 
 
 def _run(zoo):
@@ -20,8 +20,8 @@ def _run(zoo):
     rows = {}
     for learner in ("graphsage", "node2vec"):
         for method in ("domain_similarity", "task2vec"):
-            strategy = tg_strategy(
-                predictor="xgb", graph_learner=learner,
+            strategy = get_strategy(
+                f"tg:xgb,{learner},all",
                 graph=GraphConfig(similarity_method=method))
             key = f"XGB,{learner},{method}"
             rows[key] = evaluate_strategy(strategy, zoo).average_correlation()

@@ -10,31 +10,21 @@ of disconnected components".
 import numpy as np
 
 from benchmarks.conftest import print_header
-from benchmarks.helpers import tg_strategy
-from repro.baselines import AmazonLR
 from repro.core import evaluate_strategy
 from repro.graph import GraphConfig
+from repro.strategies import get_strategy
 
 RATIOS = (0.3, 0.5, 0.7, 1.0)
-
-
-class _SubsampledAmazonLR(AmazonLR):
-    """LR{all} whose underlying graph config carries the history ratio.
-
-    Metadata features don't depend on the graph, but the ratio also
-    reduces the training rows seen by the regressor via the builder's
-    link subsampling — mirroring the paper's protocol.
-    """
 
 
 def _run(zoo):
     rows = {"LR,all": {}, "TG:LR,N2V+,all": {}}
     for ratio in RATIOS:
         graph = GraphConfig(history_ratio=ratio)
-        lr = AmazonLR("all")
+        lr = get_strategy("lr:all")
         rows["LR,all"][ratio] = evaluate_strategy(lr, zoo) \
             .average_correlation()
-        tg = tg_strategy(graph_learner="node2vec+", graph=graph)
+        tg = get_strategy("tg:lr,n2v+,all", graph=graph)
         rows["TG:LR,N2V+,all"][ratio] = evaluate_strategy(tg, zoo) \
             .average_correlation()
     return rows
@@ -52,7 +42,7 @@ def test_fig13_input_ratio(benchmark, image_zoo):
     # ratio 0.3 — does NOT reproduce here: with only 18 datasets our graph
     # stays connected after subsampling, whereas the paper's 73-dataset
     # graph fragments ("a large number of disconnected components").
-    # See EXPERIMENTS.md.
+    # See docs/fidelity.md, "Fig. 13".
     lr = rows["LR,all"]
     assert max(lr.values()) - min(lr.values()) < 0.15
     tg = rows["TG:LR,N2V+,all"]

@@ -5,16 +5,15 @@ Expected shape here: Random < LogME ≤ TG, on stanfordcars and on average.
 """
 
 from benchmarks.conftest import print_header
-from benchmarks.helpers import tg_strategy
 from repro.core import top_k_accuracy
-from repro.strategies import RandomStrategy, TransferabilityStrategy
+from repro.strategies import get_strategy
 
 
 def _run(image_zoo):
     target = "stanfordcars"
     rows = {}
-    for strategy in (RandomStrategy(seed=0), TransferabilityStrategy("logme"),
-                     tg_strategy(predictor="xgb")):
+    for spec in ("random", "logme", "tg:xgb,n2v,all"):
+        strategy = get_strategy(spec)
         scores = strategy.scores_for_target(image_zoo, target)
         rows[strategy.name] = top_k_accuracy(image_zoo, scores, target, k=5)
     return rows

@@ -6,7 +6,7 @@ TG:RF 0.65, TG:XGB 0.76, TG:LR 0.77.
 
 Expected shape here: every learning-based strategy ≫ LogME ≫ random-level;
 TG variants competitive with/above the metadata baselines (our substrate's
-metadata is more informative than the paper's — see EXPERIMENTS.md).
+metadata is more informative than the paper's — see docs/fidelity.md).
 """
 
 from benchmarks.conftest import print_header

@@ -12,19 +12,15 @@ graph features only).
 """
 
 from benchmarks.conftest import print_header
-from benchmarks.helpers import format_row, tg_strategy
-from repro.baselines import AmazonLR
-from repro.core import FeatureSet, evaluate_strategy
+from benchmarks.helpers import format_row
+from repro.core import evaluate_strategy
 from repro.graph import GraphConfig
+from repro.strategies import get_strategy
 
 
 def _run(zoo):
-    strategies = [
-        AmazonLR("basic"),
-        AmazonLR("all+logme"),
-        tg_strategy(features=FeatureSet.graph_only()),
-        tg_strategy(features=FeatureSet.everything()),
-    ]
+    strategies = [get_strategy(spec) for spec in (
+        "lr:basic", "lr:all+logme", "tg:lr,n2v,graph", "tg:lr,n2v,all")]
     per_dataset = {}
     averages = {}
     for strategy in strategies:
@@ -35,9 +31,9 @@ def _run(zoo):
     # §VII-C: no training history — transferability edges only.
     no_history = GraphConfig(use_accuracy_edges=False,
                              include_pretrain_edges=False)
-    for features, label in ((FeatureSet.everything(), "no-history TG,all"),
-                            (FeatureSet.graph_only(), "no-history TG")):
-        strategy = tg_strategy(features=features, graph=no_history)
+    for spec, label in (("tg:lr,n2v,all", "no-history TG,all"),
+                        ("tg:lr,n2v,graph", "no-history TG")):
+        strategy = get_strategy(spec, graph=no_history)
         averages[label] = evaluate_strategy(strategy, zoo) \
             .average_correlation()
     return per_dataset, averages

@@ -6,8 +6,9 @@ Expected shape: the Node2Vec family ≥ the GNNs on this small graph
 """
 
 from benchmarks.conftest import print_header
-from benchmarks.helpers import format_row, tg_strategy
+from benchmarks.helpers import format_row
 from repro.core import evaluate_strategy
+from repro.strategies import get_strategy
 
 _PAPER = {"graphsage": 0.35, "gat": 0.54, "node2vec+": 0.69, "node2vec": 0.69}
 
@@ -15,7 +16,7 @@ _PAPER = {"graphsage": 0.35, "gat": 0.54, "node2vec+": 0.69, "node2vec": 0.69}
 def _run(zoo):
     out = {}
     for learner in ("graphsage", "gat", "node2vec+", "node2vec"):
-        strategy = tg_strategy(predictor="lr", graph_learner=learner)
+        strategy = get_strategy(f"tg:lr,{learner},all")
         out[learner] = evaluate_strategy(strategy, zoo).average_correlation()
     return out
 

@@ -17,8 +17,6 @@ import asyncio
 import time
 
 from benchmarks.conftest import print_header
-from benchmarks.helpers import BENCH_EMBEDDING_DIM
-from repro.core import FeatureSet, TransferGraphConfig
 from repro.serving import (
     AsyncSelectionRouter,
     GatewayHTTPServer,
@@ -80,14 +78,12 @@ async def _http_replay(gateway: SelectionGateway, workload,
 
 def _run() -> dict[str, float]:
     zoo = get_or_build_zoo(ZooConfig.tiny(modality="image", seed=7))
-    config = TransferGraphConfig(
-        predictor="lr", graph_learner="node2vec",
-        embedding_dim=BENCH_EMBEDDING_DIM, features=FeatureSet.everything())
+    spec = "tg:lr,n2v,all"
     workload = generate_workload(zoo, WorkloadConfig(
         num_queries=_QUERIES, zipf_alpha=1.2, seed=3), namespace=_NAMESPACE)
 
     # --- in-process baseline: warm router, function-call transport ----- #
-    router = AsyncSelectionRouter(SelectionService(zoo, config))
+    router = AsyncSelectionRouter(SelectionService(zoo, spec))
     try:
         asyncio.run(router.warmup())
         in_process = replay_concurrent(router, workload, clients=_CLIENTS)
@@ -97,7 +93,7 @@ def _run() -> dict[str, float]:
 
     # --- the same traffic as real loopback HTTP ------------------------ #
     gateway = SelectionGateway()
-    gateway.add_namespace(_NAMESPACE, zoo, config)
+    gateway.add_namespace(_NAMESPACE, zoo, spec)
     try:
         async def measured() -> float:
             await gateway.warmup()

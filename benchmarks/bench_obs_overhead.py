@@ -19,8 +19,6 @@ import time
 import numpy as np
 
 from benchmarks.conftest import print_header
-from benchmarks.helpers import BENCH_EMBEDDING_DIM
-from repro.core import FeatureSet, TransferGraphConfig
 from repro.obs import NullObservability, Observability
 from repro.serving import RankRequest, SelectionGateway
 from repro.zoo import ZooConfig, get_or_build_zoo
@@ -46,9 +44,6 @@ def _warm_rank_p95_ms(gateway, target: str) -> float:
 
 def _run() -> dict[str, float]:
     zoo = get_or_build_zoo(ZooConfig.tiny(modality="image", seed=7))
-    config = TransferGraphConfig(
-        predictor="lr", graph_learner="node2vec",
-        embedding_dim=BENCH_EMBEDDING_DIM, features=FeatureSet.everything())
     target = zoo.target_names()[0]
 
     results: dict[str, float] = {}
@@ -56,7 +51,7 @@ def _run() -> dict[str, float]:
                      ("instrumented", Observability())):
         gateway = SelectionGateway(obs=obs)
         try:
-            gateway.add_namespace("bench", zoo, config)
+            gateway.add_namespace("bench", zoo, "tg:lr,n2v,all")
             results[arm] = _warm_rank_p95_ms(gateway, target)
         finally:
             gateway.close()

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import print_header
-from benchmarks.helpers import BENCH_EMBEDDING_DIM
+from repro.core import TransferGraphConfig
 from repro.graph import ModelDatasetGraph, Node2Vec
 
 
@@ -47,7 +47,7 @@ def _synthetic_graph(n_models: int = 240, n_datasets: int = 120,
 
 def _run_refresh() -> dict[str, float]:
     graph = _synthetic_graph()
-    learner = Node2Vec(dim=BENCH_EMBEDDING_DIM, seed=3,
+    learner = Node2Vec(dim=TransferGraphConfig().embedding_dim, seed=3,
                        num_walks=4, walk_length=10, epochs=2)
 
     start = time.perf_counter()

@@ -12,8 +12,6 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import print_header
-from benchmarks.helpers import BENCH_EMBEDDING_DIM
-from repro.core import FeatureSet, TransferGraphConfig
 from repro.serving import ArtifactRegistry, SelectionService
 from repro.zoo import ZooConfig, get_or_build_zoo
 
@@ -31,13 +29,11 @@ def _best_of(fn, rounds: int) -> float:
 
 def _run(registry_root) -> dict[str, float]:
     zoo = get_or_build_zoo(ZooConfig.tiny(modality="image", seed=7))
-    config = TransferGraphConfig(
-        predictor="xgb", graph_learner="node2vec",
-        embedding_dim=BENCH_EMBEDDING_DIM, features=FeatureSet.everything())
+    spec = "tg:xgb,n2v,all"
     registry = ArtifactRegistry(registry_root)
     target = zoo.target_names()[0]
 
-    service = SelectionService(zoo, config, registry=registry)
+    service = SelectionService(zoo, spec, registry=registry)
     start = time.perf_counter()
     cold_rank = service.rank(target, top_k=5)
     cold_s = time.perf_counter() - start
@@ -48,7 +44,7 @@ def _run(registry_root) -> dict[str, float]:
     assert service.rank(target, top_k=5) == cold_rank
 
     # A fresh process: empty memory cache, artifact already on disk.
-    revived = SelectionService(zoo, config, registry=registry)
+    revived = SelectionService(zoo, spec, registry=registry)
     start = time.perf_counter()
     assert revived.rank(target, top_k=5) == cold_rank
     registry_s = time.perf_counter() - start

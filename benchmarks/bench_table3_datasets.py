@@ -1,7 +1,7 @@
 """Table III — properties of the target datasets.
 
 Prints the paper's sample/class counts next to our scaled-down versions
-(~20x smaller, classes clamped to 12; DESIGN.md §2).
+(~20x smaller, classes clamped to 12; see docs/fidelity.md).
 """
 
 from benchmarks.conftest import print_header

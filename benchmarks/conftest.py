@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark suite.
 
 Every benchmark regenerates one table or figure of the paper (see
-DESIGN.md §4).  The zoos are built once and cached on disk, so the first
+docs/fidelity.md).  The zoos are built once and cached on disk, so the first
 run pays the build cost and later runs only pay the experiment itself.
 """
 

@@ -7,20 +7,17 @@ single target dataset, including the cold-start scenario where no
 fine-tuning history exists (§VII-C).
 """
 
-from repro.core import (
-    FeatureSet,
-    TransferGraph,
-    TransferGraphConfig,
-    evaluate_strategy,
-)
+from repro.core import evaluate_strategy
 from repro.graph import GraphConfig
+from repro.strategies import get_strategy
 from repro.zoo import ZooConfig, get_or_build_zoo
 
+#: feature set -> the LR-predictor strategy that uses exactly it
 FEATURE_SETS = {
-    "metadata only (LR)": FeatureSet.basic(),
-    "+ similarity + LogME": FeatureSet.all_logme(),
-    "graph features only": FeatureSet.graph_only(),
-    "metadata + sim + graph": FeatureSet.everything(),
+    "metadata only (LR)": "lr:basic",
+    "+ similarity + LogME": "lr:all+logme",
+    "graph features only": "tg:lr,n2v,graph",
+    "metadata + sim + graph": "tg:lr,n2v,all",
 }
 
 
@@ -29,19 +26,15 @@ def main() -> None:
     target = "caltech101"
     print(f"target = {target}\n")
     print(f"{'feature set':<26}{'Pearson':>10}")
-    for label, features in FEATURE_SETS.items():
-        strategy = TransferGraph(TransferGraphConfig(
-            predictor="lr", graph_learner="node2vec", embedding_dim=32,
-            features=features))
-        ev = evaluate_strategy(strategy, zoo, targets=[target])
+    for label, spec in FEATURE_SETS.items():
+        ev = evaluate_strategy(get_strategy(spec), zoo, targets=[target])
         print(f"{label:<26}{ev.results[target].correlation:>+10.3f}")
 
     print("\ncold start (no fine-tuning history, transferability edges only):")
-    strategy = TransferGraph(TransferGraphConfig(
-        predictor="lr", graph_learner="node2vec", embedding_dim=32,
-        features=FeatureSet.everything(),
+    strategy = get_strategy(
+        "tg:lr,n2v,all",
         graph=GraphConfig(use_accuracy_edges=False,
-                          include_pretrain_edges=False)))
+                          include_pretrain_edges=False))
     ev = evaluate_strategy(strategy, zoo, targets=[target])
     print(f"{'no-history TG':<26}{ev.results[target].correlation:>+10.3f}")
 

@@ -7,28 +7,15 @@ leave-one-out protocol over all eight image targets, and prints the
 average Pearson correlation and top-5 accuracy per strategy.
 """
 
-from repro.baselines import AmazonLR
-from repro.core import (
-    FeatureSet,
-    TransferGraph,
-    TransferGraphConfig,
-    evaluate_strategy,
-)
-from repro.strategies import RandomStrategy, TransferabilityStrategy
+from repro.core import evaluate_strategy
+from repro.strategies import get_strategy
 from repro.zoo import ZooConfig, get_or_build_zoo
 
 
 def main() -> None:
     zoo = get_or_build_zoo(ZooConfig.small(modality="image", seed=0))
-    strategies = [
-        RandomStrategy(seed=0),
-        TransferabilityStrategy("logme"),
-        AmazonLR("basic"),
-        AmazonLR("all+logme"),
-        TransferGraph(TransferGraphConfig(
-            predictor="xgb", graph_learner="node2vec", embedding_dim=32,
-            features=FeatureSet.everything())),
-    ]
+    strategies = [get_strategy(spec) for spec in (
+        "random", "logme", "lr:basic", "lr:all+logme", "tg:xgb,n2v,all")]
     print(f"{'strategy':<20}{'avg Pearson':>14}{'avg top-5 acc':>16}")
     for strategy in strategies:
         ev = evaluate_strategy(strategy, zoo)

@@ -5,14 +5,14 @@ Run:  python examples/no_history_cold_start.py
 §VII-C of the paper: when no training history exists yet, the graph can
 be built from transferability scores alone.  This example walks the full
 pipeline explicitly — scoring, graph construction, embedding, feature
-assembly — rather than through the TransferGraph facade, as a tour of the
+assembly — rather than through one strategy call, as a tour of the
 public API.
 """
 
 
-from repro.core import FeatureSet, TransferGraph, TransferGraphConfig
 from repro.graph import GraphConfig, build_graph
 from repro.probe import compute_dataset_embeddings, record_dataset_similarities
+from repro.strategies import get_strategy
 from repro.transferability import score_zoo
 from repro.utils import pearson_correlation
 from repro.zoo import ZooConfig, get_or_build_zoo
@@ -38,10 +38,8 @@ def main() -> None:
           f"{stats['num_md_transferability_edges']} transferability edges, "
           f"{stats['num_dd_edges']} similarity edges")
 
-    # Stages 2-4 through the facade.
-    strategy = TransferGraph(TransferGraphConfig(
-        predictor="lr", graph_learner="node2vec", embedding_dim=32,
-        features=FeatureSet.everything(), graph=config))
+    # Stages 2-4 through the strategy API.
+    strategy = get_strategy("tg:lr,n2v,all", graph=config)
     predicted = strategy.scores_for_target(zoo, target)
 
     ids, truth = zoo.ground_truth(target)

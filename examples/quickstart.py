@@ -8,12 +8,8 @@ TransferGraph strategy to rank all pre-trained models for the
 compares the recommendation against the known ground truth.
 """
 
-from repro.core import (
-    FeatureSet,
-    TransferGraph,
-    TransferGraphConfig,
-    top_k_accuracy,
-)
+from repro.core import top_k_accuracy
+from repro.strategies import get_strategy
 from repro.utils import pearson_correlation
 from repro.zoo import ZooConfig, get_or_build_zoo
 
@@ -25,13 +21,7 @@ def main() -> None:
     print(f"zoo: {len(zoo.model_ids())} models, "
           f"{len(zoo.dataset_names())} datasets; target = {target}\n")
 
-    strategy = TransferGraph(TransferGraphConfig(
-        predictor="xgb",
-        graph_learner="node2vec",
-        embedding_dim=32,
-        features=FeatureSet.everything(),
-    ))
-    ranking = strategy.rank_models(zoo, target)
+    ranking = get_strategy("tg:xgb,n2v,all").rank(zoo, target)
 
     print("Top 5 recommended models:")
     for model_id, score in ranking[:5]:

@@ -7,23 +7,15 @@ with LoRA fine-tuning as the ground truth (Fig. 11b workload: the graph
 is still built from full fine-tuning history).
 """
 
-from repro.baselines import AmazonLR
-from repro.core import (
-    FeatureSet,
-    TransferGraph,
-    TransferGraphConfig,
-    evaluate_strategy,
-)
-from repro.strategies import TransferabilityStrategy
+from repro.core import evaluate_strategy
+from repro.strategies import get_strategy
 from repro.zoo import ZooConfig, get_or_build_zoo
 
 
 def main() -> None:
     zoo = get_or_build_zoo(ZooConfig.small(modality="text", seed=0))
-    tg = TransferGraph(TransferGraphConfig(
-        predictor="lr", graph_learner="node2vec+", embedding_dim=32,
-        features=FeatureSet.everything()))
-    strategies = [TransferabilityStrategy("logme"), AmazonLR("all+logme"), tg]
+    strategies = [get_strategy(spec)
+                  for spec in ("logme", "lr:all+logme", "tg:lr,n2v+,all")]
 
     print("=== full fine-tuning ground truth ===")
     for strategy in strategies:

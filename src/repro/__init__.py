@@ -10,23 +10,24 @@ This package reproduces "Model Selection with Model Zoo via Graph Learning"
 - :mod:`repro.probe` — dataset representations and similarity;
 - :mod:`repro.graph` — graph construction and Node2Vec(+)/GraphSAGE/GAT;
 - :mod:`repro.predictors` — LR / RandomForest / XGBoost-style regressors;
-- :mod:`repro.core` — the 4-stage TransferGraph framework and evaluation;
+- :mod:`repro.core` — the TransferGraph config, fitted state and
+  leave-one-out evaluation;
 - :mod:`repro.strategies` — the unified SelectionStrategy API: every
-  ranker behind one fit/rank/pack interface, addressable by spec string
+  ranker (TransferGraph, Amazon LR, LogME, ..., random) behind one
+  fit/rank/pack interface, addressable by spec string
   (``get_strategy("tg:lr,n2v,all" | "lr:all+logme" | "logme" | ...)``);
-- :mod:`repro.baselines` — Random, LogME-as-strategy, Amazon LR
-  (strategy subclasses);
 - :mod:`repro.serving` — artifact registry, warm-start service, async
   router, v1 wire protocol, namespace gateway, HTTP front door.
 
 Quickstart::
 
-    from repro.core import TransferGraph, TransferGraphConfig
-    from repro.zoo import build_default_zoo
+    from repro.core import evaluate_strategy
+    from repro.strategies import get_strategy
+    from repro.zoo import ZooConfig, get_or_build_zoo
 
-    zoo = build_default_zoo(modality="image", seed=0)
-    tg = TransferGraph(TransferGraphConfig())
-    result = tg.evaluate_loo(zoo, target="stanfordcars")
+    zoo = get_or_build_zoo(ZooConfig.small(modality="image", seed=0))
+    tg = get_strategy("tg:lr,n2v,all")
+    result = evaluate_strategy(tg, zoo, targets=["stanfordcars"])
 """
 
 __version__ = "1.0.0"

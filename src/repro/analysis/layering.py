@@ -45,7 +45,6 @@ LAYERS: dict[str, int] = {
     "graph": 3,
     "core": 4,
     "strategies": 5,
-    "baselines": 6,
     "fleet": 6,  # distributed fit plane: serving imports it, never back
     "serving": 7,
     "docs": 7,  # generated-docs tooling reads fleet wire defs, never back

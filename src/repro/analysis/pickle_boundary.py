@@ -10,7 +10,7 @@ lambdas, no locks, no open handles.  Violating it is a runtime
 rule turns that into a review-time finding.
 
 Inside any class that (transitively) subclasses ``SelectionStrategy``
-across ``strategies/`` and ``baselines/``, it flags
+in ``strategies/``, it flags
 ``self.x = <lambda>``, ``self.x = <nested def>``,
 ``self.x = threading.Lock()`` (or any lock/semaphore sibling),
 ``self.x = open(...)``, and ``self.x = ThreadPoolExecutor(...)``.
@@ -25,7 +25,7 @@ from repro.analysis.core import Finding, Project, Rule, SourceFile
 
 __all__ = ["PickleBoundaryRule"]
 
-_STRATEGY_SCOPE = ("src/repro/strategies/*.py", "src/repro/baselines/*.py")
+_STRATEGY_SCOPE = "src/repro/strategies/*.py"
 
 _LOCK_FACTORIES = {
     "Lock",
@@ -112,7 +112,7 @@ class PickleBoundaryRule(Rule):
 
     def check(self, project: Project) -> list[Finding]:
         findings: list[Finding] = []
-        sources = project.files(*_STRATEGY_SCOPE)
+        sources = project.files(_STRATEGY_SCOPE)
         by_rel = {source.rel: source for source in sources}
         for key, klass in sorted(_strategy_classes(sources).items()):
             rel = key.rsplit(":", 1)[0]

@@ -31,7 +31,8 @@ Commands
                 writes ``docs/protocol.md`` from the committed wire
                 schema (``--check`` gates drift), ``--check-links``
                 verifies relative links and CLI examples in
-                ``docs/*.md`` + README
+                ``docs/*.md`` + README, and markdown file names in the
+                Python under ``src/``, ``benchmarks/``, ``examples/``
 
 Strategy specs (see :mod:`repro.strategies`): ``tg:PRED,LEARNER,FEAT``,
 ``lr:basic|all|all+logme``, any transferability estimator (``logme``,
@@ -264,9 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser("evaluate",
                               help="LOO comparison of selection strategies")
-    evaluate.add_argument("--predictor", choices=predictors, default="xgb")
-    evaluate.add_argument("--graph-learner", default="node2vec",
-                          choices=learners)
+    add_strategy_args(evaluate, strategy_flag=False)
     evaluate.add_argument("--served", action="store_true",
                           help="compare through an in-process serving "
                                "gateway (the /v1/compare engine) instead "
@@ -477,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     docs.add_argument("--check-links", action="store_true",
                       help="check docs/*.md + README: relative links "
                            "resolve, fenced CLI examples name real "
-                           "subcommands")
+                           "subcommands; and *.md names in the Python "
+                           "under src/, benchmarks/, examples/ exist")
     docs.add_argument("--root", type=Path, default=None,
                       help="repository root (default: this checkout)")
     return parser
@@ -490,52 +490,31 @@ def _load_zoo(args):
     return get_or_build_zoo(preset(modality=args.modality, seed=args.seed))
 
 
-def _tg_config(predictor: str, graph_learner: str = "node2vec"):
-    from repro.core import FeatureSet, TransferGraphConfig
-
-    return TransferGraphConfig(
-        predictor=predictor, graph_learner=graph_learner,
-        embedding_dim=32, features=FeatureSet.everything())
-
-
-def _tg_strategy(predictor: str, graph_learner: str = "node2vec"):
-    from repro.core import TransferGraph
-
-    return TransferGraph(_tg_config(predictor, graph_learner))
-
-
-#: TransferGraphConfig overrides the CLI applies to tg:/lr: specs, so a
-#: --strategy TG variant fingerprints identically to the classic flags
-_CLI_TG_OVERRIDES = {"embedding_dim": 32}
-
-
-def _cli_strategy(spec: str):
-    """Resolve one --strategy spec under the CLI's TG config defaults."""
+def _cli_default_strategy(args):
+    """The strategy a command serves or scores by default: its
+    ``--strategy`` SPEC where it takes one, else the TransferGraph that
+    ``--predictor``/``--graph-learner`` name.  ``serve``, ``evaluate``
+    (offline and ``--served``), ``rank``, ``warmup``, ``serve-sim`` and
+    ``registry-gc`` all build it here."""
     from repro.strategies import get_strategy
 
-    return get_strategy(spec, **_CLI_TG_OVERRIDES)
+    spec = getattr(args, "strategy", None) \
+        or f"tg:{args.predictor},{args.graph_learner},all"
+    return get_strategy(spec)
 
 
-def _cli_default_strategy(args):
-    """The strategy the CLI serves when no --strategy is given (or the
-    given one): classic TransferGraph from --predictor/--graph-learner."""
-    from repro.strategies import TransferGraphStrategy
+def _extra_strategies(specs, default) -> list:
+    """``--strategy``/``--reference`` specs as strategies, minus the
+    default and duplicates."""
+    from repro.strategies import get_strategy
 
-    spec = getattr(args, "strategy", None)
-    if spec:
-        return _cli_strategy(spec)
-    return TransferGraphStrategy(_tg_config(args.predictor,
-                                            args.graph_learner))
-
-
-def _cli_live_strategies():
-    """Every strategy the CLI can currently serve (the registry-gc
-    default live set): all TG predictor × learner × feature-tag combos
-    under the CLI's config defaults, the LR baselines, every
-    transferability estimator, and random."""
-    from repro.strategies import available_specs
-
-    return [_cli_strategy(spec) for spec in available_specs()]
+    extras: list = []
+    for spec in specs:
+        strat = get_strategy(spec)
+        if strat.spec != default.spec and \
+                all(strat.spec != s.spec for s in extras):
+            extras.append(strat)
+    return extras
 
 
 def _service(zoo, args, cache_size: int = 32):
@@ -585,16 +564,15 @@ def _cmd_rank(args) -> int:
 def _cmd_evaluate(args) -> int:
     if args.served:
         return _cmd_evaluate_served(args)
-    from repro.baselines import AmazonLR
     from repro.core import evaluate_strategy
-    from repro.strategies import RandomStrategy, TransferabilityStrategy
+    from repro.strategies import RandomStrategy, get_strategy
 
     zoo = _load_zoo(args)
     strategies = [
         RandomStrategy(seed=args.seed),
-        TransferabilityStrategy("logme"),
-        AmazonLR("all+logme"),
-        _tg_strategy(args.predictor, args.graph_learner),
+        get_strategy("logme"),
+        get_strategy("lr:all+logme"),
+        _cli_default_strategy(args),
     ]
     print(f"{'strategy':<22}{'avg Pearson':>13}{'avg top-5 acc':>15}")
     for strategy in strategies:
@@ -616,18 +594,12 @@ def _cmd_evaluate_served(args) -> int:
     from repro.obs import Observability
     from repro.serving import SelectionGateway, run_served_evaluation, \
         write_report
-    from repro.strategies import TransferGraphStrategy
 
     zoo = _load_zoo(args)
-    default_strategy = TransferGraphStrategy(
-        _tg_config(args.predictor, args.graph_learner))
-    extras: list = []
-    for spec in [*(args.strategies or []),
-                 *([args.reference] if args.reference else [])]:
-        strat = _cli_strategy(spec)
-        if strat.spec != default_strategy.spec and \
-                all(strat.spec != s.spec for s in extras):
-            extras.append(strat)
+    default_strategy = _cli_default_strategy(args)
+    extras = _extra_strategies(
+        [*(args.strategies or []),
+         *([args.reference] if args.reference else [])], default_strategy)
 
     sink = None
     obs = None
@@ -745,12 +717,8 @@ def _cmd_serve(args) -> int:
     gateway = SelectionGateway(registry_root=root, obs=obs, fleet=fleet)
     presets = _scale_presets()
     default_strategy = _cli_default_strategy(args)
-    extra_strategies: list = []
-    for spec in args.strategies or []:
-        strat = _cli_strategy(spec)
-        if strat.spec != default_strategy.spec and \
-                all(strat.spec != s.spec for s in extra_strategies):
-            extra_strategies.append(strat)
+    extra_strategies = _extra_strategies(args.strategies or [],
+                                         default_strategy)
     fit_budgets = None
     if args.fit_budgets:
         fit_budgets = dict(args.fit_budgets)
@@ -950,14 +918,16 @@ def _cmd_registry_gc(args) -> int:
         live = [_cli_default_strategy(args)]
         scope = live[0].name
     else:
+        from repro.strategies import available_specs, get_strategy
+
         # Anything the CLI can still serve is live: artifacts warmed
         # under a *different* strategy than today's flags must survive
         # a sweep, or the next query under that strategy refits.  The
         # enumerable roster can't cover parameterized specs (random:N),
         # so an explicit --strategy joins it.
-        live = _cli_live_strategies()
+        live = [get_strategy(spec) for spec in available_specs()]
         if args.strategy:
-            live.append(_cli_strategy(args.strategy))
+            live.append(get_strategy(args.strategy))
         scope = f"all {len(live)} servable strategies"
     report = registry.gc(live, zoo, dry_run=args.dry_run, layout=layout)
     verb = "would reclaim" if args.dry_run else "reclaimed"

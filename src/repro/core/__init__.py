@@ -1,8 +1,8 @@
-"""The TransferGraph core: configuration, pipeline, and LOO evaluation."""
+"""The TransferGraph core: configuration, fitted state, and LOO evaluation."""
 
 from repro.core.config import FeatureSet, TransferGraphConfig
 from repro.core.features import FeatureAssembler
-from repro.core.framework import FittedTransferGraph, TransferGraph
+from repro.core.framework import FittedTransferGraph
 from repro.core.evaluation import (
     LooEvaluation,
     TargetResult,
@@ -15,7 +15,6 @@ __all__ = [
     "TransferGraphConfig",
     "FeatureAssembler",
     "FittedTransferGraph",
-    "TransferGraph",
     "LooEvaluation",
     "TargetResult",
     "evaluate_strategy",

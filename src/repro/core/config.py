@@ -26,7 +26,7 @@ class FeatureSet:
     #: A linear prediction model cannot express the bilinear affinity
     #: ⟨emb_m, emb_d⟩ from concatenated embeddings alone; the product block
     #: makes it a learnable weighted dot product (implementation detail on
-    #: top of Fig. 5's "mi emb | dj emb" columns, see DESIGN.md).
+    #: top of Fig. 5's "mi emb | dj emb" columns, see docs/fidelity.md).
     graph_interaction: bool = True
     #: include the raw embedding coordinate blocks themselves (the paper's
     #: "mi emb | dj emb" columns).  They let the predictor memorise
@@ -78,7 +78,11 @@ class TransferGraphConfig:
 
     graph: GraphConfig = field(default_factory=GraphConfig)
     graph_learner: str = "node2vec"
-    embedding_dim: int = 128
+    #: the paper embeds at 128 on a zoo ~8x larger; 32 matches this
+    #: zoo's training-set size.  At 128 the raw and product embedding
+    #: blocks (384 columns) outnumber a small zoo's ~105 training rows
+    #: and TG:LR ranks at random level (docs/fidelity.md).
+    embedding_dim: int = 32
     predictor: str = "lr"
     features: FeatureSet = field(default_factory=FeatureSet.everything)
     label_method: str = "finetune"   # which history supplies labels

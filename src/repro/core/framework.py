@@ -1,14 +1,9 @@
-"""The TransferGraph framework — Fig. 5's four stages, end to end.
+"""The fitted state of the TransferGraph pipeline, and its one sort rule.
 
-Given a zoo and a target dataset:
-
-- **Stage 1** (metadata & features) is already materialised in the zoo
-  catalog (similarities, transferability scores, history);
-- **Stage 2** builds the LOO graph (target's M-D edges removed) and runs
-  the configured graph learner to get node embeddings;
-- **Stage 3** assembles the tabular training set from all *other*
-  datasets' fine-tuning history and fits the prediction model;
-- **Stage 4** scores every (model, target) pair and ranks the models.
+:class:`repro.strategies.TransferGraphStrategy` runs Fig. 5's Stages
+2–3 for one leave-one-out target and returns a
+:class:`FittedTransferGraph`, which carries Stage 4: it scores every
+(model, target) pair and ranks the models.
 """
 
 from __future__ import annotations
@@ -17,19 +12,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import TransferGraphConfig
 from repro.core.features import FeatureAssembler
-from repro.graph import GraphBuilder, get_graph_learner
-from repro.obs import span
-from repro.predictors import get_predictor
-from repro.utils.rng import derive_seed
 
-__all__ = ["TransferGraph", "FittedTransferGraph"]
+__all__ = ["FittedTransferGraph", "sort_ranking"]
+
+
+def sort_ranking(scores: dict[str, float]) -> list[tuple[str, float]]:
+    """Best-first ordering, ties broken by model id.
+
+    The single sort rule every strategy and every fitted pipeline
+    shares, so rankings cannot diverge across strategy families.
+    """
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 @dataclass
 class FittedTransferGraph:
-    """The state produced by :meth:`TransferGraph.fit` for one target."""
+    """The state :meth:`TransferGraphStrategy.fit` produces for one target."""
 
     target: str
     assembler: FeatureAssembler
@@ -45,152 +44,5 @@ class FittedTransferGraph:
         return self.predictor.predict(x)
 
     def rank(self, model_ids: list[str]) -> list[tuple[str, float]]:
-        """``model_ids`` sorted by predicted score, best first.
-
-        Both :meth:`TransferGraph.rank_models` and the serving layer's
-        warm path rank through this, so the sort order cannot diverge.
-        """
-        scores = dict(zip(model_ids, self.predict(model_ids)))
-        return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
-class TransferGraph:
-    """Model-selection strategy backed by graph learning (the paper's TG)."""
-
-    def __init__(self, config: TransferGraphConfig | None = None):
-        self.config = config or TransferGraphConfig()
-
-    @property
-    def name(self) -> str:
-        return self.config.strategy_name()
-
-    # ------------------------------------------------------------------ #
-    def _training_pairs(self, zoo, target: str) -> tuple[list[tuple[str, str]],
-                                                         np.ndarray]:
-        """All (model, dataset≠target) pairs with known history labels."""
-        method = self.config.label_method
-        pairs: list[tuple[str, str]] = []
-        labels: list[float] = []
-        for dataset_id in zoo.target_names():
-            if dataset_id == target:
-                continue
-            for row in zoo.catalog.history_for_dataset(dataset_id, method=method):
-                pairs.append((row["model_id"], dataset_id))
-                labels.append(row["accuracy"])
-        if not pairs:
-            raise ValueError(
-                f"no training history available outside target {target!r}")
-        return pairs, np.asarray(labels)
-
-    # ------------------------------------------------------------------ #
-    def fit(self, zoo, target: str) -> FittedTransferGraph:
-        """Run Stages 2–3 for one leave-one-out target."""
-        config = self.config
-        builder = GraphBuilder(zoo, config.graph)
-        with span("fit.graph_build"):
-            graph, links = builder.build(exclude_target=target)
-
-        embeddings: dict[str, np.ndarray] = {}
-        if config.features.graph_features:
-            learner = get_graph_learner(
-                config.graph_learner, dim=config.embedding_dim,
-                seed=derive_seed(config.seed, "graph_learner", target))
-            with span("fit.embed"):
-                embeddings = learner.embed(graph, links)
-
-        assembler = FeatureAssembler(
-            zoo=zoo,
-            features=config.features,
-            embeddings=embeddings if config.features.graph_features else None,
-            transferability_metric=config.graph.transferability_metric,
-            similarity_method=config.graph.similarity_method,
-            graph=graph if config.features.graph_features else None,
-        )
-        with span("fit.features"):
-            pairs, labels = self._training_pairs(zoo, target)
-            x_train, names = assembler.assemble(pairs, fit=True)
-
-        predictor = get_predictor(config.predictor)
-        with span("fit.train"):
-            predictor.fit(x_train, labels)
-
-        return FittedTransferGraph(
-            target=target,
-            assembler=assembler,
-            predictor=predictor,
-            embeddings=embeddings,
-            graph_stats=graph.stats(),
-            feature_names=names,
-        )
-
-    # ------------------------------------------------------------------ #
-    def refresh(self, zoo, target: str, fitted: FittedTransferGraph,
-                dirty_nodes: set[str]) -> FittedTransferGraph:
-        """Incrementally update a fitted pipeline after catalog writes.
-
-        Stage 2 is localized: instead of re-walking the whole graph, the
-        learner re-walks only ``dirty_nodes`` (the graph nodes incident
-        to the changed catalog rows) and their one-hop neighbors, warm-
-        starting SGNS from ``fitted.embeddings`` — see
-        :meth:`repro.graph.Node2Vec.refresh`.  Stages 3–4 (feature
-        assembly + predictor) always retrain: their cost is linear in
-        the history table, not the graph, and the changed labels must
-        reach the predictor.  Learners without a ``refresh`` (the GNNs)
-        and graph-less configs fall back to a clean :meth:`fit`.
-        """
-        config = self.config
-        if not config.features.graph_features or not fitted.embeddings:
-            return self.fit(zoo, target)
-        learner = get_graph_learner(
-            config.graph_learner, dim=config.embedding_dim,
-            seed=derive_seed(config.seed, "graph_learner", target))
-        if not hasattr(learner, "refresh"):
-            return self.fit(zoo, target)
-
-        builder = GraphBuilder(zoo, config.graph)
-        with span("refresh.graph_build"):
-            graph, links = builder.build(exclude_target=target)
-        with span("refresh.embed"):
-            embeddings = learner.refresh(graph, fitted.embeddings,
-                                         dirty_nodes, links)
-
-        assembler = FeatureAssembler(
-            zoo=zoo,
-            features=config.features,
-            embeddings=embeddings,
-            transferability_metric=config.graph.transferability_metric,
-            similarity_method=config.graph.similarity_method,
-            graph=graph,
-        )
-        with span("refresh.features"):
-            pairs, labels = self._training_pairs(zoo, target)
-            x_train, names = assembler.assemble(pairs, fit=True)
-
-        predictor = get_predictor(config.predictor)
-        with span("refresh.train"):
-            predictor.fit(x_train, labels)
-
-        return FittedTransferGraph(
-            target=target,
-            assembler=assembler,
-            predictor=predictor,
-            embeddings=embeddings,
-            graph_stats=graph.stats(),
-            feature_names=names,
-        )
-
-    # ------------------------------------------------------------------ #
-    def scores_for_target(self, zoo, target: str) -> dict[str, float]:
-        """Stage 4: predicted score for every model on ``target``.
-
-        This is the strategy protocol shared with the baselines, so the
-        evaluation harness can treat TG and baselines uniformly.
-        """
-        fitted = self.fit(zoo, target)
-        model_ids = zoo.model_ids()
-        scores = fitted.predict(model_ids)
-        return dict(zip(model_ids, scores))
-
-    def rank_models(self, zoo, target: str) -> list[tuple[str, float]]:
-        """Models sorted by predicted fine-tuning score, best first."""
-        return self.fit(zoo, target).rank(zoo.model_ids())
+        """``model_ids`` sorted by predicted score, best first."""
+        return sort_ranking(dict(zip(model_ids, self.predict(model_ids))))

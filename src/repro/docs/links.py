@@ -1,6 +1,6 @@
 """Stdlib link checker for the docs tree (CI's ``docs`` job).
 
-Two classes of rot it catches:
+Three classes of rot it catches:
 
 - **relative links**: every ``[text](target)`` in ``docs/*.md`` and the
   README whose target is not an absolute URL or pure anchor must
@@ -13,7 +13,10 @@ Two classes of rot it catches:
   ``repro <word>`` (or ``python -m repro <word>``) must name a real
   subcommand.  The valid set is parsed from the live ``repro --help``
   text, so a renamed subcommand breaks the docs build instead of the
-  reader.
+  reader;
+- **markdown names in code**: a ``*.md`` name in the Python under
+  ``src/``, ``benchmarks/`` or ``examples/`` must exist from the repo
+  root or from ``docs/`` (test fixtures name missing files on purpose).
 
 No third-party markdown parser: the repo's docs stick to plain
 CommonMark links and fenced blocks, which a few regexes cover.
@@ -39,6 +42,13 @@ _CLI_LINE = re.compile(
 
 #: an ATX heading; group 1 is its text
 _HEADING = re.compile(r"^#{1,6}\s+(.*?)\s*$")
+
+#: a markdown file name in Python source, optionally with a directory
+#: path; group 1 is the name
+_MD_NAME = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w.-]+\.md)\b")
+
+#: the Python trees whose markdown names must resolve
+_CODE_TREES = ("src", "benchmarks", "examples")
 
 
 def doc_files(root: str | Path) -> list[Path]:
@@ -133,6 +143,20 @@ def _check_file_cli(path: Path, root: Path, commands: set[str]) -> list[str]:
     return problems
 
 
+def _check_code_md_names(path: Path, root: Path) -> list[str]:
+    problems: list[str] = []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        for match in _MD_NAME.finditer(line):
+            name = match.group(1)
+            if not ((root / name).exists() or (root / "docs" / name).exists()):
+                problems.append(
+                    f"{path.relative_to(root)}:{lineno}: names {name!r}, "
+                    f"which is neither under the repo root nor under docs/"
+                )
+    return problems
+
+
 def check_links(root: str | Path) -> list[str]:
     """All doc problems found; empty means the docs tree is clean."""
     root = Path(root)
@@ -141,4 +165,7 @@ def check_links(root: str | Path) -> list[str]:
     for path in doc_files(root):
         problems.extend(_check_file_links(path, root))
         problems.extend(_check_file_cli(path, root, commands))
+    for tree in _CODE_TREES:
+        for path in sorted((root / tree).rglob("*.py")):
+            problems.extend(_check_code_md_names(path, root))
     return problems

@@ -6,7 +6,7 @@ covering the stages the request actually executed (graph build, walk
 generation, SGNS, predictor training, artifact pack, predict, ...).
 
 The design constraint is that instrumentation points live in hot code
-(:meth:`SelectionService.cache_get`, :meth:`TransferGraph.fit`, the
+(:meth:`SelectionService.cache_get`, :meth:`TransferGraphStrategy.fit`, the
 router's executors) and must cost ~nothing when nobody is observing.
 Everything therefore keys off one :class:`contextvars.ContextVar`:
 

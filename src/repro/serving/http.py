@@ -42,12 +42,17 @@ wrong method on a route               405     ``method_not_allowed``
 body over the byte cap                413     ``payload_too_large``
 cold-fit queue saturated              429     ``queue_full`` (+
                                               ``Retry-After`` header)
+fit fleet has no worker, or a fleet   503     ``fit_unavailable`` (+
+fit timed out or lost its worker              ``Retry-After: 1``)
 anything else                         500     ``internal``
 ====================================  ======  =======================
 
 The 429 carries the router's adaptive backpressure hint twice: machine-
 readable in ``ErrorResponse.retry_after_s`` (fractional seconds) and as
 the integral ``Retry-After`` header HTTP clients already understand.
+The 503 carries a fixed one-second hint the same two ways.  Other fleet
+failures (an unpicklable strategy, a malformed frame) stay 500s: a
+retry cannot help them.
 
 Connections persist.  An ``HTTP/1.1`` request keeps its connection open
 unless it sends ``Connection: close``; any other version closes unless
@@ -84,6 +89,7 @@ import json
 import math
 import re
 
+from repro.fleet.errors import FitTimeoutError, FitWorkerCrashError, NoWorkersError
 from repro.obs import EXPOSITION_CONTENT_TYPE
 from repro.serving.gateway import (
     SelectionGateway,
@@ -111,7 +117,11 @@ _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
     429: "Too Many Requests", 500: "Internal Server Error",
+    503: "Service Unavailable",
 }
+
+#: fleet failures a retry can outlive (no worker yet, a slow or lost one)
+_RETRYABLE_FIT_ERRORS = (NoWorkersError, FitTimeoutError, FitWorkerCrashError)
 
 #: keep header parsing bounded: request line + each header line
 _MAX_LINE_BYTES = 8 * 1024
@@ -160,6 +170,16 @@ def _error_for(exc: Exception) -> _HTTPError:
                 retry_after_s=hint,
             ),
             headers=(("Retry-After", str(max(1, math.ceil(hint)))),),
+        )
+    if isinstance(exc, _RETRYABLE_FIT_ERRORS):
+        return _HTTPError(
+            503,
+            ErrorResponse(
+                code="fit_unavailable",
+                message="no fit worker could fit this target; retry later",
+                retry_after_s=1.0,
+            ),
+            headers=(("Retry-After", "1"),),
         )
     if isinstance(exc, UnknownNamespaceError):
         return _HTTPError(

@@ -107,6 +107,7 @@ ERROR_CODES = frozenset(
         "unknown_model",  # a score_batch pair names no zoo model
         "unknown_strategy",  # namespace serves no strategy under that spec
         "queue_full",  # cold-fit queue saturated; carries retry_after_s
+        "fit_unavailable",  # fit fleet could not fit; carries retry_after_s
         "not_found",  # no such route
         "method_not_allowed",  # route exists, wrong HTTP method
         "payload_too_large",  # request body over the server's byte cap
@@ -904,10 +905,12 @@ class StatsResponse(_Message):
 class ErrorResponse(_Message):
     """A typed failure: machine-readable code, client-safe message.
 
-    ``retry_after_s`` is populated for ``queue_full`` errors with the
-    router's adaptive backpressure hint (p95 of every timed fit
-    scaled by queue depth); clients should wait that long before
-    retrying.
+    ``retry_after_s`` is populated for ``queue_full`` errors (HTTP 429)
+    with the router's adaptive backpressure hint (p95 of every timed
+    fit scaled by queue depth), and for ``fit_unavailable`` errors
+    (HTTP 503: the fit fleet had no worker, or its fit timed out or
+    lost its worker) with a fixed 1.0; clients should wait that long
+    before retrying.
     """
 
     kind: ClassVar[str] = "error"
@@ -934,7 +937,7 @@ class ErrorResponse(_Message):
             "code": self.code,
             "message": self.message,
         }
-        if self.retry_after_s is not None:  # only queue_full carries it
+        if self.retry_after_s is not None:  # queue_full, fit_unavailable
             out["retry_after_s"] = self.retry_after_s
         return out
 

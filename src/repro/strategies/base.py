@@ -41,22 +41,14 @@ from typing import Any, Protocol
 import numpy as np
 import numpy.typing as npt
 
+from repro.core.framework import sort_ranking
+
 __all__ = ["SelectionStrategy", "FittedSelection", "FittedScoreTable",
            "sort_ranking", "SCORE_TABLE_KIND"]
 
 #: meta["kind"] discriminant of score-table artifacts (TG artifacts
 #: predate the field and carry no kind)
 SCORE_TABLE_KIND = "score_table"
-
-
-def sort_ranking(scores: dict[str, float]) -> list[tuple[str, float]]:
-    """Best-first ordering, ties broken by model id.
-
-    The single sort rule every strategy shares — the same ordering
-    :meth:`repro.core.FittedTransferGraph.rank` applies, so rankings
-    cannot diverge across strategy families.
-    """
-    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 class FittedSelection(Protocol):
@@ -143,7 +135,7 @@ class SelectionStrategy:
         return self.fit(zoo, target).rank(zoo.model_ids())
 
     def scores_for_target(self, zoo: Any, target: str) -> dict[str, float]:
-        """The evaluation-harness protocol shared with the baselines."""
+        """Every model's score on ``target``: what the LOO harness reads."""
         fitted = self.fit(zoo, target)
         model_ids = zoo.model_ids()
         scores = fitted.predict(model_ids)

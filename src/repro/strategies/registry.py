@@ -20,10 +20,8 @@ spec                      strategy
 ========================  ==============================================
 
 ``tg``/``lr`` specs accept keyword overrides applied to the underlying
-:class:`~repro.core.TransferGraphConfig` (the CLI passes
-``embedding_dim=32`` so served strategies match its classic defaults);
-the spec remains the routing key, the config fingerprint remains the
-artifact key.
+:class:`~repro.core.TransferGraphConfig`; the spec remains the routing
+key, the config fingerprint remains the artifact key.
 """
 
 from __future__ import annotations
@@ -109,7 +107,7 @@ def available_specs() -> list[str]:
     return specs
 
 
-def _tg_strategy(args: str, overrides: dict) -> TransferGraphStrategy:
+def _tg_config(args: str) -> TransferGraphConfig:
     from repro.graph import GRAPH_LEARNERS
     from repro.predictors import PREDICTORS
 
@@ -126,22 +124,16 @@ def _tg_strategy(args: str, overrides: dict) -> TransferGraphStrategy:
             or tag not in _FEATURE_TAGS:
         raise UnknownStrategyError(
             f"tg:{args}" if args else "tg", available_specs())
-    config = TransferGraphConfig(predictor=predictor, graph_learner=learner,
-                                 features=_FEATURE_TAGS[tag]())
-    if overrides:
-        config = replace(config, **overrides)
-    return TransferGraphStrategy(config)
+    return TransferGraphConfig(predictor=predictor, graph_learner=learner,
+                               features=_FEATURE_TAGS[tag]())
 
 
-def _lr_strategy(args: str, overrides: dict) -> TransferGraphStrategy:
+def _lr_config(args: str) -> TransferGraphConfig:
     variant = args or "basic"
     if variant not in LR_VARIANTS:
         raise UnknownStrategyError(f"lr:{variant}", available_specs())
-    feature_set, name = LR_VARIANTS[variant]
-    config = TransferGraphConfig(predictor="lr", features=feature_set())
-    if overrides:
-        config = replace(config, **overrides)
-    return TransferGraphStrategy(config, spec=f"lr:{variant}", name=name)
+    feature_set, _ = LR_VARIANTS[variant]
+    return TransferGraphConfig(predictor="lr", features=feature_set())
 
 
 def _random_strategy(args: str) -> RandomStrategy:
@@ -166,10 +158,9 @@ def get_strategy(spec: str, **tg_overrides) -> SelectionStrategy:
         raise UnknownStrategyError(repr(spec), available_specs())
     key = canonical_spec(spec)
     family, _, args = key.partition(":")
-    if family == "tg":
-        return _tg_strategy(args, tg_overrides)
-    if family == "lr":
-        return _lr_strategy(args, tg_overrides)
+    if family in ("tg", "lr"):
+        config = _tg_config(args) if family == "tg" else _lr_config(args)
+        return TransferGraphStrategy(replace(config, **tg_overrides))
     if family == "random":
         return _random_strategy(args)
     if not args and family in _transferability_metrics():
@@ -186,7 +177,7 @@ def resolve_strategy(obj) -> SelectionStrategy:
     call site that used to take a config keeps working unchanged.
     """
     if obj is None:
-        return TransferGraphStrategy(TransferGraphConfig())
+        return TransferGraphStrategy()
     if isinstance(obj, SelectionStrategy):
         return obj
     if isinstance(obj, TransferGraphConfig):

@@ -1,6 +1,6 @@
 """The simulated model zoo: datasets, models, training pipelines, cache.
 
-See DESIGN.md §2 for the substitution argument: the paper's HuggingFace
+See docs/fidelity.md for the substitution argument: the paper's HuggingFace
 zoo + GPU fine-tuning is replaced by genuinely-trained small numpy models
 over a latent task universe with real transfer structure.
 """

@@ -3,31 +3,33 @@
 import numpy as np
 import pytest
 
-from repro.baselines import AmazonLR
 from repro.core import (
     FeatureSet,
     LooEvaluation,
     TargetResult,
-    TransferGraph,
     TransferGraphConfig,
     evaluate_strategy,
     top_k_accuracy,
 )
-from repro.strategies import RandomStrategy, TransferabilityStrategy
+from repro.strategies import (
+    RandomStrategy,
+    TransferabilityStrategy,
+    TransferGraphStrategy,
+    get_strategy,
+)
 
 
-def tg_config(**overrides):
-    defaults = dict(predictor="lr", graph_learner="node2vec",
-                    embedding_dim=8, features=FeatureSet.everything())
-    defaults.update(overrides)
-    return TransferGraphConfig(**defaults)
+def tg(**overrides):
+    """``tg:lr,n2v,all`` at a small embedding dimension."""
+    return TransferGraphStrategy(TransferGraphConfig(
+        **{"embedding_dim": 8, **overrides}))
 
 
 class TestTransferGraphPipeline:
     def test_fit_produces_fitted_state(self, tiny_image_zoo):
         zoo = tiny_image_zoo
         target = zoo.target_names()[0]
-        fitted = TransferGraph(tg_config()).fit(zoo, target)
+        fitted = tg().fit(zoo, target)
         assert fitted.target == target
         assert fitted.graph_stats["num_nodes"] == \
             len(zoo.dataset_names()) + len(zoo.model_ids())
@@ -35,29 +37,27 @@ class TestTransferGraphPipeline:
 
     def test_scores_cover_all_models(self, tiny_image_zoo):
         zoo = tiny_image_zoo
-        scores = TransferGraph(tg_config()).scores_for_target(
-            zoo, zoo.target_names()[0])
+        scores = tg().scores_for_target(zoo, zoo.target_names()[0])
         assert set(scores) == set(zoo.model_ids())
         assert all(np.isfinite(v) for v in scores.values())
 
-    def test_rank_models_sorted(self, tiny_image_zoo):
+    def test_rank_sorted(self, tiny_image_zoo):
         zoo = tiny_image_zoo
-        ranking = TransferGraph(tg_config()).rank_models(
-            zoo, zoo.target_names()[0])
+        ranking = tg().rank(zoo, zoo.target_names()[0])
         values = [v for _, v in ranking]
         assert values == sorted(values, reverse=True)
+        assert {m for m, _ in ranking} == set(zoo.model_ids())
 
     def test_deterministic(self, tiny_image_zoo):
         zoo = tiny_image_zoo
         target = zoo.target_names()[0]
-        s1 = TransferGraph(tg_config(seed=5)).scores_for_target(zoo, target)
-        s2 = TransferGraph(tg_config(seed=5)).scores_for_target(zoo, target)
+        s1 = tg(seed=5).scores_for_target(zoo, target)
+        s2 = tg(seed=5).scores_for_target(zoo, target)
         assert s1 == s2
 
     def test_graph_only_variant_runs(self, tiny_image_zoo):
         zoo = tiny_image_zoo
-        config = tg_config(features=FeatureSet.graph_only())
-        scores = TransferGraph(config).scores_for_target(
+        scores = tg(features=FeatureSet.graph_only()).scores_for_target(
             zoo, zoo.target_names()[0])
         assert len(scores) == len(zoo.model_ids())
 
@@ -65,21 +65,19 @@ class TestTransferGraphPipeline:
         zoo = tiny_image_zoo
         target = zoo.target_names()[0]
         for predictor in ("lr", "rf", "xgb"):
-            scores = TransferGraph(tg_config(predictor=predictor)) \
-                .scores_for_target(zoo, target)
+            scores = tg(predictor=predictor).scores_for_target(zoo, target)
             assert len(scores) == len(zoo.model_ids())
 
     def test_all_graph_learners_run(self, tiny_image_zoo):
         zoo = tiny_image_zoo
         target = zoo.target_names()[0]
         for learner in ("node2vec", "node2vec+", "graphsage", "gat"):
-            scores = TransferGraph(tg_config(graph_learner=learner)) \
-                .scores_for_target(zoo, target)
+            scores = tg(graph_learner=learner).scores_for_target(zoo, target)
             assert len(scores) == len(zoo.model_ids())
 
     def test_unknown_target_raises(self, tiny_image_zoo):
         with pytest.raises(KeyError):
-            TransferGraph(tg_config()).fit(tiny_image_zoo, "nonexistent")
+            tg().fit(tiny_image_zoo, "nonexistent")
 
 
 class TestEvaluation:
@@ -150,14 +148,10 @@ class TestBaselines:
         t = zoo.target_names()[0]
         for variant, name in (("basic", "LR"), ("all", "LR{all}"),
                               ("all+logme", "LR{all,LogME}")):
-            strategy = AmazonLR(variant)
-            assert strategy.name == name
+            strategy = get_strategy(f"lr:{variant}")
+            assert (strategy.spec, strategy.name) == (f"lr:{variant}", name)
             scores = strategy.scores_for_target(zoo, t)
             assert set(scores) == set(zoo.model_ids())
-
-    def test_amazon_lr_unknown_variant(self):
-        with pytest.raises(ValueError):
-            AmazonLR("super")
 
     def test_basic_lr_ranking_nearly_target_independent(self, tiny_image_zoo):
         """Metadata-only LR produces near-identical orderings per target.
@@ -170,7 +164,7 @@ class TestBaselines:
         from repro.utils import spearman_correlation
 
         zoo = tiny_image_zoo
-        strategy = AmazonLR("basic")
+        strategy = get_strategy("lr:basic")
         t1, t2 = zoo.target_names()[:2]
         s1 = strategy.scores_for_target(zoo, t1)
         s2 = strategy.scores_for_target(zoo, t2)
@@ -190,6 +184,5 @@ class TestHeadlineShape:
         zoo = tiny_image_zoo
         random_corr = evaluate_strategy(RandomStrategy(), zoo) \
             .average_correlation()
-        tg_corr = evaluate_strategy(
-            TransferGraph(tg_config(predictor="lr")), zoo).average_correlation()
+        tg_corr = evaluate_strategy(tg(), zoo).average_correlation()
         assert tg_corr > random_corr

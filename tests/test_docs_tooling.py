@@ -108,6 +108,35 @@ class TestLinkChecker:
             "prose mentioning repro frobnicate is fine\n", encoding="utf-8")
         assert check_links(tmp_path) == []
 
+    def test_markdown_names_in_code_must_resolve(self, tmp_path):
+        """A ``*.md`` name in src/, benchmarks/ or examples/ Python must
+        exist from the repo root or from docs/; tests/ is not scanned."""
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs/fidelity.md").write_text("# F\n", encoding="utf-8")
+        (tmp_path / "README.md").write_text("# R\n", encoding="utf-8")
+        module = tmp_path / "src/pkg/mod.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            '"""See NOTES.md §2 and docs/fidelity.md, fidelity.md,\n'
+            'README.md and docs/*.md; index.mdx is not markdown."""\n'
+            "# RESULTS.md explains it\n"
+            'URL = "https://example.com/GONE.md"\n',
+            encoding="utf-8")
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks/bench.py").write_text(
+            "# see docs/missing.md\n", encoding="utf-8")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests/test_fixture.py").write_text(
+            "# names NOWHERE.md on purpose\n", encoding="utf-8")
+        problems = check_links(tmp_path)
+        assert len(problems) == 3
+        assert "src/pkg/mod.py:1:" in problems[0]
+        assert "'NOTES.md'" in problems[0]
+        assert "src/pkg/mod.py:3:" in problems[1]
+        assert "'RESULTS.md'" in problems[1]
+        assert "benchmarks/bench.py:1:" in problems[2]
+        assert "'docs/missing.md'" in problems[2]
+
 
 class TestDocsCli:
     def test_docs_requires_a_mode(self, capsys):

@@ -3,21 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    FeatureSet,
-    TransferGraph,
-    TransferGraphConfig,
-    evaluate_strategy,
-)
+from repro.core import TransferGraphConfig, evaluate_strategy
 from repro.graph import GraphConfig
-from repro.strategies import RandomStrategy, TransferabilityStrategy
+from repro.strategies import (
+    RandomStrategy,
+    TransferabilityStrategy,
+    TransferGraphStrategy,
+)
 
 
-def tg(predictor="lr", **overrides):
-    defaults = dict(predictor=predictor, graph_learner="node2vec",
-                    embedding_dim=8, features=FeatureSet.everything())
-    defaults.update(overrides)
-    return TransferGraph(TransferGraphConfig(**defaults))
+def tg(**overrides):
+    """``tg:lr,n2v,all`` at a small embedding dimension."""
+    return TransferGraphStrategy(TransferGraphConfig(
+        **{"embedding_dim": 8, **overrides}))
 
 
 class TestTextModality:

@@ -1,6 +1,6 @@
 """Parallel cold fits + adaptive backpressure.
 
-`TransferGraph.fit` lazily records derived similarity/transferability
+`TransferGraphStrategy.fit` lazily records derived similarity/transferability
 scores into the *shared* zoo catalog; since that recording is
 lock-guarded (scoped batches merged under ``ZooCatalog.lock``), distinct
 targets may fit concurrently.  These tests prove the results are
@@ -18,9 +18,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import FeatureSet, TransferGraph, TransferGraphConfig
+from repro.core import FeatureSet, TransferGraphConfig
 from repro.serving import AsyncSelectionRouter, QueueFullError
 from repro.store import ZooCatalog
+from repro.strategies import TransferGraphStrategy
 
 from serving_stubs import stub_service
 
@@ -56,12 +57,12 @@ class TestConcurrentFitCorrectness:
         model_ids = tiny_image_zoo.model_ids()
 
         serial_zoo = _zoo_with_cold_catalog(tiny_image_zoo)
-        serial = {t: TransferGraph(lr_config).fit(serial_zoo, t)
+        serial = {t: TransferGraphStrategy(lr_config).fit(serial_zoo, t)
                   for t in targets}
 
         concurrent_zoo = _zoo_with_cold_catalog(tiny_image_zoo)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = {t: pool.submit(TransferGraph(lr_config).fit,
+            futures = {t: pool.submit(TransferGraphStrategy(lr_config).fit,
                                       concurrent_zoo, t) for t in targets}
             concurrent = {t: f.result() for t, f in futures.items()}
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FeatureSet, TransferGraph, TransferGraphConfig
+from repro.core import FeatureSet, TransferGraphConfig
 from repro.predictors import PREDICTORS, get_predictor
 from repro.serving import (
     ArtifactError,
@@ -27,7 +27,7 @@ from repro.serving import (
     config_fingerprint,
     config_from_dict,
 )
-from repro.strategies import resolve_strategy
+from repro.strategies import TransferGraphStrategy, resolve_strategy
 from repro.strategies.artifacts import _pack_value, _unpack_value
 
 from serving_stubs import (
@@ -93,7 +93,7 @@ class TestRegistryRoundTrip:
         config = TransferGraphConfig(predictor=alias, embedding_dim=16,
                                      features=FeatureSet.everything())
         target = zoo.target_names()[0]
-        fitted = TransferGraph(config).fit(zoo, target)
+        fitted = TransferGraphStrategy(config).fit(zoo, target)
 
         registry = ArtifactRegistry(tmp_path)
         registry.save(fitted, config, zoo)
@@ -111,7 +111,7 @@ class TestRegistryRoundTrip:
         registry = ArtifactRegistry(tmp_path)
         assert not registry.contains(target, lr_config)
         assert registry.targets(lr_config) == []
-        fitted = TransferGraph(lr_config).fit(zoo, target)
+        fitted = TransferGraphStrategy(lr_config).fit(zoo, target)
         registry.save(fitted, lr_config, zoo)
         assert registry.contains(target, lr_config)
         assert registry.targets(lr_config) == [target]
@@ -128,7 +128,7 @@ class TestRegistryRoundTrip:
                                      lr_config):
         zoo = tiny_image_zoo
         target = zoo.target_names()[0]
-        fitted = TransferGraph(lr_config).fit(zoo, target)
+        fitted = TransferGraphStrategy(lr_config).fit(zoo, target)
         registry = ArtifactRegistry(tmp_path)
         registry.save(fitted, lr_config, zoo)
 
@@ -149,7 +149,7 @@ class TestRegistryRoundTrip:
                                             lr_config):
         zoo = tiny_image_zoo
         target = zoo.target_names()[0]
-        fitted = TransferGraph(lr_config).fit(zoo, target)
+        fitted = TransferGraphStrategy(lr_config).fit(zoo, target)
         registry = ArtifactRegistry(tmp_path)
         registry.save(fitted, lr_config, zoo)
 
@@ -162,7 +162,7 @@ class TestRegistryRoundTrip:
                                                 tmp_path, lr_config):
         zoo = tiny_image_zoo
         target = zoo.target_names()[0]
-        fitted = TransferGraph(lr_config).fit(zoo, target)
+        fitted = TransferGraphStrategy(lr_config).fit(zoo, target)
         registry = ArtifactRegistry(tmp_path)
         path = registry.save(fitted, lr_config, zoo)
 
@@ -176,7 +176,7 @@ class TestRegistryRoundTrip:
                                                   tmp_path, lr_config):
         zoo = tiny_image_zoo
         target = zoo.target_names()[0]
-        fitted = TransferGraph(lr_config).fit(zoo, target)
+        fitted = TransferGraphStrategy(lr_config).fit(zoo, target)
         registry = ArtifactRegistry(tmp_path)
         registry.save(fitted, lr_config, zoo)
 
@@ -190,7 +190,7 @@ class TestRegistryRoundTrip:
         """A different config lives in a different registry namespace."""
         zoo = tiny_image_zoo
         target = zoo.target_names()[0]
-        fitted = TransferGraph(lr_config).fit(zoo, target)
+        fitted = TransferGraphStrategy(lr_config).fit(zoo, target)
         registry = ArtifactRegistry(tmp_path)
         registry.save(fitted, lr_config, zoo)
         other = TransferGraphConfig(predictor="rf", embedding_dim=16,
@@ -297,7 +297,7 @@ class TestStoredGraph:
                                                         lr_config):
         zoo = tiny_image_zoo
         target = zoo.target_names()[0]
-        fitted = TransferGraph(lr_config).fit(zoo, target)
+        fitted = TransferGraphStrategy(lr_config).fit(zoo, target)
         registry = ArtifactRegistry(tmp_path)
         path = registry.save(fitted, lr_config, zoo)
 
@@ -319,7 +319,7 @@ class TestStoredGraph:
                                                   tmp_path, lr_config):
         zoo = tiny_image_zoo
         target = zoo.target_names()[1]
-        fitted = TransferGraph(lr_config).fit(zoo, target)
+        fitted = TransferGraphStrategy(lr_config).fit(zoo, target)
         registry = ArtifactRegistry(tmp_path)
         registry.save(fitted, lr_config, zoo)
         revived = registry.load(target, lr_config, zoo)
@@ -336,7 +336,7 @@ class TestStoredGraph:
             self, tiny_image_zoo, tmp_path, lr_config):
         zoo = tiny_image_zoo
         target = zoo.target_names()[0]
-        fitted = TransferGraph(lr_config).fit(zoo, target)
+        fitted = TransferGraphStrategy(lr_config).fit(zoo, target)
         registry = ArtifactRegistry(tmp_path)
         registry.save(fitted, lr_config, zoo)
 

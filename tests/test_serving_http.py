@@ -14,17 +14,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.fleet import FleetCoordinator
+from repro.fleet.errors import (
+    FitPlaneError,
+    FitTimeoutError,
+    FitWorkerCrashError,
+    NoWorkersError,
+    WireError,
+)
 from repro.serving import (
     ErrorResponse,
     GatewayHTTPServer,
     RankRequest,
     RankResponse,
     ScoreBatchResponse,
+    SelectionGateway,
     StatsResponse,
     message_from_json,
 )
 
-from serving_stubs import stub_gateway
+from serving_stubs import STUB_SCORES, StubStrategy, StubZoo, stub_gateway
 
 
 def run(coro):
@@ -729,6 +738,78 @@ class TestBackpressure:
             assert error.retry_after_s >= 0.25
             # integral header ceiling of the machine-readable hint
             assert int(headers["retry-after"]) >= 1
+
+
+class _FailingFleet:
+    """A fit fleet whose every dispatch fails with one plane error."""
+
+    def __init__(self, error: Exception):
+        self.error = error
+
+    def submit_fit(self, strategy, zoo, target, *, timeout_s=None):
+        raise self.error
+
+    def fleet_summary(self):
+        return None
+
+    def close(self):
+        pass
+
+
+def _cold_rank_through(fleet):
+    """One cold ``/v1/rank`` over a gateway that sends its fits to
+    ``fleet``: (status, headers, body).  Closing the gateway closes the
+    fleet."""
+    async def scenario():
+        gateway = SelectionGateway(fleet=fleet)
+        try:
+            gateway.add_namespace("alpha", StubZoo(),
+                                  StubStrategy("agree", STUB_SCORES["agree"]))
+            server = await serve(gateway)
+            host, port = server.address
+            answer = await http_request(
+                host, port, "POST", "/v1/rank",
+                body=json.dumps({"namespace": "alpha", "target": "t0"}))
+            await server.close()
+            return answer
+        finally:
+            gateway.close()
+
+    return run(scenario())
+
+
+class TestFitFleetUnavailable:
+    """A fit the fleet could not run is a retryable 503, not a 500."""
+
+    @pytest.mark.parametrize("error", [
+        NoWorkersError("no live fit workers"),
+        FitTimeoutError("fit exceeded its timeout"),
+        FitWorkerCrashError("worker died mid-fit"),
+    ], ids=lambda error: type(error).__name__)
+    def test_retryable_fleet_failure_is_a_typed_503(self, error):
+        status, headers, body = _cold_rank_through(_FailingFleet(error))
+        assert status == 503
+        assert headers["retry-after"] == "1"
+        failure = ErrorResponse.from_json(body)
+        assert failure.code == "fit_unavailable"
+        assert failure.retry_after_s == 1.0
+
+    def test_fleet_before_its_first_worker_is_a_typed_503(self):
+        fleet = FleetCoordinator("127.0.0.1", 0)
+        fleet.start()
+        status, headers, body = _cold_rank_through(fleet)
+        assert (status, headers["retry-after"]) == (503, "1")
+        assert ErrorResponse.from_json(body).code == "fit_unavailable"
+
+    @pytest.mark.parametrize("error", [
+        FitPlaneError("strategy is not picklable"),
+        WireError("malformed frame"),
+    ], ids=lambda error: type(error).__name__)
+    def test_unretryable_fleet_failure_stays_a_500(self, error):
+        status, headers, body = _cold_rank_through(_FailingFleet(error))
+        assert status == 500
+        assert "retry-after" not in headers
+        assert ErrorResponse.from_json(body).code == "internal"
 
 
 class TestStrategyRouting:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import FeatureSet, TransferGraph, TransferGraphConfig
+from repro.core import FeatureSet, TransferGraphConfig
 from repro.serving import (
     ArtifactRegistry,
     SelectionService,
@@ -11,6 +11,7 @@ from repro.serving import (
     generate_workload,
     replay,
 )
+from repro.strategies import TransferGraphStrategy
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,7 @@ class TestRankCorrectness:
         target = tiny_image_zoo.target_names()[0]
         service = SelectionService(tiny_image_zoo, lr_config)
         served = service.rank(target)
-        fresh = TransferGraph(lr_config).rank_models(tiny_image_zoo, target)
+        fresh = TransferGraphStrategy(lr_config).rank(tiny_image_zoo, target)
         assert [m for m, _ in served] == [m for m, _ in fresh]
         assert [s for _, s in served] == pytest.approx(
             [s for _, s in fresh], rel=1e-12)

@@ -101,6 +101,86 @@ class TestRegistryLookup:
         assert len(set(fingerprints)) == len(fingerprints)
 
 
+#: registry keys of what ``repro serve --predictor lr --strategy lr:all
+#: --strategy logme`` serves; see TestServedDefault before changing one
+SERVED_FINGERPRINTS = {
+    "tg:lr,n2v,all": "70f9fb9b7b2c583f723b",
+    "lr:all": "60407e919d7263ed03e1",
+    "logme": "62ae3b934bca1fd973dc",
+}
+
+
+class TestServedDefault:
+    """One TransferGraph default: the library, ``repro serve`` and
+    ``repro evaluate`` all build the configuration that is served.
+
+    The fingerprint literals are the directory names under which every
+    deployed registry of ``repro serve --predictor lr --strategy lr:all
+    --strategy logme`` stores its artifacts.  Changing one (a config
+    field, a default, the digest rule) makes every such registry refit
+    from cold, so a change here must be deliberate and announced.
+    """
+
+    def test_library_default_is_the_served_config(self):
+        assert TransferGraphConfig().embedding_dim == 32
+        assert TransferGraphStrategy().fingerprint() == \
+            SERVED_FINGERPRINTS["tg:lr,n2v,all"]
+
+    def test_served_fingerprints_are_pinned(self):
+        assert {spec: get_strategy(spec).fingerprint()
+                for spec in SERVED_FINGERPRINTS} == SERVED_FINGERPRINTS
+
+    def test_serve_and_evaluate_build_the_library_default(self, monkeypatch,
+                                                          tmp_path):
+        """The strategy ``serve --predictor lr`` registers by default,
+        the TG that ``evaluate --predictor lr`` scores (offline and
+        ``--served``) and ``get_strategy("tg:lr,n2v,all")`` share one
+        fingerprint."""
+        import repro.core
+        import repro.zoo
+        from repro.cli import main
+
+        class Registered(Exception):
+            pass
+
+        registered, scored = [], []
+
+        def add_namespace(self, name, zoo, strategy=None, **kwargs):
+            registered.append(strategy)
+            raise Registered
+
+        class Zoo:
+            def target_names(self):
+                return ["t0"]
+
+        class Evaluation:
+            def average_correlation(self):
+                return 0.0
+
+            def average_top_k_accuracy(self, k):
+                return 0.0
+
+        def evaluate_strategy(strategy, zoo, **kwargs):
+            scored.append(strategy)
+            return Evaluation()
+
+        monkeypatch.setattr(SelectionGateway, "add_namespace", add_namespace)
+        monkeypatch.setattr(repro.zoo, "get_or_build_zoo", lambda config: Zoo())
+        monkeypatch.setattr(repro.core, "evaluate_strategy", evaluate_strategy)
+        for command in (["serve", "--port", "0", "--registry-dir",
+                         str(tmp_path)], ["evaluate", "--served"]):
+            with pytest.raises(Registered):
+                main(["--scale", "tiny", *command, "--predictor", "lr"])
+        assert main(["--scale", "tiny", "evaluate", "--predictor", "lr"]) == 0
+
+        scored_tg = [s for s in scored if s.spec.startswith("tg:")]
+        assert (len(registered), len(scored_tg)) == (2, 1)
+        assert {s.fingerprint()
+                for s in [*registered, *scored_tg,
+                          get_strategy("tg:lr,n2v,all")]} == \
+            {SERVED_FINGERPRINTS["tg:lr,n2v,all"]}
+
+
 class TestPackUnpackParity:
     """Satellite acceptance: every strategy family round-trips pack →
     unpack through the registry with identical rank() output."""

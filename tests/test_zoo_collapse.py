@@ -1,4 +1,4 @@
-"""Tests for the hidden feature-collapse mechanism (DESIGN.md §2).
+"""Tests for the hidden feature-collapse mechanism (docs/fidelity.md).
 
 The mechanism must satisfy two contracts:
 1. source accuracy is (approximately) preserved — metadata stays blind;
