@@ -36,8 +36,7 @@ _ROUNDS = 30
 def _build_gateway(zoo) -> SelectionGateway:
     gateway = SelectionGateway()
     gateway.add_namespace(_NAMESPACE, zoo, "tg:lr,n2v,all",
-                          strategies=("logme", "random"),
-                          fit_budgets="weighted")
+                          strategies=("logme", "random"))
     return gateway
 
 

@@ -18,7 +18,7 @@ and fails the build when serving quality or warm-path latency regresses:
   fit costs hundreds of milliseconds;
 - **coverage** — every baseline strategy must still be reported, nothing
   may have been shed (the bench warms the namespace first, so any shed
-  means the budget math or the warmup broke), and the reference strategy
+  means the warmup or the queue bound broke), and the reference strategy
   and overlap depth must match the baseline's.
 
 Exit status: 0 all gates pass, 1 a gate failed, 2 the reports are
@@ -94,7 +94,7 @@ def check_strategy(
     if current.get("targets_shed", 0) > 0:
         failures.append(
             f"{spec}: {current['targets_shed']} target(s) shed in a warmed "
-            f"bench run — fit budgets or warmup are broken"
+            f"bench run — the warmup or the queue bound is broken"
         )
     base_overlap = baseline.get("mean_top_k_overlap")
     new_overlap = current.get("mean_top_k_overlap")

@@ -159,23 +159,6 @@ def _strategy_spec(value: str) -> str:
     return value
 
 
-def _fit_budget_spec(value: str) -> tuple[str, int]:
-    """argparse type for ``--fit-budget``: ``SPEC=N`` -> (spec, bound)."""
-    spec, sep, bound = value.partition("=")
-    if not sep or not spec or not bound:
-        raise argparse.ArgumentTypeError(
-            f"fit budget {value!r} must look like SPEC=N")
-    spec = _strategy_spec(spec)
-    try:
-        n = int(bound)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(
-            f"fit budget {value!r}: bound must be an integer >= 1")
-    return spec, n
-
-
 _SCALES = ("tiny", "small", "default")
 
 
@@ -317,27 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "(repeatable); the classic TransferGraph from "
                             "--predictor/--graph-learner stays the default "
                             "answering requests without a strategy field")
-    serve.add_argument("--shed-start", type=_fraction, default=1.0,
-                       help="queue-depth fraction where probabilistic early "
-                            "shedding begins (1.0 = hard cliff only)")
-    serve.add_argument("--fit-budget", action="append", dest="fit_budgets",
-                       type=_fit_budget_spec, metavar="SPEC=N",
-                       help="per-strategy cold-fit queue bound (repeatable); "
-                            "strategies without an explicit bound get the "
-                            "weighted default (--max-pending-fits scaled by "
-                            "the strategy's fit cost)")
-    serve.add_argument("--weighted-fit-budgets", action="store_true",
-                       help="scale every strategy's cold-fit queue bound by "
-                            "its fit cost (heavy TG fits queue shallow, ~ms "
-                            "transferability fits queue deep) so a TG fit "
-                            "storm cannot starve cheap strategies")
     serve.add_argument("--registry-dir", type=Path, default=None,
                        help="gateway registry root, sharded per namespace "
                             "(default: <zoo cache>/serving_namespaces)")
     serve.add_argument("--cache-size", type=_positive_int, default=32,
                        help="per-namespace in-memory LRU capacity")
     serve.add_argument("--max-pending-fits", type=_positive_int, default=8,
-                       help="per-namespace cold-fit queue bound")
+                       help="cold-fit queue bound of each namespace and "
+                            "strategy; a cold request beyond it is shed "
+                            "with 429 queue_full")
     serve.add_argument("--fit-workers", type=_positive_int, default=2,
                        help="parallel cold fits per strategy: one pool of "
                             "this many threads per strategy, shared by "
@@ -357,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared fleet-auth secret: workers must "
                             "answer an HMAC challenge with the same "
                             "secret before they may register or "
-                            "receive fits (default: $REPRO_FLEET_SECRET; "
-                            "unset accepts any client that can reach "
-                            "--fleet-listen)")
+                            "receive fits (--fleet-listen only; default: "
+                            "$REPRO_FLEET_SECRET; unset accepts any client "
+                            "that can reach --fleet-listen)")
     serve.add_argument("--fit-timeout", type=float, default=None,
                        dest="fit_timeout", metavar="SECONDS",
                        help="bound one cold fit (--fleet-listen only); an "
@@ -412,9 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--partition", action="store_true",
                      help="split the stream across clients instead of "
                           "replaying it once per client")
-    sim.add_argument("--shed-start", type=_fraction, default=1.0,
-                     help="queue-depth fraction where probabilistic early "
-                          "shedding begins (1.0 = hard cliff only)")
     sim.add_argument("--log-json", action="store_true",
                      help="emit one JSON event per replayed request on "
                           "stdout (same record shape as live serving)")
@@ -586,10 +554,10 @@ def _cmd_evaluate_served(args) -> int:
     """``evaluate --served``: the /v1/compare engine, offline.
 
     Spins a memory-only gateway in-process (one namespace, the requested
-    strategy map with weighted fit budgets), warms it, replays every
-    target through the same ``compare`` entry point the HTTP front door
-    serves, and writes the machine-readable ``BENCH_compare.json``
-    report the CI benchmark gate consumes.
+    strategy map), warms it, replays every target through the same
+    ``compare`` entry point the HTTP front door serves, and writes the
+    machine-readable ``BENCH_compare.json`` report the CI benchmark
+    gate consumes.
     """
     from repro.obs import Observability
     from repro.serving import SelectionGateway, run_served_evaluation, \
@@ -612,7 +580,6 @@ def _cmd_evaluate_served(args) -> int:
     gateway = SelectionGateway(obs=obs)  # memory-only: the report must
     gateway.add_namespace(   # measure this run's fits, not a previous run's
         namespace, zoo, default_strategy, strategies=tuple(extras),
-        fit_budgets="weighted",
         cache_size=max(32, len(zoo.target_names())))
     print(f"served comparison: namespace {namespace!r}, strategies "
           f"{', '.join(gateway.strategies(namespace))} over "
@@ -631,7 +598,7 @@ def _cmd_evaluate_served(args) -> int:
     print(f"reference {reference}, top-{k} overlap, "
           f"{report['wall_s']:.2f} s wall")
     print(f"{'strategy':<22}{'pearson':>9}{'spearman':>10}"
-          f"{'overlap':>9}{'warm p95':>11}{'budget':>8}{'shed':>6}")
+          f"{'overlap':>9}{'warm p95':>11}{'shed':>6}")
     for spec, row in report["strategies"].items():
         def cell(value, width=9):
             return f"{value:>+{width}.3f}" if value is not None \
@@ -640,7 +607,7 @@ def _cmd_evaluate_served(args) -> int:
               f"{cell(row['mean_spearman'], 10)}"
               f"{cell(row['mean_top_k_overlap'])}"
               f"{row['warm_rank_p95_ms']:>9.2f}ms"
-              f"{row['fit_budget']:>8d}{row['targets_shed']:>6d}")
+              f"{row['targets_shed']:>6d}")
     path = write_report(args.output or Path("BENCH_compare.json"), report)
     print(f"wrote {path}")
     return 0
@@ -683,6 +650,13 @@ def _cmd_serve(args) -> int:
     from repro.serving import GatewayHTTPServer, SelectionGateway
     from repro.zoo import get_or_build_zoo
 
+    fleet_only = [flag for flag, value in (("--fit-timeout", args.fit_timeout),
+                                           ("--fleet-secret", args.fleet_secret))
+                  if value is not None]
+    if fleet_only and args.fleet_listen is None:
+        print(f"error: {' and '.join(fleet_only)} need --fleet-listen",
+              file=sys.stderr)
+        return 2
     specs = args.namespaces or [(args.modality, args.modality, args.scale)]
     names = [name for name, _, _ in specs]
     if len(set(names)) != len(names):
@@ -719,11 +693,6 @@ def _cmd_serve(args) -> int:
     default_strategy = _cli_default_strategy(args)
     extra_strategies = _extra_strategies(args.strategies or [],
                                          default_strategy)
-    fit_budgets = None
-    if args.fit_budgets:
-        fit_budgets = dict(args.fit_budgets)
-    elif args.weighted_fit_budgets:
-        fit_budgets = "weighted"
     # One ModelZoo per distinct (modality, scale), handed to every
     # namespace that names it, just as a namespace's strategies share
     # its zoo: `serve` exposes no catalog write, so all they share is
@@ -742,18 +711,13 @@ def _cmd_serve(args) -> int:
             strategies=extra_strategies,
             cache_size=args.cache_size,
             max_pending_fits=args.max_pending_fits,
-            fit_budgets=fit_budgets,
             fit_workers=args.fit_workers,
-            shed_start=args.shed_start,
             fit_timeout_s=args.fit_timeout)
-        budgets = ", ".join(
-            f"{spec}={gateway.router(name, spec).max_pending_fits}"
-            for spec in gateway.strategies(name))
         print(f"namespace {name!r}: {modality}/{scale} zoo, "
               f"{len(zoo.model_ids())} models, "
               f"{len(zoo.target_names())} targets, "
               f"strategies: {', '.join(gateway.strategies(name))} "
-              f"(fit budgets {budgets}; registry shard {root / name})",
+              f"(registry shard {root / name})",
               flush=True)
 
     async def run() -> None:
@@ -863,8 +827,7 @@ def _cmd_serve_sim(args) -> int:
                   f"async clients ({service.strategy.name}, "
                   f"registry={'on' if service.registry else 'off'})")
             router = AsyncSelectionRouter(
-                service, max_pending_fits=args.max_pending_fits,
-                shed_start=args.shed_start)
+                service, max_pending_fits=args.max_pending_fits)
             try:
                 summary = replay_concurrent(router, workload,
                                             clients=args.concurrency,

@@ -14,6 +14,11 @@ The contract:
   original type.
 - A plane error sheds the whole coalesced group for its target; the
   router stays serviceable for other targets.
+- :data:`RETRYABLE_FIT_ERRORS` are the plane failures a retry can
+  outlive (no worker yet, a slow or lost one).  The HTTP front door
+  answers them 503 ``fit_unavailable`` and ``/v1/compare`` marks the
+  strategy ``"shed"``, both with the fixed :data:`FIT_RETRY_AFTER_S`
+  hint.  Every other plane error is a server failure.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ __all__ = [
     "FitTimeoutError",
     "NoWorkersError",
     "WireError",
+    "RETRYABLE_FIT_ERRORS",
+    "FIT_RETRY_AFTER_S",
 ]
 
 
@@ -49,3 +56,10 @@ class NoWorkersError(FitPlaneError):
 class WireError(FitPlaneError):
     """A malformed or over-sized fleet wire frame; the connection that
     produced it is dropped (treated as a worker death)."""
+
+
+#: fleet failures a retry can outlive (no worker yet, a slow or lost one)
+RETRYABLE_FIT_ERRORS = (NoWorkersError, FitTimeoutError, FitWorkerCrashError)
+
+#: seconds a client is told to wait after one of them
+FIT_RETRY_AFTER_S = 1.0

@@ -6,21 +6,19 @@ PR 4 put every one of those rankers behind the same serving stack.  This
 module turns the comparison itself into a served workload:
 
 - :func:`build_comparisons` — the response-side math: given every
-  strategy's full ranking for one target (and which strategies were shed
-  by their router's backpressure), compute pairwise Pearson/Spearman
-  rank correlations and top-k overlap against a reference strategy and
-  assemble the protocol's :class:`~repro.serving.protocol
-  .StrategyComparison` map.  The gateway's ``compare`` entry point is
+  strategy's full ranking for one target (and which strategies were
+  shed), compute pairwise Pearson/Spearman rank correlations and top-k
+  overlap against a reference strategy and assemble the protocol's
+  :class:`~repro.serving.protocol.StrategyComparison` map.  The gateway's ``compare`` entry point is
   the only caller on the serving path, so wire and offline results
   cannot diverge;
 - :func:`served_evaluation` — the offline face (``repro evaluate
   --served``): warm a namespace, replay a target list through
   :meth:`SelectionGateway.compare`, and aggregate a machine-readable
   benchmark report (``BENCH_compare.json``) with per-strategy mean
-  correlations, mean top-k overlap, warm-rank latency percentiles from
-  the router's stats snapshots, and each strategy's fit-queue budget.
-  The CI benchmark gate (``benchmarks/compare_gate.py``) consumes
-  exactly this schema.
+  correlations, mean top-k overlap, and warm-rank latency percentiles
+  from the router's stats snapshots.  The CI benchmark gate
+  (``benchmarks/compare_gate.py``) consumes exactly this schema.
 
 Scores, not rank positions, feed the Pearson correlation (matching the
 offline :func:`repro.core.evaluate_strategy` harness); Spearman is the
@@ -97,8 +95,8 @@ def build_comparisons(rankings: dict[str, list[tuple[str, float]]],
     """Assemble the per-strategy comparison map of a compare response.
 
     ``rankings`` holds each answering strategy's full best-first ranking;
-    ``sheds`` maps strategies whose router shed the fan-out to their
-    ``retry_after_s`` hints.  When the *reference* itself was shed there
+    ``sheds`` maps strategies that were shed (a full cold-fit queue, or
+    a retryable fleet failure) to their ``retry_after_s`` hints.  When the *reference* itself was shed there
     is nothing to correlate against, so the ok entries carry rankings
     and latencies but no correlation fields.
     """
@@ -156,7 +154,7 @@ async def served_evaluation(
     The report aggregates per strategy: mean correlations and top-k
     overlap vs the reference, shed counts, warm-rank latency
     percentiles (the latency histogram's delta over this pass only,
-    read from bucket counts), and the strategy's fit-queue budget.
+    read from bucket counts).
     """
     if targets is None:
         targets = gateway.service(namespace).zoo.target_names()
@@ -220,7 +218,6 @@ async def served_evaluation(
             "targets_shed": row["targets_shed"],
             "warm_rank_p50_ms": warm_p50,
             "warm_rank_p95_ms": warm_p95,
-            "fit_budget": gateway.router(namespace, spec).max_pending_fits,
         }
 
     return {

@@ -21,6 +21,13 @@ their optional ``strategy`` field selects:
   (percentiles of the pooled latency histograms, not averages of
   per-namespace percentiles).
 
+Every (namespace, strategy) pair has its own router, so cold fits are
+admitted by one rule per pair: at most ``max_pending_fits`` pending,
+a request beyond that answered with a shed (:class:`QueueFullError`,
+429 over HTTP) carrying the measured retry hint, and warmup waiting for
+a slot.  Strategies never share queue slots or fit threads, so a storm
+of slow fits on one strategy leaves another's admissions unchanged.
+
 Without a fleet, routers share their fit pools: every namespace's
 router for one strategy spec (with one ``fit_workers``) runs its cold
 fits on a single gateway-owned thread pool, so a gateway fitting many
@@ -47,7 +54,8 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from repro.obs import Observability
+from repro.fleet.errors import FIT_RETRY_AFTER_S, RETRYABLE_FIT_ERRORS
+from repro.obs import Observability, set_outcome
 from repro.serving.compare import build_comparisons
 from repro.serving.protocol import (
     DEFAULT_COMPARE_TOP_K,
@@ -166,54 +174,6 @@ class _Namespace:
         return [self.default_spec, *others]
 
 
-def _weighted_budget(strategy, max_pending_fits: int) -> int:
-    """The cold-fit queue bound a strategy's ``fit_weight`` implies."""
-    weight = float(getattr(strategy, "fit_weight", 1.0))
-    if weight <= 0:
-        raise ValueError(
-            f"strategy {strategy.spec!r} has non-positive fit_weight {weight}"
-        )
-    return max(1, round(max_pending_fits / weight))
-
-
-def _strategy_budgets(resolved, max_pending_fits: int, fit_budgets) -> dict[str, int]:
-    """Per-strategy cold-fit queue bounds for one namespace's routers."""
-    if fit_budgets is None:
-        return {strat.spec: max_pending_fits for strat in resolved}
-    explicit: dict[str, int] = {}
-    if fit_budgets != "weighted":
-        by_spec = {strat.spec: strat for strat in resolved}
-        for spec, bound in dict(fit_budgets).items():
-            if spec in by_spec:
-                resolved_spec = spec
-            elif canonical_spec(spec) in by_spec:
-                resolved_spec = canonical_spec(spec)
-            else:
-                resolved_spec = normalize_spec(spec)
-            if resolved_spec not in by_spec:
-                raise ValueError(
-                    f"fit budget names unknown strategy {spec!r}; "
-                    f"namespace serves {sorted(by_spec)}"
-                )
-            if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
-                raise ValueError(
-                    f"fit budget for {spec!r} must be an integer >= 1, "
-                    f"got {bound!r}"
-                )
-            if resolved_spec in explicit:
-                # two alias spellings of one strategy must not silently
-                # last-win (same rule add_namespace applies to the map)
-                raise ValueError(
-                    f"fit budget for {spec!r} duplicates the budget "
-                    f"already set for {resolved_spec!r}"
-                )
-            explicit[resolved_spec] = bound
-    return {
-        strat.spec: explicit.get(strat.spec, _weighted_budget(strat, max_pending_fits))
-        for strat in resolved
-    }
-
-
 class SelectionGateway:
     """Route protocol requests across named (zoo, strategy map) namespaces.
 
@@ -265,11 +225,7 @@ class SelectionGateway:
                       registry: ArtifactRegistry | None = None,
                       cache_size: int = 32,
                       max_pending_fits: int = 8,
-                      fit_budgets=None,
-                      overflow: str = "reject",
-                      retry_after_s: float = 0.5,
                       fit_workers: int = 2,
-                      shed_start: float = 1.0,
                       fit_timeout_s: float | None = None
                       ) -> SelectionService:
         """Register one namespace; returns its *default* service.
@@ -282,27 +238,13 @@ class SelectionGateway:
         namespace's registry shard — artifacts stay disjoint because
         the shard is keyed by strategy fingerprint below that.
 
-        ``fit_budgets`` sets *per-strategy* cold-fit queue bounds so a
-        storm of heavy fits (a TG variant during a compare fan-out)
-        cannot starve the ~ms strategies behind the same namespace:
-
-        - ``None`` (default) — every strategy's router gets
-          ``max_pending_fits``, the pre-budget behaviour;
-        - ``"weighted"`` — each router gets ``max(1, round(
-          max_pending_fits / strategy.fit_weight))`` slots, so heavy
-          strategies (``fit_weight > 1``) queue shallow and cheap ones
-          (``fit_weight < 1``) queue deep;
-        - a ``{spec: bound}`` mapping — explicit bounds for the named
-          strategies (alias spellings accepted), weighted defaults for
-          the rest; a spec naming no registered strategy is a
-          :class:`ValueError` (an ignored typo would silently serve the
-          wrong budget).
-
-        Cold fits run on the gateway's ``fleet`` when it has one, else
-        on the gateway's in-process pool for that strategy, shared with
-        every other namespace's router of the same spec and
-        ``fit_workers``.  ``fit_timeout_s`` bounds a fleet fit before
-        its coalesced group is shed with a typed error.
+        Each strategy gets its own router, which admits at most
+        ``max_pending_fits`` pending cold fits (module doc).  Cold fits
+        run on the gateway's ``fleet`` when it has one, else on the
+        gateway's in-process pool for that strategy, shared with every
+        other namespace's router of the same spec and ``fit_workers``.
+        ``fit_timeout_s`` bounds a fleet fit before its coalesced group
+        is shed with a typed error.
         """
         if not _NAMESPACE_NAME.fullmatch(name):
             raise ValueError(
@@ -318,7 +260,6 @@ class SelectionGateway:
         ns = _Namespace(name, zoo)
         resolved = [resolve_strategy(strategy)]
         resolved += [resolve_strategy(s) for s in strategies]
-        budgets = _strategy_budgets(resolved, max_pending_fits, fit_budgets)
         for strat in resolved:
             if strat.spec in ns.entries:
                 raise ValueError(
@@ -333,11 +274,8 @@ class SelectionGateway:
                 fit_pool = self._fit_pool(strat.spec, fit_workers)
             router = AsyncSelectionRouter(
                 service,
-                max_pending_fits=budgets[strat.spec],
-                overflow=overflow,
-                retry_after_s=retry_after_s,
+                max_pending_fits=max_pending_fits,
                 fit_workers=fit_workers,
-                shed_start=shed_start,
                 fit_timeout_s=fit_timeout_s,
                 fleet=self.fleet,
                 fit_pool=fit_pool,
@@ -440,10 +378,12 @@ class SelectionGateway:
         the per-strategy single-flight coalescing, queue bounds, and
         shedding semantics hold exactly as they would for independent
         ``/v1/rank`` traffic.  A strategy shed by its router's
-        backpressure is marked ``"shed"`` in the response (with its
-        ``retry_after_s`` hint) instead of failing the whole comparison;
-        any other failure propagates — a broken strategy is a server
-        bug, not a partial answer.
+        backpressure, or whose fleet fit failed in a way a retry can
+        outlive (:data:`~repro.fleet.errors.RETRYABLE_FIT_ERRORS`), is
+        marked ``"shed"`` in the response (with its ``retry_after_s``
+        hint) instead of failing the whole comparison; any other
+        failure propagates — a broken strategy is a server bug, not a
+        partial answer.
         """
         ns = self._get(request.namespace)
         self._check_names(ns, {request.target}, set())
@@ -461,10 +401,14 @@ class SelectionGateway:
         top_k = min(request.top_k or DEFAULT_COMPARE_TOP_K, len(ns.models))
 
         async def fan_out(spec: str):
+            """(ranking, None) or (None, retry hint) for one strategy."""
             try:
-                return await ns.entries[spec].router.rank(request.target)
+                return await ns.entries[spec].router.rank(request.target), None
             except QueueFullError as exc:
-                return exc
+                return None, float(exc.retry_after_s)
+            except RETRYABLE_FIT_ERRORS:
+                set_outcome("shed")
+                return None, FIT_RETRY_AFTER_S
 
         # one trace covers the whole fan-out: gather's subtasks copy the
         # context at creation, so every strategy's fit/predict spans
@@ -478,11 +422,11 @@ class SelectionGateway:
             answers = await asyncio.gather(*(fan_out(spec) for spec in specs))
         rankings: dict[str, list] = {}
         sheds: dict[str, float] = {}
-        for spec, answer in zip(specs, answers):
-            if isinstance(answer, QueueFullError):
-                sheds[spec] = float(answer.retry_after_s)
+        for spec, (ranking, retry_after_s) in zip(specs, answers):
+            if retry_after_s is None:
+                rankings[spec] = ranking
             else:
-                rankings[spec] = answer
+                sheds[spec] = retry_after_s
         latencies = {}
         for spec in specs:
             service_snap, router_snap = ns.entries[spec].router.stats_snapshot()
@@ -560,8 +504,7 @@ class SelectionGateway:
         """Measured per-strategy fit cost: namespace -> spec -> summary.
 
         Embedded in ``/v1/stats`` (the ``strategies`` block) and the
-        healthz listing, pairing every declared ``fit_weight`` with the
-        fit latency its router actually observed.
+        healthz listing: the fit latency each strategy's router observed.
         """
         return {
             name: {

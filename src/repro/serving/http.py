@@ -22,9 +22,10 @@ else — a CR or LF that would split the header, a space, a non-ASCII
 character — is a 400 ``bad_request`` before the request is traced or
 dispatched.
 
-A ``/v1/compare`` never answers 429: a strategy shed during the fan-out
-is marked ``"shed"`` inside the 200 response (with its ``retry_after_s``
-hint) while the rest of the strategy map still answers.
+A ``/v1/compare`` never answers 429 or 503: a strategy shed by its
+cold-fit queue, or whose fleet fit failed retryably, is marked
+``"shed"`` inside the 200 response (with its ``retry_after_s`` hint)
+while the rest of the strategy map still answers.
 
 Every response body is a protocol message; every failure is a typed
 :class:`~repro.serving.protocol.ErrorResponse`:
@@ -89,7 +90,7 @@ import json
 import math
 import re
 
-from repro.fleet.errors import FitTimeoutError, FitWorkerCrashError, NoWorkersError
+from repro.fleet.errors import FIT_RETRY_AFTER_S, RETRYABLE_FIT_ERRORS
 from repro.obs import EXPOSITION_CONTENT_TYPE
 from repro.serving.gateway import (
     SelectionGateway,
@@ -119,9 +120,6 @@ _REASONS = {
     429: "Too Many Requests", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
-
-#: fleet failures a retry can outlive (no worker yet, a slow or lost one)
-_RETRYABLE_FIT_ERRORS = (NoWorkersError, FitTimeoutError, FitWorkerCrashError)
 
 #: keep header parsing bounded: request line + each header line
 _MAX_LINE_BYTES = 8 * 1024
@@ -171,15 +169,15 @@ def _error_for(exc: Exception) -> _HTTPError:
             ),
             headers=(("Retry-After", str(max(1, math.ceil(hint)))),),
         )
-    if isinstance(exc, _RETRYABLE_FIT_ERRORS):
+    if isinstance(exc, RETRYABLE_FIT_ERRORS):
         return _HTTPError(
             503,
             ErrorResponse(
                 code="fit_unavailable",
                 message="no fit worker could fit this target; retry later",
-                retry_after_s=1.0,
+                retry_after_s=FIT_RETRY_AFTER_S,
             ),
-            headers=(("Retry-After", "1"),),
+            headers=(("Retry-After", str(math.ceil(FIT_RETRY_AFTER_S))),),
         )
     if isinstance(exc, UnknownNamespaceError):
         return _HTTPError(

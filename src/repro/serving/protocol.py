@@ -49,8 +49,7 @@ when the request carried one* (the ``strategy`` rule again — omitted
 requests stay byte-stable), correlating a wire exchange with the
 server's trace of it; and an optional ``strategies`` block on
 :class:`StatsResponse` carrying measured per-strategy fit cost
-(``fit_ms_p50``/``fit_ms_p95``), closing the declared-``fit_weight``
-vs. measured-``fit_ms`` gap.
+(``fit_ms_p50``/``fit_ms_p95``).
 
 The additive-only rule is machine-enforced: the ``wire-schema`` rule of
 ``repro analyze`` extracts this module's dataclass fields and compares
@@ -598,10 +597,11 @@ class StrategyComparison:
       when the reference strategy answered — ``pearson`` / ``spearman``
       rank correlations against the reference's scores and the
       ``top_k_overlap`` fraction of the reference's top-k set it shares;
-    - ``status == "shed"`` means this strategy's router shed the fan-out
-      under backpressure: no ranking, a ``retry_after_s`` hint instead
-      (the rest of the comparison still answers — partial failure never
-      fails the whole compare);
+    - ``status == "shed"`` means this strategy could not answer now but
+      a retry can: its cold-fit queue was full, or its fleet fit failed
+      retryably (no worker, a timeout, a lost worker).  No ranking, a
+      ``retry_after_s`` hint instead (the rest of the comparison still
+      answers — partial failure never fails the whole compare);
     - ``latency`` is the strategy's serving summary (percentiles since
       its router started, read from latency-histogram bucket counts),
       present either way.
@@ -833,10 +833,10 @@ class StatsResponse(_Message):
 
     ``strategies`` (optional, additive) breaks each namespace down by
     strategy spec with *measured* serving cost — ``fit_ms_p50`` /
-    ``fit_ms_p95`` from the router's fit-latency histogram — the
-    numbers ROADMAP item 5's budget retuning reads.  Empty means the
-    server predates the field (or has no routers); it is omitted from
-    the wire form so pre-observability stats bodies stay byte-stable.
+    ``fit_ms_p95`` from the router's fit-latency histogram.  Empty
+    means the server predates the field (or has no routers); it is
+    omitted from the wire form so pre-observability stats bodies stay
+    byte-stable.
     """
 
     kind: ClassVar[str] = "stats_response"

@@ -36,18 +36,12 @@ loop:
   box or others; the fit threads then merely block on the fleet —
   queueing, coalescing, shedding, and stats behave identically either
   way;
-- **bounded cold-fit queue** — at most ``max_pending_fits`` cold fits
-  may be admitted (in flight or waiting for a fit worker); an overflow
-  either raises :class:`QueueFullError` with an adaptive
-  ``retry_after_s`` hint derived from the p95 of every timed fit
-  (``overflow="reject"``, the default) or waits for capacity
-  (``overflow="wait"``);
-- **probabilistic early shedding** — with ``shed_start < 1``, reject
-  mode starts shedding *before* the hard cliff: once queue depth
-  crosses ``shed_start × max_pending_fits``, requests are shed with
-  probability rising linearly from 0 to 1 at the cliff, so saturation
-  degrades smoothly instead of flipping between all-accept and
-  all-reject;
+- **bounded cold-fit queue** — one admission rule: at most
+  ``max_pending_fits`` cold fits may be admitted (in flight or waiting
+  for a fit worker).  A request that finds the queue full is shed with
+  :class:`QueueFullError`, whose ``retry_after_s`` hint is derived from
+  the p95 of every timed fit; :meth:`AsyncSelectionRouter.warmup` waits
+  for a slot instead;
 - **router stats** — coalesced-request count, rejections, peak queue
   depth, and per-stage latency histograms (queue wait / fit / inline
   answer, the last still reported as ``predict_*``), merged with the
@@ -65,7 +59,6 @@ from __future__ import annotations
 
 import asyncio
 import math
-import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -93,7 +86,6 @@ _COUNTER_FIELDS = (
     "requests",
     "coalesced",
     "rejections",
-    "early_sheds",
     "failed_waits",
     "cold_fits",
 )
@@ -118,9 +110,6 @@ class RouterStats:
     coalesced: int = 0
     #: requests shed because the cold-fit queue was full
     rejections: int = 0
-    #: rejections that were probabilistic early sheds (queue not yet at
-    #: the hard limit); always counted inside ``rejections`` too
-    early_sheds: int = 0
     #: coalesced waiters whose originator's fit *failed* (not shed) —
     #: their outcome merges to "error", not "coalesced"
     failed_waits: int = 0
@@ -187,7 +176,6 @@ class RouterStats:
             "router_requests": self.requests,
             "coalesced": self.coalesced,
             "rejections": self.rejections,
-            "early_sheds": self.early_sheds,
             "failed_waits": self.failed_waits,
             "cold_fits": self.cold_fits,
             "peak_pending_fits": self.peak_pending_fits,
@@ -215,25 +203,13 @@ class AsyncSelectionRouter:
     max_pending_fits:
         Bound on simultaneously admitted cold fits (in flight or queued
         for a fit worker).  Coalesced waiters don't count: they hold no
-        queue slot, they only await the originator's future.
-    overflow:
-        ``"reject"`` sheds the request with :class:`QueueFullError`
-        (carrying a ``retry_after_s`` hint); ``"wait"`` parks it until a
-        slot frees up.
+        queue slot, they only await the originator's future.  A request
+        that finds every slot taken is shed with :class:`QueueFullError`;
+        :meth:`warmup` waits for a slot instead.
     retry_after_s:
         Floor for the retry hint; the adaptive hint is the p95 latency
         of every timed fit times the queue-drain rounds ahead of the
         shed request (pending fits / fit workers).
-    shed_start:
-        Fraction of ``max_pending_fits`` at which probabilistic early
-        shedding begins (reject mode only).  Below it nothing is shed;
-        from there the shed probability rises linearly, reaching 1 at
-        the hard limit.  The default ``1.0`` disables early shedding
-        (the pre-existing hard-cliff behaviour).
-    shed_rng:
-        Zero-arg callable returning uniforms in [0, 1) for the shedding
-        draw; defaults to :func:`random.random`.  Tests inject a
-        deterministic sequence here.
     fit_workers:
         Cold-fit parallelism: the threads fit jobs run on.  Distinct
         cold targets fit in parallel: derived similarity/transferability
@@ -265,29 +241,19 @@ class AsyncSelectionRouter:
         service: SelectionService,
         *,
         max_pending_fits: int = 8,
-        overflow: str = "reject",
         retry_after_s: float = 0.5,
         fit_workers: int = 2,
-        shed_start: float = 1.0,
-        shed_rng=None,
         fit_timeout_s: float | None = None,
         fleet=None,
         fit_pool: ThreadPoolExecutor | None = None,
     ):
         if max_pending_fits < 1:
             raise ValueError("max_pending_fits must be >= 1")
-        if overflow not in ("reject", "wait"):
-            raise ValueError(f"overflow must be 'reject' or 'wait', got {overflow!r}")
         if fit_workers < 1:
             raise ValueError("fit_workers must be >= 1")
-        if not (0.0 <= shed_start <= 1.0):
-            raise ValueError("shed_start must be in [0, 1]")
         self.service = service
         self.max_pending_fits = max_pending_fits
-        self.overflow = overflow
         self.retry_after_s = retry_after_s
-        self.shed_start = shed_start
-        self._shed_rng = shed_rng if shed_rng is not None else random.random
         self.fit_workers = fit_workers
         self._fit_timeout_s = fit_timeout_s
         self._fleet = fleet
@@ -347,24 +313,10 @@ class AsyncSelectionRouter:
         drain_rounds = math.ceil((self._pending_fits or 1) / self.fit_workers)
         return max(self.retry_after_s, (p95_ms / 1e3) * drain_rounds)
 
-    def _shed_probability(self) -> float:
-        """Early-shed probability at the current queue depth.
-
-        Zero up to ``shed_start × max_pending_fits``, then a linear ramp
-        to 1 at the hard limit (where the cliff takes over anyway).
-        """
-        if self.shed_start >= 1.0:
-            return 0.0
-        start = self.shed_start * self.max_pending_fits
-        depth = self._pending_fits
-        if depth <= start:
-            return 0.0
-        return (depth - start) / (self.max_pending_fits - start)
-
-    async def _admit_cold_fit(self, target: str, overflow: str) -> None:
-        """Take one cold-fit queue slot or shed the request."""
+    async def _admit_cold_fit(self, target: str, wait: bool) -> None:
+        """Take one cold-fit queue slot; a full queue sheds unless ``wait``."""
         if self._pending_fits >= self.max_pending_fits:
-            if overflow == "reject":
+            if not wait:
                 hint = self._retry_after_hint()
                 with self._stats_lock:
                     self._stats.rejections += 1
@@ -378,21 +330,6 @@ class AsyncSelectionRouter:
             async with self._capacity:
                 await self._capacity.wait_for(
                     lambda: self._pending_fits < self.max_pending_fits
-                )
-        elif overflow == "reject":
-            probability = self._shed_probability()
-            if probability > 0.0 and self._shed_rng() < probability:
-                hint = self._retry_after_hint()
-                with self._stats_lock:
-                    self._stats.rejections += 1
-                    self._stats.early_sheds += 1
-                set_outcome("shed")
-                raise QueueFullError(
-                    f"cold-fit queue deepening ({self._pending_fits} of "
-                    f"{self.max_pending_fits} pending); target {target!r} "
-                    f"shed early (p={probability:.2f}) — retry in "
-                    f"{hint:.2f}s",
-                    retry_after_s=hint,
                 )
         self._pending_fits += 1
         with self._stats_lock:
@@ -435,20 +372,21 @@ class AsyncSelectionRouter:
         fitted = self.service.load_or_fit(target, remote_fit=remote)
         return self.service.cache_put(target, fitted)
 
-    async def _answer(self, target: str, overflow: str | None = None) -> Answer:
+    async def _answer(self, target: str, wait: bool = False) -> Answer:
         """``target``'s cached answer; a miss awaits its coalesced fit."""
         self._bind_loop()
         cached = self.service.cache_get(target)  # counts hit/miss
         if cached is not None:
             return cached
-        return await self._fit(target, overflow)
+        return await self._fit(target, wait)
 
-    async def _fit(self, target: str, overflow: str | None = None) -> Answer:
+    async def _fit(self, target: str, wait: bool = False) -> Answer:
         """Fit a missed ``target`` with single-flight coalescing.
 
         Exactly one fit job per (target, config fingerprint) is in
         flight at any moment; every concurrent request for that key
-        awaits the same future.
+        awaits the same future.  ``wait`` parks the originator for a queue
+        slot instead of shedding it (:meth:`warmup`).
         """
         loop = self._bind_loop()
         key = (target, self.service.config_fp)
@@ -495,14 +433,15 @@ class AsyncSelectionRouter:
             return answer
 
         # Register the future BEFORE waiting for queue capacity: admission
-        # may suspend (overflow="wait"), and any same-key request arriving
-        # during that suspension must coalesce, not start a second fit.
+        # may suspend (warmup waits for a slot), and any same-key request
+        # arriving during that suspension must coalesce, not start a
+        # second fit.
         future = loop.create_future()
         future.add_done_callback(_retrieve_exception)
         self._inflight[key] = future
         admitted = False
         try:
-            await self._admit_cold_fit(target, overflow or self.overflow)
+            await self._admit_cold_fit(target, wait)
             admitted = True
             started = time.perf_counter()
             # run_in_context: propagate the request's trace onto the fit
@@ -599,15 +538,16 @@ class AsyncSelectionRouter:
     async def warmup(self, targets: list[str] | None = None) -> dict[str, float]:
         """Pre-fit pipelines concurrently; seconds spent per target.
 
-        Warmup never sheds: capacity overflow waits instead of raising,
-        and (like the serial facade) it doesn't count as query traffic.
+        Warmup never sheds: a full cold-fit queue makes it wait for a
+        slot, and (like the serial facade) it doesn't count as query
+        traffic.
         """
         if targets is None:
             targets = self.service.zoo.target_names()
 
         async def one(target: str) -> float:
             started = time.perf_counter()
-            await self._answer(target, overflow="wait")
+            await self._answer(target, wait=True)
             return time.perf_counter() - started
 
         timings = await asyncio.gather(*(one(t) for t in targets))
@@ -632,10 +572,7 @@ class AsyncSelectionRouter:
     def fit_cost_summary(self) -> dict[str, float]:
         """Measured cold-fit cost: fit-latency percentiles and count.
 
-        This is the number the strategy's declared ``fit_weight``
-        approximates; ``/v1/stats`` and healthz expose it per strategy
-        so budget tuning can read measured cost instead of the declared
-        proxy (ROADMAP item 5).
+        ``/v1/stats`` and healthz expose it per strategy.
         """
         with self._stats_lock:
             fit_ms = self._stats.fit_ms.copy()

@@ -83,16 +83,6 @@ class SelectionStrategy:
     #: path: their fit is a catalog sweep, not a learning phase)
     requires_history: bool = True
 
-    #: relative cost of one cold fit, used by the serving gateway's
-    #: weighted per-strategy fit budgets: a namespace's
-    #: ``max_pending_fits`` is the queue bound for a weight-1.0 strategy,
-    #: and each strategy's router gets ``max(1, round(bound / weight))``
-    #: slots.  Heavy fits (graph learning, ~s) declare weights > 1 so a
-    #: storm of them saturates a *small* queue instead of starving the
-    #: ~ms strategies; catalog-sweep fits declare weights < 1 and get
-    #: proportionally deeper queues.
-    fit_weight: float = 1.0
-
     # ------------------------------------------------------------------ #
     def fit(self, zoo: Any, target: str) -> FittedSelection:
         """Produce a :class:`FittedSelection` for one target."""

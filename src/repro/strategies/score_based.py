@@ -40,11 +40,6 @@ class ScoreTableStrategy(SelectionStrategy):
 
     requires_history = False
 
-    #: a "fit" here is a catalog sweep (~ms), so weighted router budgets
-    #: give these strategies 4x the queue depth of the reference cost —
-    #: a TransferGraph fit storm must never starve them
-    fit_weight: float = 0.25
-
     def _fingerprint_payload(self) -> dict:
         raise NotImplementedError
 

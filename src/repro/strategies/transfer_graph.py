@@ -83,16 +83,6 @@ class TransferGraphStrategy(SelectionStrategy):
         self.name = LR_VARIANTS[variant][1] if family == "lr" \
             else self.config.strategy_name()
 
-    @property
-    def fit_weight(self) -> float:
-        """Cold-fit cost hint for weighted router budgets.
-
-        Graph-feature configs pay for walk generation + SGNS training
-        (~seconds); the graph-less ``lr:`` baselines fit a linear model
-        over tabular features (~the weight-1.0 reference cost).
-        """
-        return 4.0 if self.config.features.graph_features else 1.0
-
     # ------------------------------------------------------------------ #
     def _training_pairs(self, zoo, target: str) -> tuple[list[tuple[str, str]],
                                                          np.ndarray]:

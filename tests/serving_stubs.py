@@ -1,4 +1,4 @@
-"""Stub zoo/pipeline doubles shared by the serving concurrency tests.
+"""Stub zoo/pipeline/fleet doubles shared by the serving concurrency tests.
 
 A real fit on the tiny zoo takes hundreds of milliseconds; the
 deterministic queue/overflow tests instead force exact timings with a
@@ -59,18 +59,16 @@ class StubStrategy(SelectionStrategy):
 
     ``scores`` maps model_id -> score served for every target (so
     cross-strategy correlations are exactly computable in tests);
-    ``fit_seconds`` makes the fit a controllable sleep and
-    ``fit_weight`` feeds the gateway's weighted budget math.
+    ``fit_seconds`` makes the fit a controllable sleep.
     """
 
     requires_history = False
 
-    def __init__(self, spec, scores, *, fit_seconds=0.0, fit_weight=1.0):
+    def __init__(self, spec, scores, *, fit_seconds=0.0):
         self.spec = spec
         self.name = spec
         self.scores = dict(scores)
         self.fit_seconds = fit_seconds
-        self.fit_weight = fit_weight
 
     def fit(self, zoo, target):
         if self.fit_seconds:
@@ -95,6 +93,28 @@ class StubStrategy(SelectionStrategy):
 
     def scores_for_target(self, zoo, target):
         return dict(self.scores)
+
+
+class FailingFleet:
+    """A fit fleet whose dispatches of strategy ``spec`` raise ``error``;
+    any other strategy fits in-process and ships its packed artifact
+    back, as a worker would."""
+
+    def __init__(self, spec, error):
+        self.spec = spec
+        self.error = error
+
+    def submit_fit(self, strategy, zoo, target, *, timeout_s=None):
+        if strategy.spec == self.spec:
+            raise self.error
+        meta, arrays = strategy.pack(strategy.fit(zoo, target), zoo)
+        return meta, arrays, []
+
+    def fleet_summary(self):
+        return None
+
+    def close(self):
+        pass
 
 
 def install_stub_fit(service: SelectionService, fit_seconds=0.0,

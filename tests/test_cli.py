@@ -376,23 +376,16 @@ class TestStrategyFlags:
 
     def test_serve_collects_repeatable_strategies(self):
         args = build_parser().parse_args(
-            ["serve", "--strategy", "logme", "--strategy", "lr:all+logme",
-             "--shed-start", "0.75"])
+            ["serve", "--strategy", "logme", "--strategy", "lr:all+logme"])
         assert args.strategies == ["logme", "lr:all+logme"]
-        assert args.shed_start == 0.75
 
     def test_serve_defaults_have_no_extra_strategies(self):
         args = build_parser().parse_args(["serve"])
         assert args.strategies is None
-        assert args.shed_start == 1.0
 
     def test_registry_gc_gateway_flag(self):
         args = build_parser().parse_args(["registry-gc", "--gateway"])
         assert args.gateway is True
-
-    def test_serve_sim_shed_start_bounds(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve-sim", "--shed-start", "1.5"])
 
 
 class TestStrategyCommands:
@@ -511,24 +504,6 @@ class TestServedEvaluateFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["evaluate", "--strategy", "nope"])
 
-    def test_serve_fit_budget_arguments(self):
-        args = build_parser().parse_args(
-            ["serve", "--fit-budget", "logme=16",
-             "--fit-budget", "tg:lr,n2v,all=2"])
-        assert args.fit_budgets == [("logme", 16), ("tg:lr,n2v,all", 2)]
-        assert args.weighted_fit_budgets is False
-
-    def test_serve_weighted_fit_budgets_flag(self):
-        args = build_parser().parse_args(["serve", "--weighted-fit-budgets"])
-        assert args.weighted_fit_budgets is True
-        assert args.fit_budgets is None
-
-    def test_serve_rejects_malformed_fit_budgets(self):
-        for bad in ("logme", "logme=", "=3", "logme=zero", "logme=0",
-                    "nope=3"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["serve", "--fit-budget", bad])
-
 
 class TestServedEvaluateCommand:
     """`evaluate --served` end to end on the tiny preset."""
@@ -554,10 +529,66 @@ class TestServedEvaluateCommand:
         for row in report["strategies"].values():
             assert row["targets_shed"] == 0
             assert row["targets_ok"] == len(report["targets"])
-        # the reference correlates perfectly with itself; weighted
-        # budgets give the heavy TG strategy the shallow queue
+        # the reference correlates perfectly with itself
         reference = report["strategies"]["tg:lr,n2v,all"]
         assert reference["mean_pearson"] == 1.0
         assert reference["mean_top_k_overlap"] == 1.0
-        assert reference["fit_budget"] < report["strategies"]["logme"][
-            "fit_budget"]
+
+
+class TestServeFleetOnlyFlags:
+    """`--fit-timeout` and `--fleet-secret` act only on a fit fleet, so
+    without `--fleet-listen` they are a usage error, not silently
+    ignored."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--fit-timeout", "5"],
+        ["--fleet-secret", "s3cret"],
+        ["--fit-timeout", "5", "--fleet-secret", "s3cret"],
+    ], ids=["fit-timeout", "fleet-secret", "both"])
+    def test_fleet_flag_without_fleet_listen_exits_2(self, flags, capsys,
+                                                     monkeypatch, tmp_path):
+        import repro.zoo
+
+        def no_zoo(*args, **kwargs):
+            raise AssertionError("serve loaded a zoo before rejecting "
+                                 "its flags")
+
+        monkeypatch.setattr(repro.zoo, "get_or_build_zoo", no_zoo)
+        assert main(["serve", "--port", "0", "--registry-dir",
+                     str(tmp_path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        for flag in flags[::2]:
+            assert flag in err
+        assert "--fleet-listen" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--fit-timeout", "5"],
+        ["--fleet-secret", "s3cret"],
+    ], ids=["fit-timeout", "fleet-secret"])
+    def test_fleet_flag_with_fleet_listen_goes_on_to_load_zoos(
+            self, flags, monkeypatch, tmp_path):
+        import repro.fleet
+        import repro.zoo
+
+        class ZooLoaded(Exception):
+            pass
+
+        class NoFleet:
+            def __init__(self, host, port, **kwargs):
+                pass
+
+            def start(self):
+                return "127.0.0.1", 0
+
+            def close(self):
+                pass
+
+        def zoo_loaded(*args, **kwargs):
+            raise ZooLoaded
+
+        monkeypatch.setattr(repro.fleet, "FleetCoordinator", NoFleet)
+        monkeypatch.setattr(repro.zoo, "get_or_build_zoo", zoo_loaded)
+        with pytest.raises(ZooLoaded):
+            main(["serve", "--port", "0", "--registry-dir", str(tmp_path),
+                  "--fleet-listen", "127.0.0.1:0", *flags])

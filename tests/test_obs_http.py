@@ -125,7 +125,7 @@ class TestMetricsEndpoint:
             gateway = stub_gateway(
                 names=("alpha",),
                 targets=("t0", "t1", "t2", "t3", "t4"),
-                fit_seconds=0.3, max_pending_fits=1, retry_after_s=0.25)
+                fit_seconds=0.3, max_pending_fits=1)
             try:
                 server = GatewayHTTPServer(gateway, "127.0.0.1", 0)
                 await server.start()

@@ -147,8 +147,7 @@ class TestAdaptiveBackpressure:
     def test_shed_requests_carry_the_adaptive_hint(self):
         service = stub_service(fit_seconds=0.05)
         router = AsyncSelectionRouter(service, max_pending_fits=1,
-                                      overflow="reject", retry_after_s=0.01,
-                                      fit_workers=1)
+                                      retry_after_s=0.01, fit_workers=1)
 
         async def scenario():
             await router.rank("t0")  # seeds the fit_ms window (~50 ms)

@@ -1,6 +1,7 @@
-"""The artifact registry answers from its directory tree alone: an
-artifact written by another registry is found, and one removed from
-disk is forgotten, with no index to keep in step."""
+"""The artifact registry's directory scan: the registry answers from its
+directory tree alone, so an artifact written by another registry is
+found, and one removed from disk is forgotten, with no index to keep in
+step."""
 
 import shutil
 
@@ -8,7 +9,7 @@ from repro.serving import ArtifactRegistry
 from repro.strategies import get_strategy
 
 
-class TestRegistryIndex:
+class TestRegistryScan:
     def strategy(self):
         return get_strategy("random:3")
 

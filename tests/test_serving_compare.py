@@ -1,4 +1,4 @@
-"""``/v1/compare``: protocol, fan-out semantics, budgets, the eval engine."""
+"""``/v1/compare``: protocol, fan-out semantics, the eval engine."""
 
 import asyncio
 import json
@@ -7,12 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fleet.errors import (
+    FitPlaneError,
+    FitTimeoutError,
+    FitWorkerCrashError,
+    NoWorkersError,
+    WireError,
+)
 from repro.serving import (
     CompareRequest,
     CompareResponse,
     ProtocolError,
     QueueFullError,
     RankRequest,
+    SelectionGateway,
     StrategyComparison,
     UnknownNamespaceError,
     UnknownStrategyError,
@@ -27,7 +35,13 @@ from repro.serving import (
     WorkloadConfig,
 )
 
-from serving_stubs import STUB_SCORES, StubStrategy, stub_gateway
+from serving_stubs import (
+    STUB_SCORES,
+    FailingFleet,
+    StubStrategy,
+    StubZoo,
+    stub_gateway,
+)
 
 _name = st.text(st.characters(min_codepoint=33, max_codepoint=126),
                 min_size=1, max_size=24)
@@ -46,10 +60,8 @@ def compare_gateway(**kwargs):
     """
     return stub_gateway(
         names=("alpha",),
-        strategies=(StubStrategy("agree", STUB_SCORES["agree"],
-                                 fit_weight=0.25),
-                    StubStrategy("flip", STUB_SCORES["flip"],
-                                 fit_weight=4.0)),
+        strategies=(StubStrategy("agree", STUB_SCORES["agree"]),
+                    StubStrategy("flip", STUB_SCORES["flip"])),
         **kwargs)
 
 
@@ -389,69 +401,55 @@ class TestGatewayCompare:
         assert response.results["agree"].status == "ok"
 
 
-# ---------------------------------------------------------------------- #
-# per-strategy fit budgets
-# ---------------------------------------------------------------------- #
-class TestFitBudgets:
-    def test_default_budgets_unchanged(self):
-        gateway = compare_gateway(max_pending_fits=8)
-        try:
-            for spec in gateway.strategies("alpha"):
-                assert gateway.router("alpha", spec).max_pending_fits == 8
-        finally:
-            gateway.close()
+class _BrokenFit(StubStrategy):
+    def fit(self, zoo, target):
+        raise RuntimeError("fit exploded")
 
-    def test_weighted_budgets_scale_by_fit_cost(self):
-        gateway = compare_gateway(max_pending_fits=8,
-                                  fit_budgets="weighted")
-        try:
-            # the stub TG default carries the graph-feature weight (4.0)
-            assert gateway.router("alpha").max_pending_fits == 2
-            assert gateway.router("alpha", "agree").max_pending_fits == 32
-            assert gateway.router("alpha", "flip").max_pending_fits == 2
-        finally:
-            gateway.close()
 
-    def test_weighted_budget_floors_at_one(self):
-        gateway = compare_gateway(max_pending_fits=1,
-                                  fit_budgets="weighted")
-        try:
-            assert gateway.router("alpha", "flip").max_pending_fits == 1
-        finally:
-            gateway.close()
+def _compare_with_failing(fleet=None, flip=None):
+    """``/v1/compare`` of ``t0`` over ``agree`` (the default) and
+    ``flip``, through ``fleet`` when given."""
+    gateway = SelectionGateway(fleet=fleet)
+    try:
+        gateway.add_namespace(
+            "alpha", StubZoo(), StubStrategy("agree", STUB_SCORES["agree"]),
+            strategies=(flip or StubStrategy("flip", STUB_SCORES["flip"]),))
+        return run(gateway.compare(
+            CompareRequest(target="t0", namespace="alpha")))
+    finally:
+        gateway.close()
 
-    def test_explicit_budgets_override_weighted_defaults(self):
-        gateway = compare_gateway(
-            max_pending_fits=8,
-            # alias spelling must resolve like request routing does
-            fit_budgets={"tg:lr,node2vec,all": 5})
-        try:
-            assert gateway.router("alpha").max_pending_fits == 5
-            assert gateway.router("alpha", "agree").max_pending_fits == 32
-        finally:
-            gateway.close()
 
-    def test_unknown_budget_spec_rejected(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            compare_gateway(fit_budgets={"ghost": 3})
+class TestCompareFleetFailures:
+    """A fleet failure a retry can outlive sheds one strategy's slice;
+    any other failure still fails the whole compare."""
 
-    def test_non_positive_budget_rejected(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            compare_gateway(fit_budgets={"agree": 0})
+    @pytest.mark.parametrize("error", [
+        NoWorkersError("no live fit workers"),
+        FitTimeoutError("fit exceeded its timeout"),
+        FitWorkerCrashError("worker died mid-fit"),
+    ], ids=lambda error: type(error).__name__)
+    def test_retryable_fleet_failure_marks_the_strategy_shed(self, error):
+        response = _compare_with_failing(FailingFleet("flip", error))
+        agree, flip = response.results["agree"], response.results["flip"]
+        assert agree.status == "ok"
+        assert [m for m, _ in agree.ranking] == ["m0", "m1", "m2"]
+        assert flip.status == "shed"
+        assert flip.retry_after_s == 1.0
+        assert flip.ranking == ()
 
-    def test_duplicate_alias_spellings_rejected(self):
-        """Two spellings of one strategy must not silently last-win."""
-        with pytest.raises(ValueError, match="duplicates"):
-            compare_gateway(fit_budgets={"tg:lr,n2v,all": 4,
-                                         "tg:lr,node2vec,all": 32})
+    @pytest.mark.parametrize("error", [
+        FitPlaneError("strategy is not picklable"),
+        WireError("malformed frame"),
+    ], ids=lambda error: type(error).__name__)
+    def test_unretryable_fleet_failure_fails_the_compare(self, error):
+        with pytest.raises(type(error)):
+            _compare_with_failing(FailingFleet("flip", error))
 
-    def test_strategies_declare_fit_weights(self):
-        from repro.strategies import get_strategy
-
-        assert get_strategy("logme").fit_weight == 0.25
-        assert get_strategy("random").fit_weight == 0.25
-        assert get_strategy("tg:lr,n2v,all").fit_weight == 4.0
-        assert get_strategy("lr:basic").fit_weight == 1.0  # graph-less
+    def test_raising_fit_fails_the_compare(self):
+        with pytest.raises(RuntimeError, match="fit exploded"):
+            _compare_with_failing(
+                flip=_BrokenFit("flip", STUB_SCORES["flip"]))
 
 
 # ---------------------------------------------------------------------- #
@@ -459,7 +457,7 @@ class TestFitBudgets:
 # ---------------------------------------------------------------------- #
 class TestServedEvaluation:
     def test_report_schema_and_aggregates(self):
-        gateway = compare_gateway(fit_budgets="weighted")
+        gateway = compare_gateway()
         try:
             report = run(served_evaluation(gateway, "alpha", top_k=2))
         finally:
@@ -477,7 +475,6 @@ class TestServedEvaluation:
         assert agree["mean_top_k_overlap"] == 1.0
         assert agree["targets_ok"] == 4
         assert agree["targets_shed"] == 0
-        assert agree["fit_budget"] == 32
         assert agree["warm_rank_p95_ms"] >= 0.0
         flip = report["strategies"]["flip"]
         assert flip["mean_pearson"] == -1.0

@@ -1,4 +1,5 @@
-"""SelectionGateway: namespace routing, shard isolation, fleet stats."""
+"""SelectionGateway: namespace routing, shard and strategy isolation,
+fleet stats."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from repro.core import FeatureSet, TransferGraphConfig
 from repro.fleet import FleetCoordinator
 from repro.serving import (
     AsyncSelectionRouter,
+    QueueFullError,
     RankRequest,
     RankResponse,
     ScoreBatchRequest,
@@ -281,3 +283,60 @@ class TestSharedFitPools:
             fleet_gateway.close()
         # each fleet router owned (and shut) its pool
         assert own._shutdown
+
+
+class TestStrategyIsolation:
+    """Every strategy of a namespace admits cold fits through its own
+    router: one bound, its own queue slots and its own fit threads."""
+
+    TARGETS = tuple(f"t{i}" for i in range(8))
+
+    def gateway(self):
+        """One namespace, ``max_pending_fits=4``: the default strategy
+        fits in 0.3 s, ``fast`` in 0.01 s."""
+        fast = StubStrategy("fast", STUB_SCORES["agree"], fit_seconds=0.01)
+        return stub_gateway(names=("alpha",), targets=self.TARGETS,
+                            fit_seconds=0.3, max_pending_fits=4,
+                            strategies=(fast,))
+
+    def burst(self, slow_targets):
+        """(ok, shed) counts of 4 concurrent cold ``fast`` ranks and of
+        concurrent cold default-strategy ranks for ``slow_targets``."""
+        gateway = self.gateway()
+
+        async def scenario():
+            slow = [gateway.rank(RankRequest(target=t, namespace="alpha"))
+                    for t in slow_targets]
+            fast = [gateway.rank(RankRequest(target=t, namespace="alpha",
+                                             strategy="fast"))
+                    for t in self.TARGETS[:4]]
+            return await asyncio.gather(*slow, *fast, return_exceptions=True)
+
+        try:
+            results = run(scenario())
+        finally:
+            gateway.close()
+
+        def counts(answers):
+            ok = sum(isinstance(a, RankResponse) for a in answers)
+            shed = sum(isinstance(a, QueueFullError) for a in answers)
+            assert ok + shed == len(answers)
+            return ok, shed
+
+        return counts(results[len(slow_targets):]), \
+            counts(results[:len(slow_targets)])
+
+    def test_every_strategy_router_gets_the_namespace_bound(self):
+        gateway = self.gateway()
+        try:
+            for spec in gateway.strategies("alpha"):
+                assert gateway.router("alpha", spec).max_pending_fits == 4
+        finally:
+            gateway.close()
+
+    def test_slow_storm_leaves_fast_admissions_unchanged(self):
+        alone, _ = self.burst(())
+        beside_storm, storm = self.burst(self.TARGETS)
+        assert alone == (4, 0)
+        assert beside_storm == alone
+        assert storm == (4, 4)  # the storm sheds only its own overflow

@@ -23,6 +23,7 @@ from repro.fleet.errors import (
     WireError,
 )
 from repro.serving import (
+    CompareResponse,
     ErrorResponse,
     GatewayHTTPServer,
     RankRequest,
@@ -33,7 +34,13 @@ from repro.serving import (
     message_from_json,
 )
 
-from serving_stubs import STUB_SCORES, StubStrategy, StubZoo, stub_gateway
+from serving_stubs import (
+    STUB_SCORES,
+    FailingFleet,
+    StubStrategy,
+    StubZoo,
+    stub_gateway,
+)
 
 
 def run(coro):
@@ -708,7 +715,7 @@ class TestBackpressure:
         one-slot fit queue: shed requests get 429 + Retry-After."""
         async def scenario():
             gateway = stub_gateway(names=("alpha",), fit_seconds=0.3,
-                                   max_pending_fits=1, retry_after_s=0.25)
+                                   max_pending_fits=1)
             try:
                 server = await serve(gateway)
                 host, port = server.address
@@ -735,31 +742,15 @@ class TestBackpressure:
         for headers, body in shed:
             error = ErrorResponse.from_json(body)
             assert error.code == "queue_full"
-            assert error.retry_after_s >= 0.25
+            assert error.retry_after_s >= 0.5  # the router's default floor
             # integral header ceiling of the machine-readable hint
             assert int(headers["retry-after"]) >= 1
 
 
-class _FailingFleet:
-    """A fit fleet whose every dispatch fails with one plane error."""
-
-    def __init__(self, error: Exception):
-        self.error = error
-
-    def submit_fit(self, strategy, zoo, target, *, timeout_s=None):
-        raise self.error
-
-    def fleet_summary(self):
-        return None
-
-    def close(self):
-        pass
-
-
-def _cold_rank_through(fleet):
-    """One cold ``/v1/rank`` over a gateway that sends its fits to
-    ``fleet``: (status, headers, body).  Closing the gateway closes the
-    fleet."""
+def _cold_rank_through(fleet, path="/v1/rank"):
+    """One cold ``/v1/rank`` (or other POST ``path``) over a gateway that
+    sends its fits to ``fleet``: (status, headers, body).  Closing the
+    gateway closes the fleet."""
     async def scenario():
         gateway = SelectionGateway(fleet=fleet)
         try:
@@ -768,7 +759,7 @@ def _cold_rank_through(fleet):
             server = await serve(gateway)
             host, port = server.address
             answer = await http_request(
-                host, port, "POST", "/v1/rank",
+                host, port, "POST", path,
                 body=json.dumps({"namespace": "alpha", "target": "t0"}))
             await server.close()
             return answer
@@ -779,7 +770,8 @@ def _cold_rank_through(fleet):
 
 
 class TestFitFleetUnavailable:
-    """A fit the fleet could not run is a retryable 503, not a 500."""
+    """A fit the fleet could not run is a retryable 503, not a 500, and
+    a shed slice of a 200 compare."""
 
     @pytest.mark.parametrize("error", [
         NoWorkersError("no live fit workers"),
@@ -787,7 +779,8 @@ class TestFitFleetUnavailable:
         FitWorkerCrashError("worker died mid-fit"),
     ], ids=lambda error: type(error).__name__)
     def test_retryable_fleet_failure_is_a_typed_503(self, error):
-        status, headers, body = _cold_rank_through(_FailingFleet(error))
+        status, headers, body = _cold_rank_through(
+            FailingFleet("agree", error))
         assert status == 503
         assert headers["retry-after"] == "1"
         failure = ErrorResponse.from_json(body)
@@ -806,10 +799,20 @@ class TestFitFleetUnavailable:
         WireError("malformed frame"),
     ], ids=lambda error: type(error).__name__)
     def test_unretryable_fleet_failure_stays_a_500(self, error):
-        status, headers, body = _cold_rank_through(_FailingFleet(error))
+        status, headers, body = _cold_rank_through(
+            FailingFleet("agree", error))
         assert status == 500
         assert "retry-after" not in headers
         assert ErrorResponse.from_json(body).code == "internal"
+
+    def test_compare_before_the_first_worker_sheds(self):
+        """``/v1/compare`` answers 200 with the strategy marked shed."""
+        fleet = FleetCoordinator("127.0.0.1", 0)
+        fleet.start()
+        status, _, body = _cold_rank_through(fleet, "/v1/compare")
+        assert status == 200
+        shed = CompareResponse.from_json(body).results["agree"]
+        assert (shed.status, shed.retry_after_s) == ("shed", 1.0)
 
 
 class TestStrategyRouting:

@@ -1,6 +1,6 @@
 """AsyncSelectionRouter: coalescing, backpressure, result correctness.
 
-The deterministic concurrency tests (overflow, error propagation) run
+The deterministic concurrency tests (admission, error propagation) run
 against a stub service whose "fit" is a controllable sleep, so queue
 states are forced rather than raced; the integration tests run real fits
 on the shared tiny zoo.
@@ -128,7 +128,7 @@ class TestBackpressure:
     def test_reject_overflow_sheds_with_retry_hint(self):
         service = stub_service(fit_seconds=0.1)
         router = AsyncSelectionRouter(service, max_pending_fits=1,
-                                      overflow="reject", retry_after_s=0.25)
+                                      retry_after_s=0.25)
 
         async def storm():
             return await asyncio.gather(
@@ -147,34 +147,28 @@ class TestBackpressure:
         assert stats["peak_pending_fits"] == 1
 
     def test_wait_overflow_coalesces_same_key(self):
-        """Same-key requests arriving while the originator waits for a
+        """Same-key warmups arriving while the originator waits for a
         queue slot must coalesce, never start a second fit (regression:
         the future used to be registered only after admission, so the
         capacity wait opened a double-fit + KeyError window)."""
         service = stub_service(fit_seconds=0.05)
-        router = AsyncSelectionRouter(service, max_pending_fits=1,
-                                      overflow="wait")
+        router = AsyncSelectionRouter(service, max_pending_fits=1)
 
-        async def storm():
-            # "A" twice and "B" twice, while "t0" occupies the only slot.
-            return await asyncio.gather(
-                router.rank("t0"), router.rank("t1"), router.rank("t1"),
-                router.rank("t2"), router.rank("t2"))
-
-        results = run(storm())
+        # "t1" twice and "t2" twice, while "t0" occupies the only slot.
+        timings = run(router.warmup(["t0", "t1", "t1", "t2", "t2"]))
         stats = router.stats()
         router.close()
-        assert len(results) == 5
+        assert sorted(timings) == ["t0", "t1", "t2"]
         assert stats["fits"] == 3          # one per distinct target
         assert stats["coalesced"] == 2
+        assert stats["rejections"] == 0
         assert stats["peak_pending_fits"] == 1
 
     def test_rejection_leaves_no_poisoned_inflight_entry(self):
         """A shed request must clean up its pre-registered future so the
         key refits normally once capacity frees up."""
         service = stub_service(fit_seconds=0.05)
-        router = AsyncSelectionRouter(service, max_pending_fits=1,
-                                      overflow="reject")
+        router = AsyncSelectionRouter(service, max_pending_fits=1)
 
         async def scenario():
             blocker = asyncio.ensure_future(router.rank("t0"))
@@ -192,26 +186,39 @@ class TestBackpressure:
         assert stats["rejections"] == 1
 
     def test_wait_overflow_serves_everyone(self):
+        """Warmup beyond the bound waits for slots: everyone is served
+        and the bound still holds."""
         service = stub_service(fit_seconds=0.05)
-        router = AsyncSelectionRouter(service, max_pending_fits=1,
-                                      overflow="wait")
+        router = AsyncSelectionRouter(service, max_pending_fits=1)
 
-        async def storm():
-            return await asyncio.gather(
-                *(router.rank(t) for t in ("t0", "t1", "t2", "t3")))
-
-        results = run(storm())
+        timings = run(router.warmup(["t0", "t1", "t2", "t3"]))
         stats = router.stats()
         router.close()
-        assert len(results) == 4
+        assert len(timings) == 4
         assert stats["fits"] == 4
         assert stats["rejections"] == 0
         assert stats["peak_pending_fits"] == 1  # the bound held
 
+    def test_never_sheds_below_the_cliff(self):
+        """Admission is a hard cliff: below ``max_pending_fits`` pending
+        fits every cold request is admitted."""
+        service = stub_service(fit_seconds=0.05)
+        router = AsyncSelectionRouter(service, max_pending_fits=4)
+
+        async def storm():
+            return await asyncio.gather(
+                *(router.rank(f"t{i}") for i in range(3)),
+                return_exceptions=True)
+
+        results = run(storm())
+        stats = router.stats()
+        router.close()
+        assert all(isinstance(r, list) for r in results)
+        assert stats["rejections"] == 0
+
     def test_warmup_never_sheds(self):
         service = stub_service(fit_seconds=0.02)
-        router = AsyncSelectionRouter(service, max_pending_fits=1,
-                                      overflow="reject")
+        router = AsyncSelectionRouter(service, max_pending_fits=1)
         timings = run(router.warmup())
         stats = router.stats()
         router.close()
@@ -224,8 +231,6 @@ class TestBackpressure:
         service = stub_service()
         with pytest.raises(ValueError):
             AsyncSelectionRouter(service, max_pending_fits=0)
-        with pytest.raises(ValueError):
-            AsyncSelectionRouter(service, overflow="panic")
         with pytest.raises(ValueError):
             AsyncSelectionRouter(service, fit_workers=0)
 
@@ -327,7 +332,7 @@ class TestAsyncReplay:
         """With a tiny queue, shed queries retry and eventually land."""
         service = stub_service(fit_seconds=0.05)
         router = AsyncSelectionRouter(service, max_pending_fits=1,
-                                      overflow="reject", retry_after_s=0.02)
+                                      retry_after_s=0.02)
         from repro.serving import RankRequest
         workload = [RankRequest(target=t) for t in
                     ("t0", "t1", "t2", "t3")]
@@ -442,109 +447,6 @@ class TestCancellation:
         assert isinstance(patient, list)         # unharmed
         assert originator == patient
         assert stats["fits"] == 1
-
-
-# ---------------------------------------------------------------------- #
-# probabilistic early shedding
-# ---------------------------------------------------------------------- #
-class TestEarlyShedding:
-    """shed_start < 1 trades the hard admission cliff for a linear ramp."""
-
-    def test_default_never_sheds_below_the_cliff(self):
-        """shed_start=1.0 (the default) must reproduce the pre-existing
-        hard-cliff behaviour exactly, even with an always-shed RNG."""
-        service = stub_service(fit_seconds=0.05)
-        router = AsyncSelectionRouter(service, max_pending_fits=4,
-                                      shed_rng=lambda: 0.0)
-
-        async def storm():
-            return await asyncio.gather(
-                *(router.rank(f"t{i}") for i in range(3)),
-                return_exceptions=True)
-
-        results = run(storm())
-        stats = router.stats()
-        router.close()
-        assert all(isinstance(r, list) for r in results)
-        assert stats["early_sheds"] == 0
-        assert stats["rejections"] == 0
-
-    def test_sheds_probabilistically_above_the_start_depth(self):
-        """With shed_start=0 every admitted fit raises the draw floor;
-        an always-shed RNG rejects everything after the first fit."""
-        service = stub_service(targets=("t0", "t1", "t2", "t3"),
-                               fit_seconds=0.1)
-        router = AsyncSelectionRouter(service, max_pending_fits=4,
-                                      shed_start=0.0,
-                                      shed_rng=lambda: 0.0)
-
-        async def scenario():
-            first = asyncio.ensure_future(router.rank("t0"))
-            await asyncio.sleep(0.02)  # t0 now occupies one slot
-            shed = await asyncio.gather(router.rank("t1"), router.rank("t2"),
-                                        return_exceptions=True)
-            return await first, shed
-
-        served, shed = run(scenario())
-        stats = router.stats()
-        router.close()
-        assert isinstance(served, list)
-        assert all(isinstance(r, QueueFullError) for r in shed)
-        assert all(r.retry_after_s > 0 for r in shed)
-        assert stats["early_sheds"] == 2
-        assert stats["rejections"] == 2   # early sheds count as rejections
-        assert stats["fits"] == 1
-
-    def test_lucky_draws_are_admitted(self):
-        """An RNG that never crosses the ramp admits everything: the
-        ramp is probabilistic, not a second cliff."""
-        service = stub_service(fit_seconds=0.05)
-        router = AsyncSelectionRouter(service, max_pending_fits=8,
-                                      shed_start=0.0,
-                                      shed_rng=lambda: 1.0)
-
-        async def storm():
-            return await asyncio.gather(
-                *(router.rank(f"t{i}") for i in range(4)),
-                return_exceptions=True)
-
-        results = run(storm())
-        stats = router.stats()
-        router.close()
-        assert all(isinstance(r, list) for r in results)
-        assert stats["early_sheds"] == 0
-
-    def test_wait_overflow_ignores_early_shedding(self):
-        """Warmup and overflow='wait' paths park instead of shedding."""
-        service = stub_service(fit_seconds=0.02)
-        router = AsyncSelectionRouter(service, max_pending_fits=2,
-                                      overflow="wait", shed_start=0.0,
-                                      shed_rng=lambda: 0.0)
-        timings = run(router.warmup())
-        stats = router.stats()
-        router.close()
-        assert len(timings) == 4
-        assert stats["early_sheds"] == 0
-        assert stats["fits"] == 4
-
-    def test_shed_probability_ramps_linearly(self):
-        service = stub_service()
-        router = AsyncSelectionRouter(service, max_pending_fits=8,
-                                      shed_start=0.5)
-        try:
-            for depth, expected in ((0, 0.0), (4, 0.0), (5, 0.25),
-                                    (6, 0.5), (7, 0.75)):
-                router._pending_fits = depth
-                assert router._shed_probability() == pytest.approx(expected)
-        finally:
-            router._pending_fits = 0
-            router.close()
-
-    def test_rejects_bad_shed_start(self):
-        service = stub_service()
-        for bad in (-0.1, 1.5):
-            with pytest.raises(ValueError):
-                AsyncSelectionRouter(service, shed_start=bad)
 
 
 # ---------------------------------------------------------------------- #
