@@ -1,20 +1,9 @@
-"""Async router — serial vs concurrent throughput, coalescing proof.
+"""Cold-fit throughput — the router's thread pool vs a fit fleet.
 
-Not a paper figure: this benchmarks the scenario the router exists for.
-Eight clients replay the *same* skewed workload concurrently — the
-"millions of users asking about the same popular targets" shape — and
-single-flight coalescing must keep the cold-fit count at one per
-distinct target while total throughput beats the serial ``serve-sim``
-baseline by at least 2x (the fits happen once instead of serially
-gating every client).
-
-Both runs start from a cold service with no registry, so every distinct
-target costs one genuine fit in each mode and the comparison is fair.
-
-``test_bench_cold_fit_speedup`` measures pure cold-fit throughput —
-four fits in flight over four distinct targets — on the router's
-thread pool and on a fit fleet of four ``repro fit-worker`` daemons on
-this box, and asserts that the daemons beat the GIL-bound thread pool
+Not a paper figure: ``test_bench_cold_fit_speedup`` puts four cold fits
+over four distinct targets in flight at once, first on the router's
+thread pool and then on a fit fleet of four ``repro fit-worker`` daemons
+on this box, and asserts that the daemons beat the GIL-bound thread pool
 by >= 2x.  It skips on fewer than four cores.
 """
 
@@ -29,82 +18,17 @@ from pathlib import Path
 
 from benchmarks.conftest import print_header
 from repro.fleet import FleetCoordinator
-from repro.serving import (
-    AsyncSelectionRouter,
-    SelectionService,
-    WorkloadConfig,
-    generate_workload,
-    replay,
-    replay_concurrent,
-)
+from repro.serving import AsyncSelectionRouter, SelectionService
 from repro.zoo import ZooConfig, get_or_build_zoo
-
-_CLIENTS = 8
-_QUERIES = 60
 
 #: the cold-fit speedup bench: this many workers over this many targets
 _FIT_WORKERS = 4
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
-
 _TG = "tg:lr,n2v,all"
 
 
-def _run() -> dict[str, float]:
-    zoo = get_or_build_zoo(ZooConfig.tiny(modality="image", seed=7))
-    workload = generate_workload(zoo, WorkloadConfig(
-        num_queries=_QUERIES, zipf_alpha=1.2, seed=3))
-    distinct_targets = len({q.target for q in workload})
-
-    serial_service = SelectionService(zoo, _TG)
-    serial = replay(serial_service, workload)
-    assert serial["fits"] == distinct_targets
-
-    concurrent_service = SelectionService(zoo, _TG)
-    router = AsyncSelectionRouter(concurrent_service)
-    try:
-        concurrent = replay_concurrent(router, workload, clients=_CLIENTS)
-    finally:
-        router.close()
-
-    # Coalescing proof: 8x the traffic, still one fit per cold target.
-    assert concurrent["fits"] == distinct_targets
-    assert concurrent["queries"] == _CLIENTS * _QUERIES
-    assert concurrent["coalesced"] > 0
-
-    return {
-        "distinct_targets": distinct_targets,
-        "serial_qps": serial["qps"],
-        "serial_wall_s": serial["wall_s"],
-        "concurrent_qps": concurrent["qps"],
-        "concurrent_wall_s": concurrent["wall_s"],
-        "coalesced": concurrent["coalesced"],
-        "fits": concurrent["fits"],
-        "fit_p95_ms": concurrent["fit_p95_ms"],
-        "predict_p95_ms": concurrent["predict_p95_ms"],
-    }
-
-
-def test_bench_async_router(benchmark):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
-    speedup = rows["concurrent_qps"] / rows["serial_qps"]
-    print_header(f"Async router — serial vs {_CLIENTS} concurrent clients, "
-                 f"{_QUERIES}-query skewed workload (tiny image zoo)")
-    print(f"  serial throughput      {rows['serial_qps']:10.1f} qps")
-    print(f"  concurrent throughput  {rows['concurrent_qps']:10.1f} qps")
-    print(f"  throughput speedup     {speedup:10.1f}x")
-    print(f"  cold fits              {rows['fits']:10.0f} "
-          f"(== {rows['distinct_targets']:.0f} distinct targets)")
-    print(f"  coalesced requests     {rows['coalesced']:10.0f}")
-    print(f"  fit p95                {rows['fit_p95_ms']:10.1f} ms")
-    print(f"  predict p95            {rows['predict_p95_ms']:10.1f} ms")
-    assert speedup >= 2.0
-
-
-# ---------------------------------------------------------------------- #
-# cold-fit throughput: thread pool vs a fleet of fit-worker daemons
-# ---------------------------------------------------------------------- #
 def _warm(zoo, spec, targets: list[str], fleet=None) -> tuple[float, int]:
     """(wall seconds, fits) warming ``targets`` cold, all in flight."""
     service = SelectionService(zoo, spec)

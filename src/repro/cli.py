@@ -7,7 +7,9 @@ Commands
                 any registered ranker; default TransferGraph)
 ``evaluate``    run the leave-one-out comparison of selection strategies
                 (``--served`` runs it through an in-process gateway's
-                ``/v1/compare`` engine and writes ``BENCH_compare.json``)
+                ``/v1/compare`` engine and writes ``BENCH_compare.json``;
+                ``--trace-out FILE`` adds one span trace per request as
+                JSON lines)
 ``stats``       print catalog + graph statistics (Table II style)
 ``warmup``      pre-fit every target's pipeline into the artifact registry
 ``serve``       HTTP front door: a multi-namespace selection gateway on
@@ -16,10 +18,6 @@ Commands
                 ``--strategy`` adds rankers to every namespace's
                 strategy map; ``--log-json`` switches the per-request
                 event log from human lines to JSON
-``serve-sim``   replay a synthetic query workload against the service
-                (``--concurrency N`` routes it through the async
-                router; ``--trace-out FILE`` writes per-request span
-                traces as JSON lines)
 ``registry-gc`` sweep artifacts no live strategy/catalog can serve
                 (``--gateway`` sweeps the namespace-sharded layout)
 ``analyze``     run the repo-specific static-analysis suite
@@ -103,13 +101,6 @@ def _positive_int(value: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return n
-
-
-def _fraction(value: str) -> float:
-    f = float(value)
-    if not (0.0 <= f <= 1.0):
-        raise argparse.ArgumentTypeError("must be in [0, 1]")
-    return f
 
 
 def _host_port(value: str) -> tuple[str, int]:
@@ -338,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "with a typed error")
     serve.add_argument("--warmup", action="store_true",
                        help="pre-fit every namespace's targets before "
-                            "accepting traffic")
+                            "accepting traffic (not with --fleet-listen)")
     serve.add_argument("--log-json", action="store_true",
                        help="emit one JSON event per request on stderr "
                             "instead of the human log line")
@@ -363,35 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="shared fleet-auth secret; must match "
                                  "the gateway's --fleet-secret (default: "
                                  "$REPRO_FLEET_SECRET)")
-
-    sim = sub.add_parser(
-        "serve-sim", help="replay a synthetic workload; report latency")
-    add_strategy_args(sim)
-    add_registry_arg(sim)
-    sim.add_argument("--queries", type=_positive_int, default=200,
-                     help="number of queries in the synthetic stream")
-    sim.add_argument("--batch-fraction", type=_fraction, default=0.25,
-                     help="fraction of queries that are score_batch calls")
-    sim.add_argument("--top", type=_positive_int, default=5)
-    sim.add_argument("--cache-size", type=_positive_int, default=32,
-                     help="in-memory LRU capacity (fitted pipelines)")
-    sim.add_argument("--concurrency", type=_positive_int, default=1,
-                     help="concurrent clients; >1 replays through the "
-                          "async router with fit coalescing")
-    sim.add_argument("--max-pending-fits", type=_positive_int, default=8,
-                     help="router cold-fit queue bound (with --concurrency)")
-    sim.add_argument("--partition", action="store_true",
-                     help="split the stream across clients instead of "
-                          "replaying it once per client")
-    sim.add_argument("--log-json", action="store_true",
-                     help="emit one JSON event per replayed request on "
-                          "stdout (same record shape as live serving)")
-    sim.add_argument("--slow-ms", type=float, default=1000.0,
-                     help="slow-request threshold in ms; slower requests "
-                          "log their full span tree")
-    sim.add_argument("--trace-out", type=Path, default=None, metavar="FILE",
-                     help="write every replayed request's trace (with "
-                          "spans) as JSON lines to FILE")
 
     gc = sub.add_parser(
         "registry-gc",
@@ -462,8 +424,8 @@ def _cli_default_strategy(args):
     """The strategy a command serves or scores by default: its
     ``--strategy`` SPEC where it takes one, else the TransferGraph that
     ``--predictor``/``--graph-learner`` name.  ``serve``, ``evaluate``
-    (offline and ``--served``), ``rank``, ``warmup``, ``serve-sim`` and
-    ``registry-gc`` all build it here."""
+    (offline and ``--served``), ``rank``, ``warmup`` and ``registry-gc``
+    all build it here."""
     from repro.strategies import get_strategy
 
     spec = getattr(args, "strategy", None) \
@@ -657,6 +619,14 @@ def _cmd_serve(args) -> int:
         print(f"error: {' and '.join(fleet_only)} need --fleet-listen",
               file=sys.stderr)
         return 2
+    if args.warmup and args.fleet_listen is not None:
+        print("error: --warmup cannot run with --fleet-listen: no fit-worker "
+              "can register before the warmup fits; warm the registry shards "
+              "with 'repro serve --warmup' without --fleet-listen (same "
+              "--registry-dir, namespaces and strategies), stop it, then "
+              "start the fleet server, which revives those artifacts",
+              file=sys.stderr)
+        return 2
     specs = args.namespaces or [(args.modality, args.modality, args.scale)]
     names = [name for name, _, _ in specs]
     if len(set(names)) != len(names):
@@ -787,80 +757,6 @@ def _cmd_fit_worker(args) -> int:
     return 0
 
 
-def _cmd_serve_sim(args) -> int:
-    from repro.obs import EventLog, Observability
-    from repro.serving import (
-        AsyncSelectionRouter,
-        WorkloadConfig,
-        generate_workload,
-        replay,
-        replay_concurrent,
-    )
-
-    zoo = _load_zoo(args)
-    service = _service(zoo, args, cache_size=args.cache_size)
-    workload = generate_workload(zoo, WorkloadConfig(
-        num_queries=args.queries, batch_fraction=args.batch_fraction,
-        top_k=args.top, seed=args.seed))
-
-    # The replay summary goes through the same event formatter as live
-    # serving; --log-json additionally streams one event per request.
-    event_log = EventLog(stream=sys.stdout, json_lines=args.log_json,
-                         slow_ms=args.slow_ms)
-    obs = sink = None
-    if args.log_json or args.trace_out:
-        obs = Observability(event_log=event_log if args.log_json else None)
-        if args.trace_out:
-            sink = _TraceFileSink(args.trace_out)
-            obs.add_trace_sink(sink)
-
-    try:
-        if args.concurrency == 1:
-            print(f"replaying {len(workload)} queries "
-                  f"({service.strategy.name}, "
-                  f"registry={'on' if service.registry else 'off'})")
-            summary = replay(service, workload, obs=obs)
-        else:
-            total = len(workload) if args.partition \
-                else len(workload) * args.concurrency
-            print(f"replaying {total} queries over {args.concurrency} "
-                  f"async clients ({service.strategy.name}, "
-                  f"registry={'on' if service.registry else 'off'})")
-            router = AsyncSelectionRouter(
-                service, max_pending_fits=args.max_pending_fits)
-            try:
-                summary = replay_concurrent(router, workload,
-                                            clients=args.concurrency,
-                                            partition=args.partition,
-                                            obs=obs)
-            finally:
-                router.close()
-    finally:
-        if sink is not None:
-            sink.close()
-
-    print(f"  p50 latency      {summary['p50_ms']:10.2f} ms")
-    print(f"  p95 latency      {summary['p95_ms']:10.2f} ms")
-    print(f"  max latency      {summary['max_ms']:10.2f} ms")
-    print(f"  throughput       {summary['qps']:10.1f} qps")
-    print(f"  cache hit rate   {summary['hit_rate']:10.1%}")
-    print(f"  cold fits        {summary['fits']:10.0f}")
-    print(f"  registry hits    {summary['registry_hits']:10.0f}")
-    if args.concurrency > 1:
-        print(f"  coalesced        {summary['coalesced']:10.0f}")
-        print(f"  rejections       {summary['rejections']:10.0f}"
-              f"  (retried {summary['retries']:.0f})")
-        print(f"  peak fit queue   {summary['peak_pending_fits']:10.0f}")
-        print(f"  fit p95          {summary['fit_p95_ms']:10.2f} ms")
-        print(f"  predict p95      {summary['predict_p95_ms']:10.2f} ms")
-    if sink is not None:
-        print(f"  traces written   {sink.count:10d}  ({sink.path})")
-    event_log.emit_summary("serve-sim", **{
-        k: round(v, 3) if isinstance(v, float) else v
-        for k, v in summary.items()})
-    return 0
-
-
 def _cmd_registry_gc(args) -> int:
     from repro.serving import ArtifactRegistry
 
@@ -960,7 +856,6 @@ _COMMANDS = {
     "warmup": _cmd_warmup,
     "serve": _cmd_serve,
     "fit-worker": _cmd_fit_worker,
-    "serve-sim": _cmd_serve_sim,
     "registry-gc": _cmd_registry_gc,
     "analyze": _cmd_analyze,
     "docs": _cmd_docs,

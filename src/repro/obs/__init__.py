@@ -31,7 +31,6 @@ from .events import (
     format_event_human,
     format_event_json,
     request_event,
-    summary_event,
 )
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -58,7 +57,7 @@ __all__ = [
     "Observability", "NullObservability", "MetricsRegistry", "EventLog",
     "Trace", "Span", "span", "annotate", "set_outcome", "record_cache",
     "current_trace", "run_in_context", "graft_spans", "new_request_id",
-    "request_event", "summary_event", "format_event_human",
+    "request_event", "format_event_human",
     "format_event_json", "OUTCOME_SEVERITY",
     "DEFAULT_LATENCY_BUCKETS_MS", "EXPOSITION_CONTENT_TYPE",
 ]
@@ -207,10 +206,6 @@ class Observability:
     def record_fleet_dispatch(self, outcome: str) -> None:
         self.fleet_dispatch.labels(outcome).inc()
 
-    def emit_summary(self, kind: str, **fields) -> None:
-        if self.event_log is not None:
-            self.event_log.emit_summary(kind, **fields)
-
     # -- trace access ---------------------------------------------------- #
     def add_trace_sink(self, sink) -> None:
         """``sink(record: dict)`` is called for every finished trace."""
@@ -295,9 +290,6 @@ class NullObservability:
         pass
 
     def record_fleet_dispatch(self, outcome) -> None:
-        pass
-
-    def emit_summary(self, kind: str, **fields) -> None:
         pass
 
     def add_trace_sink(self, sink) -> None:

@@ -1,10 +1,9 @@
-"""Request/replay event records and their human / JSON renderings.
+"""Request event records and their human / JSON renderings.
 
-One *event* is the flat, greppable record of one request (or of one
-replay summary) — the thing ``--log-json`` emits per line and the human
-log formats per line.  Live serving and offline replay build events
-through the same two constructors so their records are shaped
-identically (ISSUE 6 satellite: no more ad-hoc summary dicts).
+One *event* is the flat, greppable record of one request — the thing
+``repro serve --log-json`` emits per line and the human log formats per
+line.  Every event is built by :func:`request_event` from a finished
+trace, so both renderings carry the same fields.
 
 Rendering is split from emission: :class:`EventLog` owns the sink
 (stream + json flag + slow threshold), the ``format_*`` helpers are pure
@@ -22,7 +21,6 @@ from .trace import Trace
 __all__ = [
     "EventLog",
     "request_event",
-    "summary_event",
     "format_event_human",
     "format_event_json",
 ]
@@ -45,15 +43,6 @@ def request_event(trace: Trace) -> dict:
     return event
 
 
-def summary_event(kind: str, **fields) -> dict:
-    """A run-level summary record (replay totals, served eval, ...).
-
-    ``kind`` distinguishes e.g. ``"replay"`` from ``"serve"``; fields
-    are flat scalars so the JSON form stays one greppable line.
-    """
-    return {"event": "summary", "kind": kind, **fields}
-
-
 def format_event_json(event: dict) -> str:
     return json.dumps(event, sort_keys=True, default=str)
 
@@ -64,11 +53,6 @@ def _format_stages(stages: dict[str, float]) -> str:
 
 def format_event_human(event: dict) -> str:
     """One aligned line per event, span details appended when present."""
-    if event.get("event") == "summary":
-        fields = " ".join(
-            f"{k}={v}" for k, v in event.items() if k not in ("event", "kind")
-        )
-        return f"[summary:{event.get('kind', '-')}] {fields}"
     parts = [
         f"[{event.get('outcome', '-'):>9}]",
         f"{event.get('endpoint', '-')}",
@@ -131,6 +115,3 @@ class EventLog:
             event["slow"] = True
             event["spans"] = trace.span_tree()
         self.emit(event)
-
-    def emit_summary(self, kind: str, **fields) -> None:
-        self.emit(summary_event(kind, **fields))

@@ -15,8 +15,8 @@ Everything therefore keys off one :class:`contextvars.ContextVar`:
 - :func:`set_outcome` / :func:`record_cache` likewise vanish without an
   active trace;
 - the serving layers never hold an observability handle on their hot
-  paths — the request context (opened by the gateway or a replay
-  harness) *is* the handle.
+  paths — the request context (opened by the gateway) *is* the
+  handle.
 
 Worker threads don't inherit contextvars from the event loop, so the
 router copies its context before submitting to an executor

@@ -29,9 +29,7 @@ true operationally:
 - :mod:`repro.serving.compare` — the served evaluation engine behind
   ``/v1/compare`` and ``repro evaluate --served``: per-strategy rank
   correlations, top-k overlap, and the ``BENCH_compare.json`` report
-  the CI benchmark gate consumes;
-- :mod:`repro.serving.workload` — synthetic protocol-request streams
-  and serial or concurrent replay for ``repro serve-sim``.
+  the CI benchmark gate consumes.
 
 Cross-cutting observability (metrics at ``/v1/metrics``, per-request
 traces with fit-stage spans, structured events) lives in
@@ -93,13 +91,6 @@ from repro.serving.gateway import (
     UnknownTargetError,
 )
 from repro.serving.http import GatewayHTTPServer
-from repro.serving.workload import (
-    WorkloadConfig,
-    generate_workload,
-    replay,
-    replay_async,
-    replay_concurrent,
-)
 
 __all__ = [
     "catalog_fingerprint",
@@ -147,9 +138,4 @@ __all__ = [
     "UnknownStrategyError",
     "UnknownTargetError",
     "GatewayHTTPServer",
-    "WorkloadConfig",
-    "generate_workload",
-    "replay",
-    "replay_async",
-    "replay_concurrent",
 ]

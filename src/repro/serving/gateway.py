@@ -475,10 +475,10 @@ class SelectionGateway:
         Each namespace row pools its strategies' *raw* snapshots, and
         the fleet row pools every namespace — counters and latency
         histogram counts add — so every percentile is read from the
-        pooled bucket counts of every query since process start (or
-        ``reset_stats``), not averaged from partial percentiles.  The
-        additive ``strategies`` block breaks each namespace down by spec
-        with its *measured* fit cost (``fit_ms_p50``/``fit_ms_p95``).
+        pooled bucket counts of every query since process start, not
+        averaged from partial percentiles.  The additive ``strategies``
+        block breaks each namespace down by spec with its *measured*
+        fit cost (``fit_ms_p50``/``fit_ms_p95``).
         """
         per_namespace: dict[str, dict[str, float]] = {}
         fleet_service, fleet_router = ServiceStats(), RouterStats()

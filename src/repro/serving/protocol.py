@@ -320,11 +320,6 @@ class ScoreBatchRequest(_Message):
         _check_optional_str(self.kind, "strategy", self.strategy)
         _check_optional_str(self.kind, "request_id", self.request_id)
 
-    @property
-    def target(self) -> str:
-        """First pair's target (workload-replay convenience, '' if empty)."""
-        return self.pairs[0][1] if self.pairs else ""
-
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
             "kind": self.kind,

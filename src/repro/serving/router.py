@@ -132,18 +132,6 @@ class RouterStats:
             **{s: getattr(self, s).copy() for s in _STAGES},
         )
 
-    def since(self, earlier: "RouterStats") -> "RouterStats":
-        """Counters and latencies accumulated after the ``earlier`` snapshot.
-
-        ``peak_pending_fits`` is a high-water mark, not a counter, so the
-        delta carries the current peak unchanged.
-        """
-        return RouterStats(
-            peak_pending_fits=self.peak_pending_fits,
-            **{f: getattr(self, f) - getattr(earlier, f) for f in _COUNTER_FIELDS},
-            **{s: getattr(self, s).since(getattr(earlier, s)) for s in _STAGES},
-        )
-
     def merge(self, other: "RouterStats") -> "RouterStats":
         """Pool another snapshot in (fleet aggregation over namespaces):
         counters and histogram counts add, the peak stays a max."""
@@ -561,12 +549,12 @@ class AsyncSelectionRouter:
         return {**self.service.stats(), **self.router_stats().summary()}
 
     def router_stats(self) -> RouterStats:
-        """A copy of the raw router counters (diffable via ``since``)."""
+        """A copy of the raw router counters."""
         with self._stats_lock:
             return self._stats.copy()
 
     def stats_snapshot(self) -> tuple[ServiceStats, RouterStats]:
-        """Paired (service, router) snapshots, e.g. to diff a replay."""
+        """Paired (service, router) snapshots, as ``/v1/stats`` pools them."""
         return self.service.stats_snapshot(), self.router_stats()
 
     def fit_cost_summary(self) -> dict[str, float]:

@@ -381,7 +381,7 @@ class SelectionService:
         """Answer one protocol request with its typed protocol response.
 
         This is the in-process face of the v1 wire protocol: the gateway,
-        the HTTP front door, and workload replay all funnel through the
+        the HTTP front door, and ``repro rank`` all funnel through the
         same ``build`` constructors, so a response served over the wire
         is byte-identical to one built here.
         """
@@ -478,14 +478,10 @@ class SelectionService:
             self.registry.delete(target, self.strategy)
 
     def stats(self) -> dict[str, float]:
-        """Counter + latency summary since construction (or last reset)."""
+        """Counter + latency summary since construction."""
         return self.stats_snapshot().summary()
 
     def stats_snapshot(self) -> ServiceStats:
-        """A copy of the raw counters, e.g. to diff around a workload."""
+        """A copy of the raw counters (diffable via ``ServiceStats.since``)."""
         with self._lock:
             return self._stats.copy()
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._stats = ServiceStats()

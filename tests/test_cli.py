@@ -27,23 +27,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--modality", "audio", "stats"])
 
-    def test_serve_sim_concurrency_arguments(self):
-        args = build_parser().parse_args(
-            ["serve-sim", "--concurrency", "8", "--max-pending-fits", "2",
-             "--partition"])
-        assert args.concurrency == 8
-        assert args.max_pending_fits == 2
-        assert args.partition is True
-
-    def test_serve_sim_concurrency_defaults_serial(self):
-        args = build_parser().parse_args(["serve-sim"])
-        assert args.concurrency == 1
-        assert args.partition is False
-
-    def test_serve_sim_rejects_zero_concurrency(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve-sim", "--concurrency", "0"])
-
     def test_registry_gc_arguments(self, tmp_path):
         args = build_parser().parse_args(
             ["registry-gc", "--registry-dir", str(tmp_path), "--dry-run"])
@@ -116,15 +99,6 @@ class TestCommands:
                                  "--predictor", "lr"]) == 0
         out = capsys.readouterr().out
         assert "top 2 models for caltech101" in out
-
-    def test_serve_sim_concurrent(self, capsys, tmp_path):
-        assert main(self.ARGS + ["serve-sim", "--queries", "6",
-                                 "--predictor", "lr", "--concurrency", "3",
-                                 "--registry-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "18 queries over 3 async clients" in out
-        assert "coalesced" in out
-        assert "peak fit queue" in out
 
     def test_registry_gc(self, capsys, tmp_path):
         # A junk namespace that no live config can ever match.
@@ -413,13 +387,6 @@ class TestStrategyCommands:
         registry = ArtifactRegistry(tmp_path)
         assert len(registry.targets(get_strategy("random"))) == 3
 
-    def test_serve_sim_with_strategy(self, capsys, tmp_path):
-        assert main(self.ARGS + ["serve-sim", "--queries", "6",
-                                 "--strategy", "random",
-                                 "--registry-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "(Random," in out
-
     def test_registry_gc_gateway_layout(self, capsys, tmp_path):
         # a namespace shard holding one junk fingerprint directory
         junk = tmp_path / "img" / "deadbeefdeadbeefdead" / "sometarget"
@@ -512,10 +479,12 @@ class TestServedEvaluateCommand:
         import json
 
         out = tmp_path / "BENCH_compare.json"
+        traces = tmp_path / "traces.jsonl"
         assert main(["--scale", "tiny", "--seed", "7", "evaluate",
                      "--served", "--predictor", "lr",
                      "--strategy", "logme", "--strategy", "random",
-                     "--top-k", "3", "--output", str(out)]) == 0
+                     "--top-k", "3", "--output", str(out),
+                     "--trace-out", str(traces)]) == 0
         printed = capsys.readouterr().out
         assert "served comparison" in printed
         assert "reference tg:lr,n2v,all" in printed
@@ -534,11 +503,40 @@ class TestServedEvaluateCommand:
         assert reference["mean_pearson"] == 1.0
         assert reference["mean_top_k_overlap"] == 1.0
 
+        # --trace-out: one JSON line per compared target, nothing else
+        records = [json.loads(line)
+                   for line in traces.read_text().splitlines()]
+        assert len(records) == len(report["targets"])
+        assert all(r["endpoint"] == "compare" for r in records)
+        assert f"wrote {len(records)} traces to {traces}" in printed
+
 
 class TestServeFleetOnlyFlags:
     """`--fit-timeout` and `--fleet-secret` act only on a fit fleet, so
     without `--fleet-listen` they are a usage error, not silently
-    ignored."""
+    ignored.  `--warmup` with `--fleet-listen` is one too: warmup would
+    fit before any fit-worker could register."""
+
+    def test_warmup_with_fleet_listen_exits_2(self, capsys, monkeypatch,
+                                              tmp_path):
+        import repro.fleet
+        import repro.zoo
+
+        def refuse(what):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"serve {what} before rejecting "
+                                     f"--warmup with --fleet-listen")
+            return fail
+
+        monkeypatch.setattr(repro.fleet, "FleetCoordinator",
+                            refuse("started a coordinator"))
+        monkeypatch.setattr(repro.zoo, "get_or_build_zoo",
+                            refuse("loaded a zoo"))
+        assert main(["serve", "--port", "0", "--registry-dir", str(tmp_path),
+                     "--fleet-listen", "127.0.0.1:0", "--warmup"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "--warmup" in err and "--fleet-listen" in err
 
     @pytest.mark.parametrize("flags", [
         ["--fit-timeout", "5"],

@@ -12,7 +12,6 @@ from repro.obs import (
     Observability,
     annotate,
     current_trace,
-    format_event_human,
     record_cache,
     run_in_context,
     set_outcome,
@@ -111,7 +110,7 @@ class TestOutcomes:
 
 class TestRequestContext:
     def test_nested_request_reuses_the_outer_trace(self):
-        """A replay wrapping a gateway that traces internally must not
+        """A caller wrapping a gateway that traces internally must not
         double-count the request."""
         obs = Observability()
         with obs.request("rank", request_id="outer") as outer:
@@ -201,13 +200,3 @@ class TestEventLog:
                          "strategy=logme", "rid=rid-9"):
             assert fragment in line
 
-    def test_summary_events_share_the_formatter(self):
-        stream = io.StringIO()
-        log = EventLog(stream, json_lines=True)
-        log.emit_summary("serve-sim", p50_ms=1.5, queries=6)
-        event = json.loads(stream.getvalue())
-        assert event == {"event": "summary", "kind": "serve-sim",
-                         "p50_ms": 1.5, "queries": 6}
-        human = format_event_human(event)
-        assert human.startswith("[summary:serve-sim]")
-        assert "p50_ms=1.5" in human

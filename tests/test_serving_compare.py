@@ -26,13 +26,10 @@ from repro.serving import (
     UnknownStrategyError,
     UnknownTargetError,
     build_comparisons,
-    generate_workload,
     message_from_json,
     ranking_metrics,
-    replay_concurrent,
     served_evaluation,
     write_report,
-    WorkloadConfig,
 )
 
 from serving_stubs import (
@@ -520,45 +517,6 @@ class TestServedEvaluation:
         assert json.loads(text) == report
         # stable bytes: keys are sorted, so identical reports diff clean
         assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-# ---------------------------------------------------------------------- #
-# compare traffic in synthetic workloads
-# ---------------------------------------------------------------------- #
-class TestWorkloadCompare:
-    def test_generate_mixes_compare_requests(self):
-        gateway = compare_gateway()
-        try:
-            zoo = gateway.service("alpha").zoo
-            workload = generate_workload(
-                zoo, WorkloadConfig(num_queries=40, batch_fraction=0.2,
-                                    compare_fraction=0.3, seed=1),
-                namespace="alpha")
-            compares = [r for r in workload
-                        if isinstance(r, CompareRequest)]
-            assert 0 < len(compares) < 40
-            summary = replay_concurrent(gateway, workload, clients=2)
-            assert summary["queries"] > 0
-        finally:
-            gateway.close()
-
-    def test_fractions_must_fit_in_one(self):
-        with pytest.raises(ValueError, match="not exceed 1"):
-            WorkloadConfig(batch_fraction=0.8, compare_fraction=0.3)
-
-    def test_compare_fraction_zero_keeps_streams_identical(self):
-        gateway = compare_gateway()
-        try:
-            zoo = gateway.service("alpha").zoo
-        finally:
-            gateway.close()
-        plain = generate_workload(zoo, WorkloadConfig(num_queries=20,
-                                                      seed=3))
-        explicit = generate_workload(
-            zoo, WorkloadConfig(num_queries=20, compare_fraction=0.0,
-                                seed=3))
-        assert [r.to_json() for r in plain] == \
-            [r.to_json() for r in explicit]
 
 
 # ---------------------------------------------------------------------- #

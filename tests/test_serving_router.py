@@ -18,10 +18,7 @@ from repro.serving import (
     QueueFullError,
     RouterStats,
     SelectionService,
-    WorkloadConfig,
-    generate_workload,
-    replay_async,
-    replay_concurrent,
+    ServiceStats,
 )
 
 from serving_stubs import stub_service
@@ -282,7 +279,7 @@ class TestCorrectness:
             assert key in stats
 
     def test_router_reusable_across_event_loops(self):
-        """serve-sim style: sequential asyncio.run calls on one router."""
+        """Sequential asyncio.run calls on one router, as a script makes."""
         router = AsyncSelectionRouter(stub_service())
         first = run(router.rank("t0"))
         second = run(router.rank("t0"))
@@ -300,100 +297,27 @@ class TestCorrectness:
 
 
 # ---------------------------------------------------------------------- #
-# async workload replay
-# ---------------------------------------------------------------------- #
-class TestAsyncReplay:
-    def test_shared_replay_coalesces_fits(self, tiny_image_zoo, lr_config):
-        """8 clients replaying one stream cost one fit per cold target."""
-        workload = generate_workload(
-            tiny_image_zoo, WorkloadConfig(num_queries=20, seed=3))
-        router = AsyncSelectionRouter(
-            SelectionService(tiny_image_zoo, lr_config))
-        summary = replay_concurrent(router, workload, clients=8)
-        router.close()
-        assert summary["queries"] == 8 * 20
-        assert summary["fits"] == len({q.target for q in workload})
-        assert summary["coalesced"] > 0
-        assert summary["retries"] == 0
-
-    def test_partitioned_replay_splits_traffic(self):
-        service = stub_service()
-        workload = [q for t in ("t0", "t1", "t2", "t3") for q in
-                    generate_workload(service.zoo, WorkloadConfig(
-                        num_queries=3, batch_fraction=0.0, seed=1))]
-        router = AsyncSelectionRouter(service)
-        summary = replay_concurrent(router, workload, clients=3,
-                                    partition=True)
-        router.close()
-        assert summary["queries"] == len(workload)
-        assert summary["clients"] == 3
-
-    def test_replay_retries_shed_queries(self):
-        """With a tiny queue, shed queries retry and eventually land."""
-        service = stub_service(fit_seconds=0.05)
-        router = AsyncSelectionRouter(service, max_pending_fits=1,
-                                      retry_after_s=0.02)
-        from repro.serving import RankRequest
-        workload = [RankRequest(target=t) for t in
-                    ("t0", "t1", "t2", "t3")]
-        summary = replay_concurrent(router, workload, clients=4)
-        router.close()
-        assert summary["queries"] == 16
-        assert summary["fits"] == 4
-        assert summary["retries"] == summary["rejections"]
-        assert summary["peak_pending_fits"] == 1
-
-    def test_replay_async_runs_inside_existing_loop(self):
-        router = AsyncSelectionRouter(stub_service())
-        from repro.serving import RankRequest
-        workload = [RankRequest(target="t0")]
-
-        async def drive():
-            return await replay_async(router, workload, clients=2)
-
-        summary = run(drive())
-        router.close()
-        assert summary["queries"] == 2
-
-
-# ---------------------------------------------------------------------- #
-# RouterStats arithmetic
+# stats arithmetic
 # ---------------------------------------------------------------------- #
 class TestRouterStats:
-    def test_since_subtracts_counters_and_slices_latencies(self):
-        stats = RouterStats()
-        stats.requests, stats.coalesced = 10, 4
-        stats.record_latency("fit_ms", 1.0)
-        stats.record_latency("fit_ms", 2.0)
-        earlier = stats.copy()
-        stats.requests, stats.coalesced = 15, 6
-        stats.record_latency("fit_ms", 3.0)
-        stats.record_latency("fit_ms", 4.0)
-        delta = stats.since(earlier)
-        assert delta.requests == 5
-        assert delta.coalesced == 2
-        assert delta.fit_ms.count == 2
-        # nearest rank over {3, 4}: p50 = 3, p95 = 4, each read at most
-        # one 9.1%-wide bucket high
-        summary = delta.summary()
-        assert 3.0 <= summary["fit_p50_ms"] <= 3.0 * 2 ** (1 / 8)
-        assert summary["fit_p95_ms"] == 4.0
-
     def test_since_survives_window_wrap(self):
-        """10,000 samples before the snapshot (a full former rolling
-        window) must not leak into the delta's counts or percentiles."""
-        stats = RouterStats()
+        """A router's paired snapshot diffs its service half through
+        ``ServiceStats.since`` (the served evaluation's warm-latency
+        window): 10,000 samples before the snapshot (a full former
+        rolling window) must not leak into the delta's counts or
+        percentiles."""
+        stats = ServiceStats()
         for i in range(10_000):
-            stats.record_latency("predict_ms", float(i))
+            stats.latencies_ms.observe(float(i))
         earlier = stats.copy()
         for i in range(500):
-            stats.record_latency("predict_ms", 1000.0 + i)
+            stats.latencies_ms.observe(1000.0 + i)
         delta = stats.since(earlier)
-        assert delta.predict_ms.count == 500
-        summary = delta.summary()
+        assert delta.latencies_ms.count == 500
+        summary = delta.latency_summary()
         # nearest rank over 1000..1499: p50 = 1249, p95 = 1474
-        assert 1249.0 <= summary["predict_p50_ms"] <= 1249.0 * 2 ** (1 / 8)
-        assert 1474.0 <= summary["predict_p95_ms"] <= 1474.0 * 2 ** (1 / 8)
+        assert 1249.0 <= summary["p50_ms"] <= 1249.0 * 2 ** (1 / 8)
+        assert 1474.0 <= summary["p95_ms"] <= 1474.0 * 2 ** (1 / 8)
 
     def test_summary_handles_empty_latencies(self):
         summary = RouterStats().summary()
@@ -508,10 +432,7 @@ class TestFailedWaits:
         assert stats["rejections"] == 1
 
     def test_failed_waits_in_summary_and_since(self):
-        earlier = RouterStats()
         later = RouterStats(failed_waits=2, coalesced=5)
-        delta = later.since(earlier)
-        assert delta.failed_waits == 2
         assert later.summary()["failed_waits"] == 2
         merged = RouterStats().merge(later)
         assert merged.failed_waits == 2

@@ -1,16 +1,12 @@
 """SelectionService: cache accounting, invalidation, rank correctness."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import FeatureSet, TransferGraphConfig
-from repro.serving import (
-    ArtifactRegistry,
-    SelectionService,
-    WorkloadConfig,
-    generate_workload,
-    replay,
-)
+from repro.serving import ArtifactRegistry, SelectionService
 from repro.strategies import TransferGraphStrategy
 
 
@@ -140,8 +136,16 @@ class TestRegistryWarmStart:
         target = tiny_image_zoo.target_names()[0]
 
         first = SelectionService(tiny_image_zoo, lr_config, registry=registry)
-        served = first.rank(target)
-        assert first.stats()["fits"] == 1
+        seconds, rankings = [], []
+        for _ in range(6):  # one cold fit, then five warm ranks
+            started = time.perf_counter()
+            rankings.append(first.rank(target))
+            seconds.append(time.perf_counter() - started)
+        served = rankings[0]
+        assert all(ranking == served for ranking in rankings)
+        assert first.stats()["fits"] == 1  # a warm rank never refits
+        cold_s, warm_s = seconds[0], min(seconds[1:])
+        assert cold_s >= 10 * warm_s, (cold_s, warm_s)
 
         second = SelectionService(tiny_image_zoo, lr_config,
                                   registry=registry)
@@ -167,38 +171,3 @@ class TestRegistryWarmStart:
         stats = service.stats()
         assert stats["fits"] == len(targets)
         assert stats["cache_hits"] == 1
-
-
-class TestWorkload:
-    def test_generate_is_reproducible(self, tiny_image_zoo):
-        config = WorkloadConfig(num_queries=50, seed=13)
-        a = generate_workload(tiny_image_zoo, config)
-        b = generate_workload(tiny_image_zoo, config)
-        assert a == b
-        assert len(a) == 50
-        kinds = {q.kind for q in a}
-        assert kinds <= {"rank", "score_batch"}
-
-    def test_replay_reports_only_its_own_traffic(self, tiny_image_zoo,
-                                                 lr_config):
-        """Warmup fits must not deflate the replayed workload's stats."""
-        service = SelectionService(tiny_image_zoo, lr_config)
-        service.warmup()
-        workload = generate_workload(
-            tiny_image_zoo, WorkloadConfig(num_queries=20, seed=9))
-        summary = replay(service, workload)
-        assert summary["queries"] == 20
-        assert summary["fits"] == 0
-        assert summary["cache_misses"] == 0
-        assert summary["hit_rate"] == 1.0
-
-    def test_replay_reports_hit_rate(self, tiny_image_zoo, lr_config):
-        service = SelectionService(tiny_image_zoo, lr_config)
-        workload = generate_workload(
-            tiny_image_zoo, WorkloadConfig(num_queries=30, seed=5))
-        summary = replay(service, workload)
-        assert summary["queries"] == 30
-        assert summary["fits"] <= len(tiny_image_zoo.target_names())
-        assert summary["hit_rate"] > 0.5
-        assert summary["qps"] > 0
-        assert summary["p95_ms"] >= summary["p50_ms"]
