@@ -2,9 +2,10 @@
 
 Not a paper figure: the tracing/metrics plane rides every request, so
 its cost must be provably negligible.  Two gateways serve the same tiny
-zoo, one with the live :class:`~repro.obs.Observability` plane (metrics
-+ trace ring, no event log — the serve default), one with
-:class:`~repro.obs.NullObservability` (every hook stubbed).  Both warm
+zoo, one with the live :class:`~repro.obs.Observability` plane (request
+traces and metrics, no event log; ``repro serve`` also logs one event
+per request), one with :class:`~repro.obs.NullObservability` (every
+hook stubbed).  Both warm
 one target, then answer the same warm ``rank`` stream; the instrumented
 p95 must stay within 5% of the no-op p95 (plus a small absolute floor —
 warm ranks are single-digit milliseconds, where scheduler jitter alone

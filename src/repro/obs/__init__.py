@@ -11,9 +11,15 @@ needs but none should own:
   mints/propagates a ``request_id``, binds a :class:`~repro.obs.trace.Trace`
   into the ambient context (so ``span("fit.walks")`` deep inside a
   strategy lands on the right request), and on exit folds the trace into
-  metrics, the event log, and the trace ring;
+  the request metrics, the event log, and any registered trace sink;
 - an :class:`~repro.obs.events.EventLog` (human or ``--log-json``) with a
   slow-request threshold that dumps the full span tree.
+
+Counts the serving layer already keeps are not counted twice: queue
+depth and cache lookups are read from each strategy's serving record at
+scrape time (:meth:`Observability.watch_queue_depth`,
+:meth:`Observability.watch_cache_lookups`), so ``/v1/metrics`` and
+``/v1/stats`` agree, warmup and compare lookups included.
 
 :class:`NullObservability` is the same surface with every hook stubbed —
 it is both the "tracing off" mode and the control arm of
@@ -23,7 +29,6 @@ it is both the "tracing off" mode and the control arm of
 from __future__ import annotations
 
 import threading
-from collections import deque
 from contextlib import contextmanager
 
 from .events import (
@@ -42,20 +47,20 @@ from .trace import (
     Span,
     Trace,
     activate,
-    annotate,
     current_trace,
     deactivate,
     graft_spans,
+    mark_strategy,
     new_request_id,
-    record_cache,
     run_in_context,
     set_outcome,
     span,
+    stage_strategy,
 )
 
 __all__ = [
     "Observability", "NullObservability", "MetricsRegistry", "EventLog",
-    "Trace", "Span", "span", "annotate", "set_outcome", "record_cache",
+    "Trace", "Span", "span", "set_outcome", "mark_strategy",
     "current_trace", "run_in_context", "graft_spans", "new_request_id",
     "request_event", "format_event_human",
     "format_event_json", "OUTCOME_SEVERITY",
@@ -65,18 +70,9 @@ __all__ = [
 class Observability:
     """The live observability plane shared by one gateway/process."""
 
-    def __init__(
-        self,
-        *,
-        event_log: EventLog | None = None,
-        trace_capacity: int = 512,
-        request_id_factory=new_request_id,
-    ):
+    def __init__(self, *, event_log: EventLog | None = None):
         self.metrics = MetricsRegistry()
         self.event_log = event_log
-        self.new_request_id = request_id_factory
-        # guarded by: self._trace_lock
-        self._traces: deque[dict] = deque(maxlen=trace_capacity)
         self._trace_lock = threading.Lock()
         self._trace_sinks: list = []  # guarded by: self._trace_lock
 
@@ -94,7 +90,8 @@ class Observability:
         )
         self.cache_lookups = m.counter(
             "repro_cache_lookups_total",
-            "Warm-cache lookups by result (hit/miss).",
+            "Warm-cache lookups by result (hit/miss), warmup and compare "
+            "traffic included.",
             ("namespace", "strategy", "result"),
         )
         self.fit_stage = m.histogram(
@@ -144,7 +141,7 @@ class Observability:
             yield outer
             return
         trace = Trace(
-            request_id or self.new_request_id(),
+            request_id or new_request_id(),
             endpoint,
             namespace=namespace,
             strategy=strategy,
@@ -168,26 +165,20 @@ class Observability:
         self.request_latency.labels(trace.endpoint, trace.namespace).observe(
             trace.duration_ms
         )
-        record = trace.to_dict()
         with self._trace_lock:
-            self._traces.append(record)
             sinks = list(self._trace_sinks)
-        for sink in sinks:
-            sink(record)
+        if sinks:
+            record = trace.to_dict()
+            for sink in sinks:
+                sink(record)
         if self.event_log is not None:
             self.event_log.emit_request(trace)
 
     # -- hooks called from trace helpers -------------------------------- #
     def observe_stage(self, trace: Trace, name: str, duration_ms: float) -> None:
         if name.startswith("fit."):
-            self.fit_stage.labels(trace.namespace, trace.strategy, name).observe(
-                duration_ms
-            )
-
-    def record_cache(self, trace: Trace, hit: bool) -> None:
-        self.cache_lookups.labels(
-            trace.namespace, trace.strategy, "hit" if hit else "miss"
-        ).inc()
+            strategy = stage_strategy(trace)
+            self.fit_stage.labels(trace.namespace, strategy, name).observe(duration_ms)
 
     # -- standalone hooks ------------------------------------------------ #
     def record_http_response(self, path: str, status: int) -> None:
@@ -197,6 +188,14 @@ class Observability:
         """Export ``fn()`` (live queue depth) as a gauge, lazily read at
         scrape time."""
         self.queue_depth.labels(namespace, strategy).set_function(fn)
+
+    def watch_cache_lookups(self, namespace: str, strategy: str, fn) -> None:
+        """Export ``fn() -> (hits, misses)`` (the strategy's serving
+        record) as the lookup counters, lazily read at scrape time."""
+        for index, result in enumerate(("hit", "miss")):
+            self.cache_lookups.labels(namespace, strategy, result).set_function(
+                lambda i=index: fn()[i]
+            )
 
     def watch_fleet_workers(self, fn) -> None:
         """Export ``fn()`` (live fleet size) as a gauge, lazily read at
@@ -211,13 +210,6 @@ class Observability:
         """``sink(record: dict)`` is called for every finished trace."""
         with self._trace_lock:
             self._trace_sinks.append(sink)
-
-    def drain_traces(self) -> list[dict]:
-        """Remove and return the buffered trace records, oldest first."""
-        with self._trace_lock:
-            records = list(self._traces)
-            self._traces.clear()
-        return records
 
     def render_metrics(self) -> str:
         return self.metrics.render()
@@ -248,15 +240,15 @@ class _NullFamily:
 class NullObservability:
     """Same surface as :class:`Observability`, every hook a no-op.
 
-    Requests still get ids (callers may echo them) but no trace is bound,
-    so ``span()``/``record_cache()`` stay on their no-trace fast path —
-    this is the baseline arm of the overhead benchmark.
+    No trace is bound, so ``span()``/``set_outcome()`` stay on their
+    no-trace fast path, and nothing is collected — this is the baseline
+    arm of the overhead benchmark.  The serving records behind
+    ``/v1/stats`` do not go through this plane, so they keep counting.
     """
 
-    def __init__(self, *, request_id_factory=new_request_id, **_):
+    def __init__(self):
         self.metrics = MetricsRegistry()
         self.event_log = None
-        self.new_request_id = request_id_factory
         null = _NullFamily()
         self.requests_total = self.request_latency = null
         self.cache_lookups = self.fit_stage = null
@@ -277,13 +269,13 @@ class NullObservability:
     def observe_stage(self, trace, name, duration_ms) -> None:
         pass
 
-    def record_cache(self, trace, hit) -> None:
-        pass
-
     def record_http_response(self, path, status) -> None:
         pass
 
     def watch_queue_depth(self, namespace, strategy, fn) -> None:
+        pass
+
+    def watch_cache_lookups(self, namespace, strategy, fn) -> None:
         pass
 
     def watch_fleet_workers(self, fn) -> None:
@@ -294,9 +286,6 @@ class NullObservability:
 
     def add_trace_sink(self, sink) -> None:
         pass
-
-    def drain_traces(self) -> list[dict]:
-        return []
 
     def render_metrics(self) -> str:
         return self.metrics.render()

@@ -28,7 +28,7 @@ __all__ = [
 
 def request_event(trace: Trace) -> dict:
     """The per-request event record derived from a finished trace."""
-    event = {
+    return {
         "event": "request",
         "request_id": trace.request_id,
         "endpoint": trace.endpoint,
@@ -38,9 +38,6 @@ def request_event(trace: Trace) -> dict:
         "duration_ms": round(trace.duration_ms, 3),
         "stages": trace.stage_totals(),
     }
-    if trace.metadata:
-        event.update({k: v for k, v in trace.metadata.items() if k not in event})
-    return event
 
 
 def format_event_json(event: dict) -> str:

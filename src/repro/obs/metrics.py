@@ -17,12 +17,14 @@ plane needs:
   cumulative ``_bucket{le=...}`` plus ``_sum``/``_count``), which is
   what ``GET /v1/metrics`` serves.
 
-Gauges additionally accept a zero-arg callback
-(:meth:`_Gauge.set_function`) evaluated at render time — how queue
-depth is exported without the router pushing a sample per admission.
+Counters and gauges additionally accept a zero-arg callback
+(:meth:`Counter.set_function`, :meth:`Gauge.set_function`) evaluated at
+render time — how queue depth and cache lookups are exported from the
+serving layer's own record without a second sample per event.
 
 A :class:`Histogram` on :data:`PERCENTILE_BUCKETS_MS` is also the
-serving stack's only latency record: it reads percentiles from its
+latency type of each strategy's serving record
+(:class:`repro.serving.ServiceStats`): it reads percentiles from its
 bucket counts, which add (``merge``) and subtract (``since``) exactly.
 """
 
@@ -166,10 +168,11 @@ class _Family:
 class Counter:
     """A monotonically increasing sample (one labeled series)."""
 
-    __slots__ = ("_value", "_lock")
+    __slots__ = ("_value", "_fn", "_lock")
 
     def __init__(self):
         self._value = 0.0
+        self._fn = None
         self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
@@ -178,10 +181,19 @@ class Counter:
         with self._lock:
             self._value += amount
 
+    def set_function(self, fn) -> None:
+        """Evaluate ``fn()`` (itself monotonic) at render time instead of
+        a stored value."""
+        with self._lock:
+            self._fn = fn
+
     @property
     def value(self) -> float:
         with self._lock:
-            return self._value
+            fn = self._fn
+            if fn is None:
+                return self._value
+        return float(fn())
 
     def render_series(self, name, labelnames, labelvalues):
         return [

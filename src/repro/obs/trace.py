@@ -12,8 +12,7 @@ Everything therefore keys off one :class:`contextvars.ContextVar`:
 
 - :func:`span` returns a context manager that is a no-op unless a trace
   is active (one ``ContextVar.get`` on the fast path);
-- :func:`set_outcome` / :func:`record_cache` likewise vanish without an
-  active trace;
+- :func:`set_outcome` likewise vanishes without an active trace;
 - the serving layers never hold an observability handle on their hot
   paths — the request context (opened by the gateway) *is* the
   handle.
@@ -23,6 +22,13 @@ router copies its context before submitting to an executor
 (:func:`run_in_context`); spans recorded inside a fit job then attach to
 the originating request's trace.  Trace mutation is lock-guarded — the
 fit pool and the event loop may append concurrently.
+
+One trace can span several strategies: a compare fans one request out
+over a namespace's strategy map.  Each fanned-out task marks its own
+context with its spec (:func:`mark_strategy`), so the fit stages it
+runs — on the event loop, a fit thread, or grafted from a fit worker —
+are labelled with the strategy that ran them (:func:`stage_strategy`),
+not with the compare's.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ __all__ = [
     "span",
     "current_trace",
     "set_outcome",
-    "annotate",
-    "record_cache",
+    "mark_strategy",
+    "stage_strategy",
     "run_in_context",
     "graft_spans",
     "new_request_id",
@@ -62,6 +68,8 @@ _current_trace: contextvars.ContextVar["Trace | None"] = \
     contextvars.ContextVar("repro_obs_trace", default=None)
 _current_span: contextvars.ContextVar["Span | None"] = \
     contextvars.ContextVar("repro_obs_span", default=None)
+_strategy_mark: contextvars.ContextVar["str | None"] = \
+    contextvars.ContextVar("repro_obs_strategy", default=None)
 
 
 def new_request_id() -> str:
@@ -112,7 +120,6 @@ class Trace:
         #: the Observability plane collecting this trace (or None)
         self.obs = obs
         self.outcome = "ok"
-        self.metadata: dict[str, object] = {}
         self.started_at = time.time()
         self.root = Span(endpoint)
         self._lock = threading.Lock()
@@ -126,10 +133,6 @@ class Trace:
         with self._lock:
             if OUTCOME_SEVERITY.get(outcome, 0) > OUTCOME_SEVERITY.get(self.outcome, 0):
                 self.outcome = outcome
-
-    def annotate(self, **fields) -> None:
-        with self._lock:
-            self.metadata.update(fields)
 
     def finish(self) -> None:
         self.root.finish()
@@ -163,7 +166,7 @@ class Trace:
 
     def to_dict(self) -> dict:
         """The full trace record (what ``--trace-out`` writes per line)."""
-        out = {
+        return {
             "request_id": self.request_id,
             "endpoint": self.endpoint,
             "namespace": self.namespace,
@@ -174,9 +177,6 @@ class Trace:
             "stages": self.stage_totals(),
             "spans": self.span_tree(),
         }
-        if self.metadata:
-            out["metadata"] = dict(self.metadata)
-        return out
 
 
 class _ActiveSpan:
@@ -243,21 +243,20 @@ def set_outcome(outcome: str) -> None:
         trace.raise_outcome(outcome)
 
 
-def annotate(**fields) -> None:
-    """Attach metadata to the active request's trace; no-op without one."""
-    trace = _current_trace.get()
-    if trace is not None:
-        trace.annotate(**fields)
+def mark_strategy(spec: str) -> None:
+    """Label the fit stages this context runs with ``spec``.
+
+    Call it inside a task of its own (each ``asyncio.gather`` subtask
+    runs in a copy of the context), so the mark stays with that task and
+    whatever it hands to :func:`run_in_context`.
+    """
+    _strategy_mark.set(spec)
 
 
-def record_cache(hit: bool) -> None:
-    """Count one warm-cache lookup against the active request's plane."""
-    trace = _current_trace.get()
-    if trace is not None:
-        if hit:
-            trace.raise_outcome("warm")
-        if trace.obs is not None:
-            trace.obs.record_cache(trace, hit)
+def stage_strategy(trace: Trace) -> str:
+    """The strategy a stage recorded now belongs to: this context's mark,
+    else the trace's own label."""
+    return _strategy_mark.get() or trace.strategy
 
 
 def graft_spans(records: list[dict]) -> None:

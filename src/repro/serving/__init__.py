@@ -12,8 +12,8 @@ true operationally:
 - :mod:`repro.serving.service` — :class:`SelectionService`, the LRU
   warm-start facade (one per served
   :class:`~repro.strategies.SelectionStrategy`) caching each fitted
-  target's whole :class:`Answer`, with per-query latency/hit-rate
-  counters;
+  target's whole :class:`Answer`, and its :class:`ServiceStats` — the
+  strategy's one serving record, which its router writes into too;
 - :mod:`repro.serving.router` — :class:`AsyncSelectionRouter`, the
   asyncio front-end answering warm requests inline, with single-flight
   fit coalescing, parallel cold fits (in threads, or in worker
@@ -77,11 +77,7 @@ from repro.serving.compare import (
 )
 from repro.serving.registry import ArtifactRegistry
 from repro.fleet.errors import FitPlaneError, FitTimeoutError, FitWorkerCrashError
-from repro.serving.router import (
-    AsyncSelectionRouter,
-    QueueFullError,
-    RouterStats,
-)
+from repro.serving.router import AsyncSelectionRouter, QueueFullError
 from repro.serving.service import Answer, SelectionService, ServiceStats
 from repro.serving.gateway import (
     SelectionGateway,
@@ -128,7 +124,6 @@ __all__ = [
     "FitWorkerCrashError",
     "AsyncSelectionRouter",
     "QueueFullError",
-    "RouterStats",
     "Answer",
     "SelectionService",
     "ServiceStats",

@@ -17,7 +17,7 @@ module turns the comparison itself into a served workload:
   :meth:`SelectionGateway.compare`, and aggregate a machine-readable
   benchmark report (``BENCH_compare.json``) with per-strategy mean
   correlations, mean top-k overlap, and warm-rank latency percentiles
-  from the router's stats snapshots.  The CI benchmark gate
+  from each strategy's serving record.  The CI benchmark gate
   (``benchmarks/compare_gate.py``) consumes exactly this schema.
 
 Scores, not rank positions, feed the Pearson correlation (matching the
@@ -163,10 +163,10 @@ async def served_evaluation(
     if warm:
         await gateway.warmup(namespace)
 
-    all_specs = gateway.strategies(namespace)
-    before = {
-        spec: gateway.router(namespace, spec).stats_snapshot() for spec in all_specs
-    }
+    def latencies(spec: str):
+        return gateway.service(namespace, spec).stats_snapshot().latencies_ms
+
+    before = {spec: latencies(spec) for spec in gateway.strategies(namespace)}
     started = time.perf_counter()
     responses = [
         await gateway.compare(
@@ -206,9 +206,7 @@ async def served_evaluation(
 
     strategies_out: dict[str, dict] = {}
     for spec, row in sorted(per_strategy.items()):
-        service_b, _ = before[spec]
-        service_a, _ = gateway.router(namespace, spec).stats_snapshot()
-        warm = service_a.since(service_b).latencies_ms
+        warm = latencies(spec).since(before[spec])
         warm_p50, warm_p95 = warm.percentiles((50, 95))
         strategies_out[spec] = {
             "mean_pearson": _mean(row["pearson"]),

@@ -16,10 +16,15 @@ their optional ``strategy`` field selects:
   spec raises :class:`~repro.strategies.UnknownStrategyError` (the HTTP
   front door maps it to a typed 404 body), and unknown
   namespaces/targets/models keep their own typed errors;
-- :meth:`SelectionGateway.stats` merges every namespace's raw counter
-  snapshots — pooled across its strategies — into a fleet-wide summary
-  (percentiles of the pooled latency histograms, not averages of
-  per-namespace percentiles).
+- :meth:`SelectionGateway.stats` reads each strategy's one serving
+  record (:class:`~repro.serving.service.ServiceStats`) once, pools the
+  snapshots per namespace and fleet-wide (percentiles of the pooled
+  latency histograms, not averages of per-namespace percentiles), and
+  builds the per-strategy fit-cost block from the same snapshots;
+- ``/v1/metrics`` reads its cache-lookup counters and queue-depth
+  gauges from the same records at scrape time, so the two endpoints
+  agree; a compare's fan-out marks each strategy's task with its spec,
+  so the fits it runs are labelled with that strategy, not ``map``.
 
 Every (namespace, strategy) pair has its own router, so cold fits are
 admitted by one rule per pair: at most ``max_pending_fits`` pending,
@@ -55,7 +60,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.fleet.errors import FIT_RETRY_AFTER_S, RETRYABLE_FIT_ERRORS
-from repro.obs import Observability, set_outcome
+from repro.obs import Observability, mark_strategy, set_outcome
 from repro.serving.compare import build_comparisons
 from repro.serving.protocol import (
     DEFAULT_COMPARE_TOP_K,
@@ -68,7 +73,7 @@ from repro.serving.protocol import (
     StatsResponse,
 )
 from repro.serving.registry import ArtifactRegistry
-from repro.serving.router import AsyncSelectionRouter, QueueFullError, RouterStats
+from repro.serving.router import AsyncSelectionRouter, QueueFullError
 from repro.serving.service import SelectionService, ServiceStats
 from repro.strategies import (
     UnknownStrategyError,
@@ -284,6 +289,7 @@ class SelectionGateway:
             self.obs.watch_queue_depth(
                 name, strat.spec, lambda r=router: r.pending_fits
             )
+            self.obs.watch_cache_lookups(name, strat.spec, service.lookup_counts)
         ns.default_spec = resolved[0].spec
         self._namespaces[name] = ns
         return ns.entries[ns.default_spec].service
@@ -402,6 +408,7 @@ class SelectionGateway:
 
         async def fan_out(spec: str):
             """(ranking, None) or (None, retry hint) for one strategy."""
+            mark_strategy(spec)  # this task's fits are spec's, not "map"
             try:
                 return await ns.entries[spec].router.rank(request.target), None
             except QueueFullError as exc:
@@ -412,7 +419,8 @@ class SelectionGateway:
 
         # one trace covers the whole fan-out: gather's subtasks copy the
         # context at creation, so every strategy's fit/predict spans
-        # attach to this compare request (outcome = most severe fanned)
+        # attach to this compare request (outcome = most severe fanned),
+        # and each subtask's strategy mark stays its own
         with self.obs.request(
             "compare",
             namespace=ns.name,
@@ -427,13 +435,10 @@ class SelectionGateway:
                 rankings[spec] = ranking
             else:
                 sheds[spec] = retry_after_s
-        latencies = {}
-        for spec in specs:
-            service_snap, router_snap = ns.entries[spec].router.stats_snapshot()
-            latencies[spec] = {
-                **service_snap.latency_summary(),
-                **router_snap.latency_summary(),
-            }
+        latencies = {
+            spec: ns.entries[spec].service.stats_snapshot().latency_summary()
+            for spec in specs
+        }
         results = build_comparisons(
             rankings, sheds, reference=reference, top_k=top_k, latencies=latencies
         )
@@ -472,47 +477,38 @@ class SelectionGateway:
     def stats(self) -> StatsResponse:
         """Per-namespace summaries + fleet-wide aggregate.
 
-        Each namespace row pools its strategies' *raw* snapshots, and
-        the fleet row pools every namespace — counters and latency
-        histogram counts add — so every percentile is read from the
-        pooled bucket counts of every query since process start, not
-        averaged from partial percentiles.  The additive ``strategies``
-        block breaks each namespace down by spec with its *measured*
-        fit cost (``fit_ms_p50``/``fit_ms_p95``).
+        Each strategy's serving record is copied once.  A namespace row
+        pools its strategies' copies and the fleet row pools every
+        namespace — counters and latency histogram counts add,
+        ``peak_pending_fits`` is the highest any one router reached — so
+        every percentile is read from the pooled bucket counts of every
+        query since process start, not averaged from partial
+        percentiles.  The additive ``strategies`` block breaks each
+        namespace down by spec with its *measured* fit cost
+        (``fit_ms_p50``/``fit_ms_p95``), read from the same copies.
         """
         per_namespace: dict[str, dict[str, float]] = {}
-        fleet_service, fleet_router = ServiceStats(), RouterStats()
+        strategies: dict[str, dict[str, dict[str, float]]] = {}
+        fleet = ServiceStats()
         for name, ns in sorted(self._namespaces.items()):
-            ns_service, ns_router = ServiceStats(), RouterStats()
-            for entry in ns.entries.values():
-                service_snap, router_snap = entry.router.stats_snapshot()
-                ns_service.merge(service_snap)
-                ns_router.merge(router_snap)
-            per_namespace[name] = {**ns_service.summary(), **ns_router.summary()}
-            fleet_service.merge(ns_service)
-            fleet_router.merge(ns_router)
-        fleet = {
-            **fleet_service.summary(),
-            **fleet_router.summary(),
-            "namespaces": float(len(self._namespaces)),
-        }
+            pooled = ServiceStats()
+            strategies[name] = {}
+            for spec in ns.specs():
+                snapshot = ns.entries[spec].service.stats_snapshot()
+                pooled.merge(snapshot)
+                strategies[name][spec] = snapshot.fit_cost()
+            per_namespace[name] = pooled.summary()
+            fleet.merge(pooled)
         return StatsResponse(
-            namespaces=per_namespace, fleet=fleet, strategies=self.fit_costs()
+            namespaces=per_namespace,
+            fleet={**fleet.summary(), "namespaces": float(len(per_namespace))},
+            strategies=strategies,
         )
 
     def fit_costs(self) -> dict[str, dict[str, dict[str, float]]]:
-        """Measured per-strategy fit cost: namespace -> spec -> summary.
-
-        Embedded in ``/v1/stats`` (the ``strategies`` block) and the
-        healthz listing: the fit latency each strategy's router observed.
-        """
-        return {
-            name: {
-                spec: ns.entries[spec].router.fit_cost_summary()
-                for spec in ns.specs()
-            }
-            for name, ns in sorted(self._namespaces.items())
-        }
+        """Measured per-strategy fit cost (namespace -> spec -> summary),
+        as healthz lists it: the ``strategies`` block of :meth:`stats`."""
+        return self.stats().strategies
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -91,7 +91,7 @@ import math
 import re
 
 from repro.fleet.errors import FIT_RETRY_AFTER_S, RETRYABLE_FIT_ERRORS
-from repro.obs import EXPOSITION_CONTENT_TYPE
+from repro.obs import EXPOSITION_CONTENT_TYPE, new_request_id
 from repro.serving.gateway import (
     SelectionGateway,
     UnknownModelError,
@@ -472,7 +472,7 @@ class GatewayHTTPServer:
         """
         rid = request.request_id or headers.get("x-request-id")
         if not rid:
-            return self.gateway.obs.new_request_id()
+            return new_request_id()
         if not _HEADER_SAFE_ID.fullmatch(rid):
             raise _bad_request("request_id must be visible ASCII (0x21-0x7E)")
         return rid

@@ -42,12 +42,12 @@ loop:
   :class:`QueueFullError`, whose ``retry_after_s`` hint is derived from
   the p95 of every timed fit; :meth:`AsyncSelectionRouter.warmup` waits
   for a slot instead;
-- **router stats** — coalesced-request count, rejections, peak queue
-  depth, and per-stage latency histograms (queue wait / fit / inline
-  answer, the last still reported as ``predict_*``), merged with the
-  service's counters by :meth:`AsyncSelectionRouter.stats`.  Every
-  percentile is read from :class:`repro.obs.metrics.Histogram` bucket
-  counts over the router's lifetime.
+- **one serving record** — the router holds no stats of its own: it
+  writes coalesced waits, rejections, failed waits, admitted cold fits,
+  the peak queue depth and the queue-wait/fit timings into its
+  service's :class:`~repro.serving.service.ServiceStats`, under the
+  service lock (:meth:`SelectionService.locked_stats`), so
+  :meth:`AsyncSelectionRouter.stats` is the service's own record.
 
 The router also answers typed protocol requests
 (:meth:`AsyncSelectionRouter.handle`), sharing the response constructors
@@ -59,38 +59,24 @@ from __future__ import annotations
 
 import asyncio
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.obs import graft_spans, run_in_context, set_outcome, span
-from repro.obs.metrics import Histogram
 from repro.serving.protocol import (
     RankRequest,
     RankResponse,
     ScoreBatchRequest,
     ScoreBatchResponse,
 )
-from repro.serving.service import Answer, SelectionService, ServiceStats
+from repro.serving.service import Answer, SelectionService
 
 __all__ = [
     "AsyncSelectionRouter",
-    "RouterStats",
     "QueueFullError",
 ]
-
-_COUNTER_FIELDS = (
-    "requests",
-    "coalesced",
-    "rejections",
-    "failed_waits",
-    "cold_fits",
-)
-
-_STAGES = ("queue_wait_ms", "fit_ms", "predict_ms")
 
 
 class QueueFullError(RuntimeError):
@@ -99,76 +85,6 @@ class QueueFullError(RuntimeError):
     def __init__(self, message: str, retry_after_s: float):
         super().__init__(message)
         self.retry_after_s = retry_after_s
-
-
-@dataclass
-class RouterStats:
-    """Counters and per-stage latency histograms accumulated by the router."""
-
-    requests: int = 0
-    #: requests that awaited another request's in-flight fit
-    coalesced: int = 0
-    #: requests shed because the cold-fit queue was full
-    rejections: int = 0
-    #: coalesced waiters whose originator's fit *failed* (not shed) —
-    #: their outcome merges to "error", not "coalesced"
-    failed_waits: int = 0
-    #: cold fits the router admitted (== originators, not waiters)
-    cold_fits: int = 0
-    #: highest number of simultaneously pending cold fits observed
-    peak_pending_fits: int = 0
-    queue_wait_ms: Histogram = field(default_factory=Histogram, repr=False)
-    fit_ms: Histogram = field(default_factory=Histogram, repr=False)
-    predict_ms: Histogram = field(default_factory=Histogram, repr=False)
-
-    def record_latency(self, stage: str, ms: float) -> None:
-        """Record one ``stage`` sample ('queue_wait_ms'/'fit_ms'/...)."""
-        getattr(self, stage).observe(ms)
-
-    def copy(self) -> "RouterStats":
-        return RouterStats(
-            peak_pending_fits=self.peak_pending_fits,
-            **{f: getattr(self, f) for f in _COUNTER_FIELDS},
-            **{s: getattr(self, s).copy() for s in _STAGES},
-        )
-
-    def merge(self, other: "RouterStats") -> "RouterStats":
-        """Pool another snapshot in (fleet aggregation over namespaces):
-        counters and histogram counts add, the peak stays a max."""
-        for name in _COUNTER_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.peak_pending_fits = max(self.peak_pending_fits, other.peak_pending_fits)
-        for name in _STAGES:
-            getattr(self, name).merge(getattr(other, name))
-        return self
-
-    def latency_summary(self) -> dict[str, float]:
-        """The per-stage latency slice of :meth:`summary` alone.
-
-        Compare responses embed this per strategy (merged with the
-        service's per-query slice), so it stays a flat name->float map.
-        """
-        (queue_wait_p95,) = self.queue_wait_ms.percentiles((95,))
-        fit_p50, fit_p95 = self.fit_ms.percentiles((50, 95))
-        predict_p50, predict_p95 = self.predict_ms.percentiles((50, 95))
-        return {
-            "queue_wait_p95_ms": queue_wait_p95,
-            "fit_p50_ms": fit_p50,
-            "fit_p95_ms": fit_p95,
-            "predict_p50_ms": predict_p50,
-            "predict_p95_ms": predict_p95,
-        }
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "router_requests": self.requests,
-            "coalesced": self.coalesced,
-            "rejections": self.rejections,
-            "failed_waits": self.failed_waits,
-            "cold_fits": self.cold_fits,
-            "peak_pending_fits": self.peak_pending_fits,
-            **self.latency_summary(),
-        }
 
 
 def _retrieve_exception(future: asyncio.Future) -> None:
@@ -252,8 +168,6 @@ class AsyncSelectionRouter:
                 max_workers=fit_workers, thread_name_prefix="router-fit"
             )
         self._fit_pool = fit_pool
-        self._stats = RouterStats()  # guarded by: self._stats_lock
-        self._stats_lock = threading.Lock()
         #: in-flight fit futures keyed by (target, config_fp); mutated
         #: only from the event-loop thread, so no lock is needed
         self._inflight: dict[tuple[str, str], asyncio.Future] = {}
@@ -291,10 +205,10 @@ class AsyncSelectionRouter:
         fits) times the number of queue-drain rounds ahead of the shed
         request — pending fits spread over the fit workers.  Falls back
         to the configured floor until a fit has been timed.  The p95 is
-        read from the fit histogram's bucket counts, O(buckets).
+        read from the serving record's fit histogram, O(buckets).
         """
-        with self._stats_lock:
-            fit_ms = self._stats.fit_ms
+        with self.service.locked_stats() as stats:
+            fit_ms = stats.fit_ms  # has its own lock; read it outside
         (p95_ms,) = fit_ms.percentiles((95,))
         if p95_ms <= 0.0:
             return self.retry_after_s
@@ -306,8 +220,8 @@ class AsyncSelectionRouter:
         if self._pending_fits >= self.max_pending_fits:
             if not wait:
                 hint = self._retry_after_hint()
-                with self._stats_lock:
-                    self._stats.rejections += 1
+                with self.service.locked_stats() as stats:
+                    stats.rejections += 1
                 set_outcome("shed")
                 raise QueueFullError(
                     f"cold-fit queue full ({self._pending_fits} pending, "
@@ -320,11 +234,9 @@ class AsyncSelectionRouter:
                     lambda: self._pending_fits < self.max_pending_fits
                 )
         self._pending_fits += 1
-        with self._stats_lock:
-            self._stats.cold_fits += 1
-            self._stats.peak_pending_fits = max(
-                self._stats.peak_pending_fits, self._pending_fits
-            )
+        with self.service.locked_stats() as stats:
+            stats.cold_fits += 1
+            stats.peak_pending_fits = max(stats.peak_pending_fits, self._pending_fits)
 
     async def _release_cold_fit(self) -> None:
         self._pending_fits -= 1
@@ -381,8 +293,8 @@ class AsyncSelectionRouter:
         inflight = self._inflight.get(key)
         if inflight is not None:
             waited = time.perf_counter()
-            with self._stats_lock:
-                self._stats.coalesced += 1
+            with self.service.locked_stats() as stats:
+                stats.coalesced += 1
             set_outcome("coalesced")
             try:
                 # shield: cancelling one waiter must not cancel the
@@ -393,8 +305,8 @@ class AsyncSelectionRouter:
             except QueueFullError:
                 # The originator was shed while this request waited on
                 # it; that sheds the whole coalesced group.
-                with self._stats_lock:
-                    self._stats.rejections += 1
+                with self.service.locked_stats() as stats:
+                    stats.rejections += 1
                 set_outcome("shed")
                 raise
             except BaseException:
@@ -410,14 +322,13 @@ class AsyncSelectionRouter:
                     and not inflight.cancelled()
                     and inflight.exception() is not None
                 ):
-                    with self._stats_lock:
-                        self._stats.failed_waits += 1
+                    with self.service.locked_stats() as stats:
+                        stats.failed_waits += 1
                     set_outcome("error")
                 raise
-            with self._stats_lock:
-                self._stats.record_latency(
-                    "queue_wait_ms", (time.perf_counter() - waited) * 1e3
-                )
+            waited_ms = (time.perf_counter() - waited) * 1e3
+            with self.service.locked_stats() as stats:
+                stats.queue_wait_ms.observe(waited_ms)
             return answer
 
         # Register the future BEFORE waiting for queue capacity: admission
@@ -447,10 +358,9 @@ class AsyncSelectionRouter:
         else:
             if not future.done():
                 future.set_result(answer)
-            with self._stats_lock:
-                self._stats.record_latency(
-                    "fit_ms", (time.perf_counter() - started) * 1e3
-                )
+            fit_ms = (time.perf_counter() - started) * 1e3
+            with self.service.locked_stats() as stats:
+                stats.fit_ms.observe(fit_ms)
             return answer
         finally:
             del self._inflight[key]
@@ -460,25 +370,14 @@ class AsyncSelectionRouter:
     # ------------------------------------------------------------------ #
     # async entry points
     # ------------------------------------------------------------------ #
-    def _record_answer(self, started: float, answered: float) -> None:
-        """Book one served query: its inline-answer time and latency."""
-        with self._stats_lock:
-            self._stats.record_latency(
-                "predict_ms", (time.perf_counter() - answered) * 1e3
-            )
-        self.service.record_query(started)
-
     async def rank(self, target: str, top_k: int | None = None
                    ) -> list[tuple[str, float]]:
         """Async :meth:`SelectionService.rank`; identical results."""
         started = time.perf_counter()
-        with self._stats_lock:
-            self._stats.requests += 1
         await asyncio.sleep(0)  # suspend once even when warm (module doc)
         answer = await self._answer(target)
-        answered = time.perf_counter()
         ranking = answer.ranking[:top_k]
-        self._record_answer(started, answered)
+        self.service.record_query(started)
         return ranking
 
     async def score_batch(self, pairs: list[tuple[str, str]]) -> np.ndarray:
@@ -488,8 +387,6 @@ class AsyncSelectionRouter:
         concurrently (each subject to coalescing).
         """
         started = time.perf_counter()
-        with self._stats_lock:
-            self._stats.requests += 1
         await asyncio.sleep(0)  # suspend once even when warm (module doc)
         self._bind_loop()
         answers = {
@@ -499,9 +396,8 @@ class AsyncSelectionRouter:
         if missing:
             fetched = await asyncio.gather(*(self._fit(t) for t in missing))
             answers.update(zip(missing, fetched))
-        answered = time.perf_counter()
         out = np.array([answers[t].scores[m] for m, t in pairs], dtype=np.float64)
-        self._record_answer(started, answered)
+        self.service.record_query(started)
         return out
 
     async def handle(self, request: RankRequest | ScoreBatchRequest):
@@ -545,31 +441,9 @@ class AsyncSelectionRouter:
     # stats + lifecycle
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, float]:
-        """Service counters merged with router-level counters/latencies."""
-        return {**self.service.stats(), **self.router_stats().summary()}
-
-    def router_stats(self) -> RouterStats:
-        """A copy of the raw router counters."""
-        with self._stats_lock:
-            return self._stats.copy()
-
-    def stats_snapshot(self) -> tuple[ServiceStats, RouterStats]:
-        """Paired (service, router) snapshots, as ``/v1/stats`` pools them."""
-        return self.service.stats_snapshot(), self.router_stats()
-
-    def fit_cost_summary(self) -> dict[str, float]:
-        """Measured cold-fit cost: fit-latency percentiles and count.
-
-        ``/v1/stats`` and healthz expose it per strategy.
-        """
-        with self._stats_lock:
-            fit_ms = self._stats.fit_ms.copy()
-        p50, p95 = fit_ms.percentiles((50, 95))
-        return {
-            "fit_ms_p50": p50,
-            "fit_ms_p95": p95,
-            "fits_timed": float(fit_ms.count),
-        }
+        """The summary of the service's serving record, router fields
+        included (module doc)."""
+        return self.service.stats()
 
     @property
     def pending_fits(self) -> int:

@@ -29,11 +29,15 @@ new one, never a mix.  The consistency contract follows: a catalog
 write reaches warm answers only through :meth:`SelectionService.refresh`
 or :meth:`SelectionService.invalidate`.
 
-Every query is timed and counted; :meth:`SelectionService.stats` exposes
-hit rates and latency percentiles.  The cache/stat primitives
-(:meth:`cache_get`, :meth:`cache_put`, :meth:`load_or_fit`,
-:meth:`record_query`) are thread-safe, so the async router in
-:mod:`repro.serving.router` answers cache hits inline on its event loop
+Every query is timed and counted in one :class:`ServiceStats` record
+per service — the strategy's serving record.  The async router in front
+of the service writes its admission counters and fit/queue-wait timings
+into the same record (:meth:`SelectionService.locked_stats`), and
+``/v1/stats``, healthz, the retry hint, compare latencies, the served
+evaluation report and the ``/v1/metrics`` cache-lookup counters all read
+it.  The cache/stat primitives (:meth:`cache_get`, :meth:`cache_put`,
+:meth:`load_or_fit`, :meth:`record_query`, :meth:`locked_stats`) are
+thread-safe, so the router answers cache hits inline on its event loop
 while fits run on its thread pool: bookkeeping is serialised under one
 lock, while fits, revives and answer materialisation run outside it
 (the router's single-flight coalescing guarantees at most one in-flight
@@ -45,11 +49,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs import record_cache, set_outcome, span
+from repro.obs import set_outcome, span
 from repro.obs.metrics import Histogram
 from repro.strategies.artifacts import ArtifactError
 from repro.serving.protocol import (
@@ -77,7 +82,13 @@ _COUNTER_FIELDS = (
     "refreshes",
     "evictions",
     "invalidations",
+    "coalesced",
+    "rejections",
+    "failed_waits",
+    "cold_fits",
 )
+
+_HISTOGRAMS = ("latencies_ms", "queue_wait_ms", "fit_ms")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +109,15 @@ class Answer:
 
 @dataclass
 class ServiceStats:
-    """Counters and the per-query latency histogram of a service."""
+    """One strategy's serving record: counters and latency histograms.
+
+    The service counts queries, cache lookups, fits and cache churn; the
+    router in front of it writes the admission fields (``coalesced`` to
+    ``peak_pending_fits``) and the ``queue_wait_ms``/``fit_ms`` timings.
+    A service answering without a router reports those as 0.  Every
+    percentile is read from :class:`~repro.obs.metrics.Histogram` bucket
+    counts over the record's lifetime.
+    """
 
     queries: int = 0
     cache_hits: int = 0
@@ -108,7 +127,23 @@ class ServiceStats:
     refreshes: int = 0
     evictions: int = 0
     invalidations: int = 0
+    #: requests that awaited another request's in-flight fit
+    coalesced: int = 0
+    #: requests shed because the cold-fit queue was full
+    rejections: int = 0
+    #: coalesced waiters whose originator's fit *failed* (not shed) —
+    #: their outcome merges to "error", not "coalesced"
+    failed_waits: int = 0
+    #: cold fits the router admitted (== originators, not waiters)
+    cold_fits: int = 0
+    #: highest number of simultaneously pending cold fits observed
+    peak_pending_fits: int = 0
+    #: per query, from its arrival to its answer
     latencies_ms: Histogram = field(default_factory=Histogram, repr=False)
+    #: per coalesced waiter, its wait on the originator's fit
+    queue_wait_ms: Histogram = field(default_factory=Histogram, repr=False)
+    #: per admitted cold fit, from its admission to its cached answer
+    fit_ms: Histogram = field(default_factory=Histogram, repr=False)
 
     def hit_rate(self) -> float:
         """Fraction of fitted-pipeline lookups served from memory."""
@@ -117,48 +152,61 @@ class ServiceStats:
 
     def copy(self) -> "ServiceStats":
         return ServiceStats(
-            latencies_ms=self.latencies_ms.copy(),
+            peak_pending_fits=self.peak_pending_fits,
             **{f: getattr(self, f) for f in _COUNTER_FIELDS},
-        )
-
-    def since(self, earlier: "ServiceStats") -> "ServiceStats":
-        """Counters and latencies accumulated after the ``earlier`` snapshot."""
-        return ServiceStats(
-            latencies_ms=self.latencies_ms.since(earlier.latencies_ms),
-            **{f: getattr(self, f) - getattr(earlier, f) for f in _COUNTER_FIELDS},
+            **{h: getattr(self, h).copy() for h in _HISTOGRAMS},
         )
 
     def merge(self, other: "ServiceStats") -> "ServiceStats":
-        """Pool another snapshot in: counters and histogram counts add.
+        """Pool another snapshot in: counters and histogram counts add,
+        the peak stays a max.
 
-        Used for fleet-wide aggregation across gateway namespaces —
-        percentiles of the merged histogram are pooled percentiles, not
-        averages of per-namespace ones.
+        Used to pool a namespace's strategies and the fleet's namespaces
+        — percentiles of the merged histograms are pooled percentiles,
+        not averages of per-strategy ones.
         """
         for name in _COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.latencies_ms.merge(other.latencies_ms)
+        self.peak_pending_fits = max(self.peak_pending_fits, other.peak_pending_fits)
+        for name in _HISTOGRAMS:
+            getattr(self, name).merge(getattr(other, name))
         return self
 
     def latency_summary(self) -> dict[str, float]:
-        """The per-query latency slice of :meth:`summary` alone.
+        """The latency slice of :meth:`summary` alone.
 
         Compare responses embed this per strategy (the protocol's
         ``StrategyComparison.latency``), so it is a flat name->float map.
         """
         p50, p95 = self.latencies_ms.percentiles((50, 95))
-        return {"p50_ms": p50, "p95_ms": p95, "max_ms": self.latencies_ms.max}
+        (queue_wait_p95,) = self.queue_wait_ms.percentiles((95,))
+        fit_p50, fit_p95 = self.fit_ms.percentiles((50, 95))
+        return {
+            "p50_ms": p50,
+            "p95_ms": p95,
+            "max_ms": self.latencies_ms.max,
+            "queue_wait_p95_ms": queue_wait_p95,
+            "fit_p50_ms": fit_p50,
+            "fit_p95_ms": fit_p95,
+        }
+
+    def fit_cost(self) -> dict[str, float]:
+        """Measured cold-fit cost: fit-latency percentiles and count.
+
+        ``/v1/stats`` (the ``strategies`` block) and healthz expose it
+        per strategy.
+        """
+        p50, p95 = self.fit_ms.percentiles((50, 95))
+        return {
+            "fit_ms_p50": p50,
+            "fit_ms_p95": p95,
+            "fits_timed": float(self.fit_ms.count),
+        }
 
     def summary(self) -> dict[str, float]:
         return {
-            "queries": self.queries,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "registry_hits": self.registry_hits,
-            "fits": self.fits,
-            "refreshes": self.refreshes,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
+            **{f: getattr(self, f) for f in _COUNTER_FIELDS},
+            "peak_pending_fits": self.peak_pending_fits,
             "hit_rate": self.hit_rate(),
             **self.latency_summary(),
         }
@@ -248,8 +296,8 @@ class SelectionService:
                 self._stats.cache_hits += 1
             else:
                 self._stats.cache_misses += 1
-        record_cache(hit=cached is not None)  # no-op without a trace
         if cached is not None:
+            set_outcome("warm")  # no-op without a trace
             return cached
         self._check_target(target)
         return None
@@ -356,6 +404,22 @@ class SelectionService:
         with self._lock:
             self._stats.queries += 1
             self._stats.latencies_ms.observe(elapsed_ms)
+
+    @contextmanager
+    def locked_stats(self):
+        """Hold the service lock and yield the live serving record.
+
+        How the router writes its admission counters and stage timings
+        into the one record; keep the block short, every lookup waits on
+        it.
+        """
+        with self._lock:
+            yield self._stats
+
+    def lookup_counts(self) -> tuple[int, int]:
+        """(cache hits, cache misses) so far; thread-safe."""
+        with self._lock:
+            return self._stats.cache_hits, self._stats.cache_misses
 
     # ------------------------------------------------------------------ #
     def rank(self, target: str, top_k: int | None = None) -> list[tuple[str, float]]:
@@ -482,6 +546,7 @@ class SelectionService:
         return self.stats_snapshot().summary()
 
     def stats_snapshot(self) -> ServiceStats:
-        """A copy of the raw counters (diffable via ``ServiceStats.since``)."""
+        """A copy of the serving record (its histograms diff through
+        :meth:`~repro.obs.metrics.Histogram.since`)."""
         with self._lock:
             return self._stats.copy()

@@ -12,6 +12,11 @@ Layout (one directory per config hash)::
     <cache_dir>/<key>/catalog.json     the ZooCatalog tables
     <cache_dir>/<key>/specs.json       the ModelSpec list
     <cache_dir>/<key>/weights.npz      flattened model state dicts
+
+Each file is written to a hidden sibling and moved into place with
+``os.replace``, so a reader sees a whole old file or a whole new one.
+A file that is missing, cut short or unparsable makes :func:`load_zoo`
+return ``None``, so the zoo rebuilds instead of the reader crashing.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
+import zipfile
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -37,6 +45,10 @@ __all__ = ["zoo_cache_key", "save_zoo", "load_zoo", "get_or_build_zoo",
 
 _CACHE_VERSION = 12
 
+#: what reading a missing, torn or foreign cache file raises
+_READ_ERRORS = (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError,
+                zipfile.BadZipFile, zlib.error)
+
 
 def default_cache_dir() -> Path:
     env = os.environ.get("REPRO_CACHE_DIR")
@@ -51,22 +63,38 @@ def zoo_cache_key(config: ZooConfig) -> str:
     return hashlib.blake2b(payload.encode(), digest_size=10).hexdigest()
 
 
+def _replace(path: Path, write) -> None:
+    """Crash-safe write: ``write(tmp)`` fills a hidden sibling of
+    ``path`` (same suffix, unique per writer thread), which then moves
+    into place with ``os.replace``."""
+    tmp = path.with_name(
+        f".{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp{path.suffix}")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_zoo(zoo: ModelZoo, cache_dir: Path | str | None = None) -> Path:
-    """Persist a built zoo; returns its cache directory."""
+    """Persist a built zoo, one crash-safe file at a time; returns its
+    cache directory."""
     root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     out = root / zoo_cache_key(zoo.config)
     out.mkdir(parents=True, exist_ok=True)
 
-    (out / "config.json").write_text(json.dumps(zoo.config.to_dict(), indent=1))
-    zoo.catalog.save(out / "catalog.json")
-    specs = [asdict(m.spec) for m in zoo.models.values()]
-    (out / "specs.json").write_text(json.dumps(specs, indent=1))
+    config = json.dumps(zoo.config.to_dict(), indent=1)
+    _replace(out / "config.json", lambda tmp: tmp.write_text(config))
+    _replace(out / "catalog.json", zoo.catalog.save)
+    specs = json.dumps([asdict(m.spec) for m in zoo.models.values()], indent=1)
+    _replace(out / "specs.json", lambda tmp: tmp.write_text(specs))
 
     arrays: dict[str, np.ndarray] = {}
     for model_id, model in zoo.models.items():
         for name, value in model.state().items():
             arrays[f"{model_id}::{name}"] = value
-    np.savez_compressed(out / "weights.npz", **arrays)
+    _replace(out / "weights.npz", lambda tmp: np.savez_compressed(tmp, **arrays))
     return out
 
 
@@ -80,16 +108,35 @@ def _config_from_dict(payload: dict) -> ZooConfig:
     return ZooConfig(**payload)
 
 
+def _read_cache(path: Path):
+    """(catalog, specs, state dicts by model id) from a cache directory;
+    None when any of those files is missing, torn or unparsable."""
+    try:
+        catalog = ZooCatalog.load(path / "catalog.json")
+        specs = [ModelSpec(**s)
+                 for s in json.loads((path / "specs.json").read_text())]
+        grouped: dict[str, dict[str, np.ndarray]] = {}
+        with np.load(path / "weights.npz") as arrays:
+            for key in arrays.files:
+                model_id, name = key.split("::", 1)
+                grouped.setdefault(model_id, {})[name] = arrays[key]
+    except _READ_ERRORS:  # a cache miss, so the zoo rebuilds
+        return None
+    return catalog, specs, grouped
+
+
 def load_zoo(config: ZooConfig, cache_dir: Path | str | None = None) -> ModelZoo | None:
-    """Restore a zoo for ``config`` from cache, or None when absent."""
+    """Restore a zoo for ``config`` from cache, or None when absent or
+    unreadable."""
     root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = root / zoo_cache_key(config)
     required = ["config.json", "catalog.json", "specs.json", "weights.npz"]
     if not all((path / f).exists() for f in required):
         return None
-
-    catalog = ZooCatalog.load(path / "catalog.json")
-    specs = [ModelSpec(**s) for s in json.loads((path / "specs.json").read_text())]
+    cached = _read_cache(path)
+    if cached is None:
+        return None
+    catalog, specs, grouped = cached
 
     universe = TaskUniverse(
         config.modality, seed=config.seed, semantic_dim=config.semantic_dim,
@@ -98,12 +145,6 @@ def load_zoo(config: ZooConfig, cache_dir: Path | str | None = None) -> ModelZoo
     )
     targets, sources = _select_names(universe, config)
     datasets = universe.materialise_all(targets + sources)
-
-    with np.load(path / "weights.npz") as arrays:
-        grouped: dict[str, dict[str, np.ndarray]] = {}
-        for key in arrays.files:
-            model_id, name = key.split("::", 1)
-            grouped.setdefault(model_id, {})[name] = arrays[key]
 
     models = []
     for spec in specs:

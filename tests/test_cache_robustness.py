@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.zoo import ZooConfig, build_zoo, load_zoo, save_zoo, zoo_cache_key
+from repro.zoo import (ZooConfig, build_zoo, get_or_build_zoo, load_zoo,
+                       save_zoo, zoo_cache_key)
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +54,28 @@ class TestCacheRobustness:
         save_zoo(zoo, root)  # overwrite in place
         loaded = load_zoo(config, root)
         assert np.allclose(loaded.accuracy_matrix(), zoo.accuracy_matrix())
+
+    @pytest.mark.parametrize("name", ["catalog.json", "specs.json",
+                                      "weights.npz"])
+    def test_torn_file_rebuilds_instead_of_raising(self, saved, name):
+        """A writer killed mid-save leaves half a file: the reader must
+        treat it as a miss and rebuild the same zoo."""
+        config, zoo, root = saved
+        path = root / zoo_cache_key(config) / name
+        whole = path.read_bytes()
+        path.write_bytes(whole[:len(whole) // 2])
+        try:
+            assert load_zoo(config, root) is None
+            rebuilt = get_or_build_zoo(config, root)
+            assert np.array_equal(rebuilt.accuracy_matrix(),
+                                  zoo.accuracy_matrix())
+            assert load_zoo(config, root) is not None  # healed on disk
+        finally:
+            path.write_bytes(whole)
+
+    def test_save_leaves_no_hidden_siblings(self, saved):
+        config, zoo, root = saved
+        save_zoo(zoo, root)
+        names = sorted(p.name for p in (root / zoo_cache_key(config)).iterdir())
+        assert names == ["catalog.json", "config.json", "specs.json",
+                         "weights.npz"]

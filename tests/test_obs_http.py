@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 
 from repro.obs import EXPOSITION_CONTENT_TYPE
-from repro.serving import GatewayHTTPServer
+from repro.serving import GatewayHTTPServer, SelectionGateway
 
-from serving_stubs import stub_gateway
+from serving_stubs import STUB_SCORES, StubStrategy, StubZoo, stub_gateway
 
 
 def run(coro):
@@ -49,6 +50,19 @@ async def http_request(host, port, method, path, body=None,
         name, _, value = line.partition(":")
         parsed[name.strip().lower()] = value.strip()
     return status, parsed, body_raw
+
+
+_LABEL = re.compile(r'(\w+)="([^"]*)"')
+
+
+def samples(text, name):
+    """[(labels, value)] of every sample line of metric ``name``."""
+    out = []
+    for line in text.splitlines():
+        if line.startswith(name + "{"):
+            labels, _, value = line.rpartition(" ")
+            out.append((dict(_LABEL.findall(labels)), float(value)))
+    return out
 
 
 class TestRequestIds:
@@ -252,3 +266,78 @@ class TestMetricsEndpoint:
         assert not any("probe" in line for line in series)
         assert ('repro_http_responses_total{path="/v1/rank",status="200"} 1'
                 in series)
+
+
+class TestOneTelemetrySource:
+    """``/v1/metrics`` reads its cache lookups from the serving records
+    ``/v1/stats`` reports, and labels a compare's work by strategy."""
+
+    @staticmethod
+    def gateway(registry_root=None):
+        gateway = SelectionGateway(registry_root=registry_root)
+        gateway.add_namespace(
+            "alpha", StubZoo(), StubStrategy("agree", STUB_SCORES["agree"]),
+            strategies=(StubStrategy("flip", STUB_SCORES["flip"]),))
+        return gateway
+
+    @staticmethod
+    def scrape(gateway, *posts):
+        """POST each (path, body), then read /v1/metrics and /v1/stats."""
+        async def scenario():
+            server = GatewayHTTPServer(gateway, "127.0.0.1", 0)
+            await server.start()
+            host, port = server.address
+            for path, body in posts:
+                status, _, _ = await http_request(
+                    host, port, "POST", path, body=json.dumps(body))
+                assert status == 200
+            _, _, metrics = await http_request(host, port, "GET",
+                                               "/v1/metrics")
+            _, _, stats = await http_request(host, port, "GET", "/v1/stats")
+            await server.close()
+            return metrics.decode(), json.loads(stats)
+
+        return run(scenario())
+
+    def test_cache_lookups_equal_each_strategys_record(self):
+        gateway = self.gateway()
+        try:
+            run(gateway.warmup("alpha"))
+            metrics, stats = self.scrape(
+                gateway,
+                ("/v1/rank", {"namespace": "alpha", "target": "t0"}),
+                ("/v1/compare", {"namespace": "alpha", "target": "t1"}))
+            lookups = samples(metrics, "repro_cache_lookups_total")
+            assert {labels["strategy"] for labels, _ in lookups} == \
+                {"agree", "flip"}
+            totals = {"hit": 0.0, "miss": 0.0}
+            for labels, value in lookups:
+                record = gateway.service("alpha", labels["strategy"]).stats()
+                key = {"hit": "cache_hits", "miss": "cache_misses"}
+                assert value == record[key[labels["result"]]]
+                totals[labels["result"]] += value
+        finally:
+            gateway.close()
+        fleet = stats["fleet"]
+        assert totals == {"hit": fleet["cache_hits"],
+                          "miss": fleet["cache_misses"]}
+        assert totals["miss"] == 8   # warmup: 4 targets x 2 strategies
+
+    def test_compare_fits_carry_the_strategy_that_ran_them(self, tmp_path):
+        # a registry gives every fit fit.registry_load/fit.artifact_pack
+        gateway = self.gateway(registry_root=tmp_path)
+        try:
+            metrics, _ = self.scrape(
+                gateway, ("/v1/compare", {"namespace": "alpha", "target": "t0"}))
+        finally:
+            gateway.close()
+        stages: dict[str, set] = {}
+        for labels, _ in samples(metrics, "repro_fit_stage_ms_count"):
+            stages.setdefault(labels["strategy"], set()).add(labels["stage"])
+        assert stages == {
+            spec: {"fit.registry_load", "fit.artifact_pack"}
+            for spec in ("agree", "flip")
+        }
+        # the compare request itself still counts under the map
+        assert ('repro_requests_total{endpoint="compare",namespace="alpha",'
+                'strategy="map",outcome="cold"} 1') in metrics

@@ -48,6 +48,17 @@ class TestCounter:
         with pytest.raises(ValueError):
             family.labels("x", b="y")                # mixed styles
 
+    def test_set_function_is_read_at_render_time(self):
+        """How cache lookups are exported: read from the serving record
+        at scrape time instead of counted a second time."""
+        registry = MetricsRegistry()
+        hits = [3]
+        registry.counter("hits_total", "hits", ("ns",)).labels(
+            "a").set_function(lambda: hits[0])
+        assert 'hits_total{ns="a"} 3\n' in registry.render()
+        hits[0] = 5
+        assert 'hits_total{ns="a"} 5\n' in registry.render()
+
 
 class TestHistogram:
     def test_bucket_boundaries_are_inclusive_upper(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -10,9 +11,8 @@ from repro.obs import (
     OUTCOME_SEVERITY,
     EventLog,
     Observability,
-    annotate,
     current_trace,
-    record_cache,
+    mark_strategy,
     run_in_context,
     set_outcome,
     span,
@@ -68,6 +68,36 @@ class TestSpans:
         assert "fit.train" in trace.stage_totals()
 
 
+class TestStrategyMark:
+    def test_mark_labels_its_own_task_and_fit_threads_only(self):
+        """A compare fans one trace out over several strategies: each
+        marked task's fit stages, on the loop or a fit thread, carry its
+        own spec, and the compare's own context keeps the trace's."""
+        obs = Observability()
+
+        def fit():
+            with span("fit.train"):
+                pass
+
+        async def fan_out(spec, pool):
+            mark_strategy(spec)
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(pool, run_in_context(fit))
+
+        async def compare():
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                with obs.request("compare", namespace="img", strategy="map"):
+                    await asyncio.gather(fan_out("lr", pool),
+                                         fan_out("logme", pool))
+                    fit()
+
+        asyncio.run(compare())
+        text = obs.render_metrics()
+        for strategy in ("lr", "logme", "map"):
+            assert (f'repro_fit_stage_ms_count{{namespace="img",'
+                    f'strategy="{strategy}",stage="fit.train"}} 1') in text
+
+
 class TestOutcomes:
     def test_outcome_merge_keeps_most_severe(self):
         obs = Observability()
@@ -77,20 +107,6 @@ class TestOutcomes:
             set_outcome("warm")     # cannot downgrade
         assert trace.outcome == "cold"
         assert OUTCOME_SEVERITY["shed"] > OUTCOME_SEVERITY["cold"]
-
-    def test_record_cache_hit_marks_warm_and_counts(self):
-        obs = Observability()
-        with obs.request("rank", namespace="img", strategy="logme") as trace:
-            record_cache(hit=True)
-        assert trace.outcome == "warm"
-        with obs.request("rank", namespace="img", strategy="logme") as trace:
-            record_cache(hit=False)
-        assert trace.outcome == "ok"
-        text = obs.render_metrics()
-        assert ('repro_cache_lookups_total{namespace="img",'
-                'strategy="logme",result="hit"} 1') in text
-        assert ('repro_cache_lookups_total{namespace="img",'
-                'strategy="logme",result="miss"} 1') in text
 
     def test_exception_marks_error_outcome(self):
         obs = Observability()
@@ -103,9 +119,7 @@ class TestOutcomes:
         assert 'outcome="error"' in obs.render_metrics()
 
     def test_helpers_are_noops_without_a_trace(self):
-        set_outcome("cold")
-        record_cache(hit=True)
-        annotate(target="dtd")      # none of these may raise
+        set_outcome("cold")         # may not raise
 
 
 class TestRequestContext:
@@ -113,11 +127,14 @@ class TestRequestContext:
         """A caller wrapping a gateway that traces internally must not
         double-count the request."""
         obs = Observability()
+        seen: list[dict] = []
+        obs.add_trace_sink(seen.append)
         with obs.request("rank", request_id="outer") as outer:
             with obs.request("rank", request_id="inner") as inner:
                 assert inner is outer
-        records = obs.drain_traces()
-        assert [r["request_id"] for r in records] == ["outer"]
+        assert [r["request_id"] for r in seen] == ["outer"]
+        assert ('repro_requests_total{endpoint="rank",namespace="-",'
+                'strategy="-",outcome="ok"} 1') in obs.render_metrics()
 
     def test_request_id_minted_when_absent_kept_when_given(self):
         obs = Observability()
@@ -126,15 +143,6 @@ class TestRequestContext:
         assert minted and len(minted) == 16
         with obs.request("rank", request_id="abc") as trace:
             assert trace.request_id == "abc"
-
-    def test_annotate_lands_in_trace_record_and_event(self):
-        stream = io.StringIO()
-        obs = Observability(event_log=EventLog(stream, json_lines=True))
-        with obs.request("rank") as trace:
-            annotate(target="dtd")
-        assert trace.to_dict()["metadata"] == {"target": "dtd"}
-        event = json.loads(stream.getvalue())
-        assert event["target"] == "dtd"
 
     def test_trace_sink_sees_every_finished_trace(self):
         obs = Observability()

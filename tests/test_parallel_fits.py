@@ -118,8 +118,9 @@ class TestAdaptiveBackpressure:
     def test_hint_tracks_p95_times_drain_rounds(self):
         router = AsyncSelectionRouter(stub_service(), retry_after_s=0.1,
                                       fit_workers=2)
-        for _ in range(20):
-            router._stats.record_latency("fit_ms", 1000.0)
+        with router.service.locked_stats() as stats:
+            for _ in range(20):
+                stats.fit_ms.observe(1000.0)
         router._pending_fits = 4
         # p95 = 1 s, 4 pending over 2 workers -> 2 drain rounds -> 2 s
         assert router._retry_after_hint() == pytest.approx(2.0)
@@ -131,10 +132,11 @@ class TestAdaptiveBackpressure:
         it and shed clients would come back too early)."""
         router = AsyncSelectionRouter(stub_service(), retry_after_s=0.01,
                                       fit_workers=1)
-        for _ in range(18):
-            router._stats.record_latency("fit_ms", 10.0)
-        for _ in range(2):
-            router._stats.record_latency("fit_ms", 2000.0)
+        with router.service.locked_stats() as stats:
+            for _ in range(18):
+                stats.fit_ms.observe(10.0)
+            for _ in range(2):
+                stats.fit_ms.observe(2000.0)
         router._pending_fits = 1
         hint = router._retry_after_hint()
         mean_s = (18 * 10.0 + 2 * 2000.0) / 20 / 1e3

@@ -285,6 +285,33 @@ class TestSharedFitPools:
         assert own._shutdown
 
 
+class TestStatsPooling:
+    def test_namespace_row_pools_two_strategies(self):
+        """/v1/stats reads each strategy's one record: a namespace row
+        adds their counts, keeps the highest peak, and the strategies
+        block gives each its own fit cost."""
+        fast = StubStrategy("fast", STUB_SCORES["agree"])
+        gateway = stub_gateway(names=("alpha",), strategies=(fast,))
+        records = {"tg:lr,n2v,all": (2, 3, 10.0), "fast": (5, 1, 20.0)}
+        try:
+            for spec, (coalesced, peak, fit_ms) in records.items():
+                with gateway.service("alpha", spec).locked_stats() as stats:
+                    stats.coalesced = coalesced
+                    stats.peak_pending_fits = peak
+                    stats.fit_ms.observe(fit_ms)
+            stats = gateway.stats()
+            for row in (stats.namespaces["alpha"], stats.fleet):
+                assert row["coalesced"] == 7
+                assert row["peak_pending_fits"] == 3
+            costs = stats.strategies["alpha"]
+            assert list(costs) == list(records)   # default first
+            assert costs["fast"]["fits_timed"] == 1.0
+            assert costs["fast"]["fit_ms_p50"] == 20.0
+            assert gateway.fit_costs() == stats.strategies
+        finally:
+            gateway.close()
+
+
 class TestStrategyIsolation:
     """Every strategy of a namespace admits cold fits through its own
     router: one bound, its own queue slots and its own fit threads."""

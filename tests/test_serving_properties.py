@@ -2,9 +2,9 @@
 
 - the in-memory LRU must evict in exact least-recently-used order under
   arbitrary access sequences (checked against a reference model);
-- the latency histogram behind ``ServiceStats``/``RouterStats``:
-  ``since`` and ``merge`` are exact count arithmetic, and every
-  percentile read brackets numpy's nearest-rank value within one bucket;
+- the latency histogram behind ``ServiceStats``: ``since`` and
+  ``merge`` are exact count arithmetic, and every percentile read
+  brackets numpy's nearest-rank value within one bucket;
 - cache keys must isolate configs: two services with different config
   fingerprints sharing one registry never serve each other's artifacts.
 """
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import FeatureSet, TransferGraphConfig
 from repro.obs.metrics import PERCENTILE_BUCKETS_MS, Histogram
-from repro.serving import ArtifactRegistry, SelectionService, ServiceStats
+from repro.serving import ArtifactRegistry, SelectionService
 from repro.strategies.fingerprint import config_fingerprint
 
 from serving_stubs import StubFitted, StubZoo, stub_service
@@ -107,30 +107,26 @@ class TestLatencyHistogram:
     def test_since_is_exactly_the_later_samples(self, samples, data):
         split = data.draw(st.integers(min_value=0, max_value=len(samples)))
         later = samples[split:]
-        stats = ServiceStats()
-        for value in samples[:split]:
-            stats.queries += 1
-            stats.latencies_ms.observe(value)
-        earlier = stats.copy()
+        hist = _histogram(samples[:split])
+        earlier = hist.copy()
         for value in later:
-            stats.queries += 1
-            stats.latencies_ms.observe(value)
+            hist.observe(value)
 
-        delta = stats.since(earlier)
-        counts, total, count = delta.latencies_ms.snapshot()
+        delta = hist.since(earlier)
+        counts, total, count = delta.snapshot()
         want_counts, want_total, want_count = _histogram(later).snapshot()
-        assert delta.queries == count == want_count == len(later)
+        assert count == want_count == len(later)
         assert counts == want_counts
         assert total == pytest.approx(want_total)
         if later:
             # the delta's max is estimated: at most one bucket high
             top = max(later)
-            assert top <= delta.latencies_ms.max <= _bucket_edge(top)
-            for exact, got in _reads(delta.latencies_ms, later):
+            assert top <= delta.max <= _bucket_edge(top)
+            for exact, got in _reads(delta, later):
                 assert exact <= got <= _bucket_edge(exact)
         else:
-            assert delta.latency_summary() == {"p50_ms": 0.0, "p95_ms": 0.0,
-                                               "max_ms": 0.0}
+            assert delta.percentiles(_QS) == (0.0,) * len(_QS)
+            assert delta.max == 0.0
 
     @settings(max_examples=80, deadline=None)
     @given(first=st.lists(_LATENCY, max_size=40),

@@ -16,7 +16,6 @@ from repro.core import FeatureSet, TransferGraphConfig
 from repro.serving import (
     AsyncSelectionRouter,
     QueueFullError,
-    RouterStats,
     SelectionService,
     ServiceStats,
 )
@@ -269,14 +268,23 @@ class TestCorrectness:
         router.close()
 
     def test_stats_merge_service_and_router_fields(self):
-        router = AsyncSelectionRouter(stub_service())
+        """One record: the router's stats are its service's, router
+        fields included, and a standalone service reports them as 0."""
+        service = stub_service()
+        router = AsyncSelectionRouter(service)
         run(router.rank("t0"))
         stats = router.stats()
         router.close()
+        assert stats == service.stats()
         for key in ("queries", "hit_rate", "p50_ms",          # service
                     "coalesced", "rejections", "peak_pending_fits",
-                    "fit_p95_ms", "predict_p95_ms"):          # router
+                    "failed_waits", "queue_wait_p95_ms"):     # router
             assert key in stats
+        assert stats["cold_fits"] == 1 and stats["fit_p95_ms"] > 0
+        standalone = stub_service()
+        standalone.rank("t0")
+        assert standalone.stats()["cold_fits"] == 0
+        assert standalone.stats()["fit_p95_ms"] == 0.0
 
     def test_router_reusable_across_event_loops(self):
         """Sequential asyncio.run calls on one router, as a script makes."""
@@ -299,48 +307,49 @@ class TestCorrectness:
 # ---------------------------------------------------------------------- #
 # stats arithmetic
 # ---------------------------------------------------------------------- #
-class TestRouterStats:
+class TestServingStats:
     def test_since_survives_window_wrap(self):
-        """A router's paired snapshot diffs its service half through
-        ``ServiceStats.since`` (the served evaluation's warm-latency
-        window): 10,000 samples before the snapshot (a full former
-        rolling window) must not leak into the delta's counts or
-        percentiles."""
+        """The served evaluation diffs a strategy's latency histogram
+        through ``Histogram.since`` (its warm-latency window): 10,000
+        samples before the snapshot (a full former rolling window) must
+        not leak into the delta's counts or percentiles."""
         stats = ServiceStats()
         for i in range(10_000):
             stats.latencies_ms.observe(float(i))
         earlier = stats.copy()
         for i in range(500):
             stats.latencies_ms.observe(1000.0 + i)
-        delta = stats.since(earlier)
-        assert delta.latencies_ms.count == 500
-        summary = delta.latency_summary()
+        delta = stats.latencies_ms.since(earlier.latencies_ms)
+        assert delta.count == 500
+        p50, p95 = delta.percentiles((50, 95))
         # nearest rank over 1000..1499: p50 = 1249, p95 = 1474
-        assert 1249.0 <= summary["p50_ms"] <= 1249.0 * 2 ** (1 / 8)
-        assert 1474.0 <= summary["p95_ms"] <= 1474.0 * 2 ** (1 / 8)
+        assert 1249.0 <= p50 <= 1249.0 * 2 ** (1 / 8)
+        assert 1474.0 <= p95 <= 1474.0 * 2 ** (1 / 8)
 
     def test_summary_handles_empty_latencies(self):
-        summary = RouterStats().summary()
+        summary = ServiceStats().summary()
         assert summary["fit_p95_ms"] == 0.0
-        assert summary["router_requests"] == 0
+        assert summary["queue_wait_p95_ms"] == 0.0
+        assert summary["coalesced"] == 0
 
-    def test_warm_inline_answers_read_below_ten_microseconds(self):
-        """Warm answers take a few microseconds; the percentile layout's
-        1 us floor must resolve them, not round them up to a coarse
-        first bucket."""
-        router = AsyncSelectionRouter(stub_service())
+    def test_coalesced_waiters_time_their_queue_wait(self):
+        """One cold rank and a waiter on the same target: the waiter's
+        wait on the originator's fit lands in the record's queue-wait
+        histogram, once per coalesced request."""
+        service = stub_service(fit_seconds=0.05)
+        router = AsyncSelectionRouter(service)
 
-        async def warm_ranks():
-            for _ in range(200):
-                await router.rank("t0")
+        async def scenario():
+            originator = asyncio.ensure_future(router.rank("t0"))
+            await asyncio.sleep(0.01)  # the fit is now in flight
+            await asyncio.gather(originator, router.rank("t0"))
 
-        run(warm_ranks())
-        # one slow answer, as real traffic has: the cap at the max must
-        # not be what keeps the p50 low
-        router._stats.record_latency("predict_ms", 1.0)
-        stats = router.stats()
+        run(scenario())
         router.close()
-        assert stats["predict_p50_ms"] < 0.01
+        snapshot = service.stats_snapshot()
+        assert snapshot.coalesced == 1
+        assert snapshot.queue_wait_ms.count == snapshot.coalesced
+        assert snapshot.summary()["queue_wait_p95_ms"] > 0
 
 
 class TestCancellation:
@@ -432,7 +441,7 @@ class TestFailedWaits:
         assert stats["rejections"] == 1
 
     def test_failed_waits_in_summary_and_since(self):
-        later = RouterStats(failed_waits=2, coalesced=5)
+        later = ServiceStats(failed_waits=2, coalesced=5)
         assert later.summary()["failed_waits"] == 2
-        merged = RouterStats().merge(later)
+        merged = ServiceStats().merge(later)
         assert merged.failed_waits == 2
